@@ -73,11 +73,11 @@ func BenchmarkBuildEFTf1(b *testing.B) { benchBuild(b, ftspanner.EdgeFaults, 1) 
 func BenchmarkBuildEFTf3(b *testing.B) { benchBuild(b, ftspanner.EdgeFaults, 3) }
 
 // Parallel-build benchmarks on the large quantized-weight fixture (the
-// -benchjson Large* cases): same workload at increasing worker counts and
-// pipeline depths. The kept-edge set is identical at every setting;
-// wall-clock gains need runnable CPUs.
+// -benchjson Large* cases): same workload at increasing worker counts. The
+// kept-edge set is identical at every setting; wall-clock gains need
+// runnable CPUs.
 
-func benchBuildParallel(b *testing.B, parallelism, pipeline int) {
+func benchBuildParallel(b *testing.B, parallelism int) {
 	b.Helper()
 	g, err := ftspanner.RandomGraph(150, 2000, 7)
 	if err != nil {
@@ -88,7 +88,7 @@ func benchBuildParallel(b *testing.B, parallelism, pipeline int) {
 	}
 	opts := ftspanner.Options{
 		Stretch: 3, Faults: 2, Mode: ftspanner.VertexFaults,
-		Parallelism: parallelism, Pipeline: pipeline,
+		Parallelism: parallelism,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -99,11 +99,9 @@ func benchBuildParallel(b *testing.B, parallelism, pipeline int) {
 	}
 }
 
-func BenchmarkBuildLargeSeq(b *testing.B)  { benchBuildParallel(b, 0, 0) }
-func BenchmarkBuildLargeP2(b *testing.B)   { benchBuildParallel(b, 2, 1) }
-func BenchmarkBuildLargeP4(b *testing.B)   { benchBuildParallel(b, 4, 1) }
-func BenchmarkBuildLargeP4D2(b *testing.B) { benchBuildParallel(b, 4, 2) }
-func BenchmarkBuildLargeP4D4(b *testing.B) { benchBuildParallel(b, 4, 4) }
+func BenchmarkBuildLargeSeq(b *testing.B) { benchBuildParallel(b, 0) }
+func BenchmarkBuildLargeP2(b *testing.B)  { benchBuildParallel(b, 2) }
+func BenchmarkBuildLargeP4(b *testing.B)  { benchBuildParallel(b, 4) }
 
 // Ablation benchmarks: oracle accelerations on and off (identical outputs,
 // different work — E7 records the full curves).

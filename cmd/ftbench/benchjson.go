@@ -35,7 +35,7 @@ type componentBench struct {
 	KeptEdges        int     `json:"kept_edges,omitempty"`
 	// Speculation instrumentation (Parallelism > 1 cases): spec_hits +
 	// spec_waste == spec_queries; rounds/requeries account how invalidated
-	// answers were resolved; pipeline_depth is the effective depth.
+	// answers were resolved.
 	SpecBatches   int64   `json:"spec_batches,omitempty"`
 	SpecQueries   int64   `json:"spec_queries,omitempty"`
 	SpecHits      int64   `json:"spec_hits,omitempty"`
@@ -43,7 +43,6 @@ type componentBench struct {
 	SpecRounds    int64   `json:"spec_rounds,omitempty"`
 	SpecRequeries int64   `json:"spec_requeries,omitempty"`
 	SpecHitRate   float64 `json:"spec_hit_rate,omitempty"`
-	PipelineDepth int     `json:"pipeline_depth,omitempty"`
 	// SpannerDigest is the built spanner's content hash: parallel and
 	// sequential runs of the same workload must record the same digest (the
 	// determinism guarantee, checked at generation time).
@@ -85,9 +84,8 @@ type buildCase struct {
 	// levels > 0 quantizes weights to {1..levels} (same-weight batches for
 	// the speculative builder); 0 keeps the generator's unit weights.
 	levels int
-	// parallelism/pipeline are core.Options.{Parallelism,Pipeline}.
+	// parallelism is core.Options.Parallelism.
 	parallelism int
-	pipeline    int
 	// baseline names an earlier case to compute a speedup against.
 	baseline string
 	// observed attaches the sampled oracle-latency hook during the timed
@@ -110,12 +108,10 @@ var buildCases = []buildCase{
 	{name: "LargeVFTf2Seq", mode: ftspanner.VertexFaults, n: 150, m: 2000, seed: 7, stretch: 3, faults: 2, levels: 12},
 }
 
-// parallelCases derives the large-fixture parallel cases from the
-// -parallelism/-pipeline flags: depth 1 (PR3-style barrier between
-// speculate and commit) and the pipelined depth, both against the
-// sequential baseline. Default flags reproduce the recorded trajectory
-// names (LargeVFTf2Par4, LargeVFTf2Par4Pipe4).
-func parallelCases(parallelism, pipeline int) []buildCase {
+// parallelCase derives the large-fixture speculative case from the
+// -parallelism flag, against the sequential baseline. The default flag
+// reproduces the recorded trajectory name (LargeVFTf2Par4).
+func parallelCase(parallelism int) buildCase {
 	var seq buildCase
 	for _, c := range buildCases {
 		if c.name == "LargeVFTf2Seq" {
@@ -125,12 +121,8 @@ func parallelCases(parallelism, pipeline int) []buildCase {
 	par := seq
 	par.name = fmt.Sprintf("LargeVFTf2Par%d", parallelism)
 	par.parallelism = parallelism
-	par.pipeline = 1
 	par.baseline = seq.name
-	pipe := par
-	pipe.name = fmt.Sprintf("LargeVFTf2Par%dPipe%d", parallelism, pipeline)
-	pipe.pipeline = pipeline
-	return []buildCase{par, pipe}
+	return par
 }
 
 // caseGraph materializes a case's input graph.
@@ -146,10 +138,10 @@ func caseGraph(c buildCase) (*ftspanner.Graph, error) {
 }
 
 // runBenchJSON measures the component benchmarks and writes the JSON report
-// to path ("-" for stdout). parallelism and pipeline parameterize the large
-// fixture's parallel cases.
-func runBenchJSON(path string, out io.Writer, parallelism, pipeline int) error {
-	cases := append(append([]buildCase{}, buildCases...), parallelCases(parallelism, pipeline)...)
+// to path ("-" for stdout). parallelism parameterizes the large fixture's
+// speculative case.
+func runBenchJSON(path string, out io.Writer, parallelism int) error {
+	cases := append(append([]buildCase{}, buildCases...), parallelCase(parallelism))
 	report := benchReport{
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
@@ -165,7 +157,7 @@ func runBenchJSON(path string, out io.Writer, parallelism, pipeline int) error {
 			return err
 		}
 		opts := ftspanner.Options{Stretch: c.stretch, Faults: c.faults, Mode: c.mode,
-			Parallelism: c.parallelism, Pipeline: c.pipeline}
+			Parallelism: c.parallelism}
 		var queryHist *obs.Histogram
 		if c.observed {
 			queryHist = obs.NewHistogram()
@@ -207,7 +199,6 @@ func runBenchJSON(path string, out io.Writer, parallelism, pipeline int) error {
 			SpecRounds:       res.Stats.SpecRounds,
 			SpecRequeries:    res.Stats.SpecRequeries,
 			SpecHitRate:      res.Stats.SpecHitRate(),
-			PipelineDepth:    res.Stats.PipelineDepth,
 			SpannerDigest:    res.Spanner.Digest(),
 		}
 		if queryHist != nil {

@@ -42,8 +42,7 @@ func run(args []string, out io.Writer) error {
 		csvDir      = fs.String("csv", "", "directory to export tables as CSV")
 		parallel    = fs.Bool("parallel", false, "run experiments concurrently (reports still print in order)")
 		benchjson   = fs.String("benchjson", "", "run the component benchmarks and write a JSON report to this path (- for stdout)")
-		parallelism = fs.Int("parallelism", 4, "worker count for the -benchjson parallel build cases")
-		pipeline    = fs.Int("pipeline", 4, "pipeline depth for the -benchjson pipelined build case")
+		parallelism = fs.Int("parallelism", 4, "worker count for the -benchjson parallel build case")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -53,10 +52,7 @@ func run(args []string, out io.Writer) error {
 		if *parallelism < 2 {
 			return fmt.Errorf("-parallelism must be >= 2, got %d", *parallelism)
 		}
-		if *pipeline < 1 {
-			return fmt.Errorf("-pipeline must be >= 1, got %d", *pipeline)
-		}
-		return runBenchJSON(*benchjson, out, *parallelism, *pipeline)
+		return runBenchJSON(*benchjson, out, *parallelism)
 	}
 
 	if *list {

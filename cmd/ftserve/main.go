@@ -10,7 +10,7 @@
 //	        [-cache 128] [-store-dir DIR] [-store-max-bytes 268435456]
 //	        [-max-body 8388608] [-retention 15m] [-trace-retention 0]
 //	        [-session-retention 30m] [-max-sessions 64]
-//	        [-wait-budget 0] [-pipeline-cap 8] [-drain-timeout 30s] [-pprof addr]
+//	        [-wait-budget 0] [-drain-timeout 30s] [-pprof addr]
 //	        [-peers host:port,...] [-self host:port] [-cluster-poll 1s] [-sync-interval 30s]
 //
 // With -peers the process joins a digest-affinity replica fleet: a
@@ -130,8 +130,6 @@ func parseArgs(args []string) (options, error) {
 		"ceiling of concurrently open live sessions; creations beyond it get 429 (0 for the default of 64, negative for unlimited)")
 	fs.DurationVar(&opts.cfg.WaitBudget, "wait-budget", 0,
 		"queue-wait budget per priority class: when a class's recent p90 wait (or head-of-line age) exceeds it, submissions get 429 (0 disables shedding)")
-	fs.IntVar(&opts.cfg.PipelineCap, "pipeline-cap", 8,
-		"ceiling of the adaptive pipeline depth chosen for jobs with parallelism > 1 and pipeline unset")
 	fs.DurationVar(&opts.drainTimeout, "drain-timeout", 30*time.Second,
 		"how long a graceful shutdown (SIGINT/SIGTERM) waits for running builds to finish before cancelling them")
 	fs.StringVar(&opts.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
@@ -155,9 +153,6 @@ func parseArgs(args []string) (options, error) {
 	}
 	if opts.cfg.StoreMaxBytes == 0 {
 		return options{}, fmt.Errorf("store-max-bytes must be positive (or negative for unbounded)")
-	}
-	if opts.cfg.PipelineCap < 1 {
-		return options{}, fmt.Errorf("pipeline-cap must be positive, got %d", opts.cfg.PipelineCap)
 	}
 	if opts.cfg.WaitBudget < 0 {
 		return options{}, fmt.Errorf("wait-budget must be non-negative, got %v", opts.cfg.WaitBudget)

@@ -19,7 +19,7 @@ func TestParseArgsDefaults(t *testing.T) {
 	if opts.cfg.Workers != 4 || opts.cfg.QueueDepth != 64 || opts.cfg.CacheEntries != 128 || opts.cfg.MaxBodyBytes != 8<<20 {
 		t.Errorf("default config %+v", opts.cfg)
 	}
-	if opts.cfg.TraceRetention != 0 || opts.cfg.WaitBudget != 0 || opts.cfg.PipelineCap != 8 {
+	if opts.cfg.TraceRetention != 0 || opts.cfg.WaitBudget != 0 {
 		t.Errorf("default observability config %+v", opts.cfg)
 	}
 	if opts.drainTimeout != 30*time.Second {
@@ -32,12 +32,12 @@ func TestParseArgsDefaults(t *testing.T) {
 
 func TestParseArgsObservabilityFlags(t *testing.T) {
 	opts, err := parseArgs([]string{
-		"-trace-retention", "5m", "-wait-budget", "250ms", "-pipeline-cap", "16", "-drain-timeout", "90s",
+		"-trace-retention", "5m", "-wait-budget", "250ms", "-drain-timeout", "90s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.cfg.TraceRetention != 5*time.Minute || opts.cfg.WaitBudget != 250*time.Millisecond || opts.cfg.PipelineCap != 16 {
+	if opts.cfg.TraceRetention != 5*time.Minute || opts.cfg.WaitBudget != 250*time.Millisecond {
 		t.Errorf("parsed observability config %+v", opts.cfg)
 	}
 	if opts.drainTimeout != 90*time.Second {
@@ -133,7 +133,6 @@ func TestParseArgsRejectsBadValues(t *testing.T) {
 		{"-queue-caps", "low=x"},
 		{"-queue-caps", "normal=64"},             // not below the default -queue 64
 		{"-queue", "8", "-queue-caps", "high=9"}, // above an explicit depth
-		{"-pipeline-cap", "0"},
 		{"-wait-budget", "-1s"},
 		{"-drain-timeout", "0s"},
 		{"-drain-timeout", "-5s"},

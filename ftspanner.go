@@ -180,10 +180,9 @@ func NewIncremental(initial *Graph, opts IncrementalOptions) (*Incremental, erro
 
 // Build runs the fault-tolerant greedy algorithm with full control over the
 // options. Most callers use BuildVFT or BuildEFT. With Options.Parallelism
-// > 1 the edge scan speculates over same-weight batches on a worker pool,
-// and Options.Pipeline overlaps each batch's commit pass with the next
-// batches' speculation; the kept-edge set is provably identical to the
-// sequential scan's at every setting.
+// > 1 the edge scan speculates over same-weight batches on a worker pool;
+// the kept-edge set is provably identical to the sequential scan's at every
+// setting.
 func Build(g *Graph, opts Options) (*Result, error) { return core.Greedy(g, opts) }
 
 // BuildVFT builds an f-vertex-fault-tolerant stretch-spanner of g — the

@@ -505,6 +505,15 @@ func TestFleetAntiEntropyWarm(t *testing.T) {
 	waitDone(t, f.replicas[0], id)
 	digest, _ := service.SpecDigest(specBody(7))
 	ownerIdx := ring.Owner(digest)
+	// The owner persists after the job turns done; wait for the record so
+	// the sweep below has something to pull.
+	owner := f.byRing(ownerIdx)
+	for deadline := time.Now().Add(10 * time.Second); len(owner.svc.Store().List()) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("owner never persisted the record")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 
 	// Pick a replica that does not hold the record and sweep.
 	other := f.byRing((ownerIdx + 1) % 3)
@@ -532,7 +541,7 @@ func TestFleetAntiEntropyWarm(t *testing.T) {
 
 	// Corrupt the owner's record on disk: the third replica's sweep must
 	// reject the pull through the codec and import nothing.
-	ownerDir := f.byRing(ownerIdx).dir
+	ownerDir := owner.dir
 	names, err := filepath.Glob(filepath.Join(ownerDir, "*"))
 	if err != nil || len(names) == 0 {
 		t.Fatalf("no record file in owner store dir: %v", err)

@@ -16,7 +16,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/ftspanner/ftspanner/internal/bitset"
@@ -46,45 +45,36 @@ type Options struct {
 	Progress func(scanned, kept int) error
 	// Parallelism enables speculative edge-batch parallelism: consecutive
 	// same-weight edges are oracle-queried concurrently by this many workers
-	// against an immutable snapshot of the spanner so far, then validated
-	// and committed sequentially (see parallel.go). 0 and 1 mean the plain
-	// sequential scan. The kept-edge set is identical at every setting; only
-	// Stats (work counters, witnesses found) may differ. GreedyConservative
-	// ignores this field.
+	// against the spanner so far, then validated and committed sequentially
+	// (see parallel.go). 0 and 1 mean the plain sequential scan. The
+	// kept-edge set is identical at every setting; only Stats (work
+	// counters, witnesses found) may differ. GreedyConservative ignores this
+	// field.
 	Parallelism int
-	// Pipeline bounds how many speculative batches may be in flight at once
-	// (Parallelism > 1 only): while the scan goroutine validates and commits
-	// batch i, the workers already speculate on batches i+1..i+Pipeline-1
-	// against their own snapshots. 0 selects the default depth
-	// (defaultPipelineDepth); 1 disables the overlap — each batch fully
-	// speculates, then commits, before the next one starts. The kept-edge
-	// set is identical at every depth; deeper pipelines trade staler
-	// snapshots (more revalidation, more SpecWaste) for less commit-stall.
-	Pipeline int
 	// Phase, if non-nil, receives build-phase boundary events from the
-	// speculative engine: a batch dispatched to the workers, a batch's
-	// commit walk finished, a re-speculation round resolved. Always called
-	// from the scan goroutine (never concurrently), in event order, and only
-	// under Parallelism > 1 — the sequential scan has no internal phases.
+	// speculative engine: a batch handed to the workers, a re-speculation
+	// round resolved, a batch fully committed. Always called from the scan
+	// goroutine (never concurrently), in event order, and only under
+	// Parallelism > 1 — the sequential scan has no internal phases.
 	// The hook is observational: it cannot abort the build (that is
 	// Progress's job), and the greedy's decisions are identical with and
 	// without it.
 	Phase func(PhaseInfo)
 	// Chaos, if non-nil, is invoked at fault-injection sites with the site
 	// name: "oracle-query" (inside every fault-oracle search, any
-	// goroutine), "pipeline-worker" (once per speculative batch per
-	// worker), and "respec-round" (once per re-speculation goroutine). A
-	// test hook panicking here exercises the engine's panic containment:
-	// speculation goroutines recover into a *PanicError on the affected
-	// edge's result slot, so the build fails cleanly instead of killing
-	// the process. Nil in production.
+	// goroutine), "spec-worker" (once per worker goroutine of a batch's
+	// first speculative pass), and "respec-round" (once per worker
+	// goroutine of each re-speculation round). A test hook panicking here
+	// exercises the engine's panic containment: speculation goroutines
+	// recover into a *PanicError, so the build fails cleanly instead of
+	// killing the process. Nil in production.
 	Chaos func(site string)
 }
 
 // Chaos site names passed to Options.Chaos.
 const (
 	ChaosSiteOracle = "oracle-query"
-	ChaosSiteWorker = "pipeline-worker"
+	ChaosSiteWorker = "spec-worker"
 	ChaosSiteRespec = "respec-round"
 )
 
@@ -113,8 +103,8 @@ func (b *builder) chaos(site string) {
 
 // Phase names delivered in PhaseInfo.Phase.
 const (
-	// PhaseBatchSpeculate fires when a same-weight batch is snapshot and
-	// fanned out to the speculation workers.
+	// PhaseBatchSpeculate fires when a same-weight batch is fanned out to
+	// the speculation workers.
 	PhaseBatchSpeculate = "batch-speculate"
 	// PhaseBatchCommit fires when a batch's commit walk (including its
 	// re-speculation rounds) completes.
@@ -129,9 +119,8 @@ const (
 type PhaseInfo struct {
 	// Phase is one of the Phase* constants.
 	Phase string
-	// Batch is the speculative batch ordinal, in dispatch order for
-	// PhaseBatchSpeculate and commit order for the other phases (the
-	// pipeline dispatches ahead of commits, so the two orders interleave).
+	// Batch is the speculative batch ordinal, in scan order; every event of
+	// one batch carries the same ordinal.
 	Batch int
 	// Edges is the batch length (batch phases) or the number of edges
 	// re-queried (PhaseRespecRound).
@@ -170,12 +159,12 @@ type Stats struct {
 	// SpecBatches counts same-weight edge batches that were speculated on
 	// concurrently (Parallelism > 1 only).
 	SpecBatches int64
-	// SpecQueries counts speculative oracle queries issued against spanner
-	// snapshots by the batch workers.
+	// SpecQueries counts speculative oracle queries issued by the batch
+	// workers, re-speculation rounds included.
 	SpecQueries int64
 	// SpecHits counts batch edges whose speculative answer was committed
 	// without re-running the full oracle query: exact drops, commits against
-	// an unchanged snapshot, and witnesses salvaged by one-Dijkstra
+	// an unchanged spanner, and witnesses salvaged by one-Dijkstra
 	// revalidation.
 	SpecHits int64
 	// SpecWaste counts speculative answers that were invalidated by an
@@ -185,17 +174,14 @@ type Stats struct {
 	// SpecQueries always.
 	SpecWaste int64
 	// SpecRounds counts re-speculation rounds: parallel re-query passes over
-	// a batch's invalidated edges against a fresh snapshot (the all-equal-
+	// a batch's invalidated edges against the grown spanner (the all-equal-
 	// weight worst case resolves through these instead of a sequential
 	// fallback).
 	SpecRounds int64
 	// SpecRequeries counts invalidated edges resolved by a single live
 	// sequential re-query because they were the only straggler left — a
-	// snapshot plus worker dispatch would cost more than the one query.
+	// worker dispatch would cost more than the one query.
 	SpecRequeries int64
-	// PipelineDepth is the effective Options.Pipeline the run used (0 for
-	// sequential scans).
-	PipelineDepth int
 	// WitnessSeedTries/WitnessSeedHits count the oracle's structural seed
 	// trials (singleton fault candidates read off the current path's
 	// structure) and the queries they answered; seed hits are a subset of
@@ -207,7 +193,7 @@ type Stats struct {
 }
 
 // SpecHitRate returns the fraction of speculative-path edges whose final
-// decision came from a speculative (snapshot) answer rather than a live
+// decision came from a speculative answer rather than a live
 // sequential re-query: SpecHits/(SpecHits+SpecRequeries), or 0 when no
 // edges went through the speculative path. Since every speculative-path
 // edge is decided exactly once, this is the parallelizable fraction of the
@@ -273,9 +259,6 @@ func Greedy(g *graph.Graph, opts Options) (*Result, error) {
 	if opts.Parallelism < 0 {
 		return nil, fmt.Errorf("core: parallelism must be >= 0, got %d", opts.Parallelism)
 	}
-	if opts.Pipeline < 0 || opts.Pipeline > MaxPipeline {
-		return nil, fmt.Errorf("core: pipeline must be in [0,%d], got %d", MaxPipeline, opts.Pipeline)
-	}
 
 	start := time.Now()
 	h := graph.New(g.NumVertices())
@@ -318,14 +301,12 @@ func Greedy(g *graph.Graph, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	// Fold the per-goroutine oracle counters into the run's Stats. The scan
-	// has fully torn down its worker pool and re-speculation rounds by now
-	// (scanParallel joins every goroutine before returning, on success and
-	// error alike), so every counter below is quiescent: each oracle is read
-	// exactly once, after its last query — no lost updates, no double
-	// counting of re-speculated batches.
+	// Fold the per-goroutine oracle counters into the run's Stats. Every
+	// speculative pass joins its workers before the scan moves on, so every
+	// counter below is quiescent: each oracle is read exactly once, after
+	// its last query.
 	res := b.res
-	for _, o := range append(append([]*fault.Oracle{b.live}, b.workers...), b.rounders...) {
+	for _, o := range append([]*fault.Oracle{b.live}, b.workers...) {
 		res.Stats.OracleCalls += o.Calls()
 		res.Stats.Dijkstras += o.Dijkstras()
 		res.Stats.WitnessHits += o.WitnessHits()
@@ -351,26 +332,12 @@ type builder struct {
 	hToInput   []int // spanner edge ID -> input edge ID
 
 	// workers are the per-goroutine speculation oracles (Parallelism > 1),
-	// one per pipeline worker, re-aimed at each batch's snapshot; rounders
-	// are their re-speculation-round counterparts, kept separate because
-	// rounds run while the pipeline workers are busy with future batches.
-	// Both sets' counters fold into Stats at the end of the run.
-	workers  []*fault.Oracle
-	rounders []*fault.Oracle
-
-	// Pipeline plumbing (see parallel.go): per-worker dispatch channels, an
-	// abort flag that drains queued batches fast on error, and free lists
-	// recycling snapshots, in-flight descriptors, and round scratch.
-	specChans  []chan *inflight
-	specAbort  atomic.Bool
-	freeSnaps  []*graph.Graph
-	freeFl     []*inflight
-	pendingBuf []int
-	roundRes   []specResult
-
-	// committedBatches numbers PhaseBatchCommit/PhaseRespecRound events; it
-	// trails Stats.SpecBatches by the pipeline's in-flight count.
-	committedBatches int
+	// bound to the live spanner like live itself; their counters fold into
+	// Stats at the end of the run. results and pending are speculateBatch's
+	// scratch, reused across batches.
+	workers []*fault.Oracle
+	results []specResult
+	pending []int
 }
 
 // emitPhase delivers one phase-boundary event to the Options.Phase hook.

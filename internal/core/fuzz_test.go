@@ -7,21 +7,22 @@ import (
 	"github.com/ftspanner/ftspanner/internal/fault"
 )
 
-// FuzzPipelinedGreedyDifferential hammers the pipelined engine's commit and
-// re-speculation logic: for fuzzer-chosen instance shape, weight structure,
-// fault mode, and (parallelism, pipeline depth), the kept-edge sequence and
-// spanner digest must be byte-identical to the sequential scan's, and the
+// FuzzPipelinedGreedyDifferential hammers the speculative engine's commit
+// and re-speculation logic: for fuzzer-chosen instance shape, weight
+// structure, fault mode, and parallelism, the kept-edge sequence and spanner
+// digest must be byte-identical to the sequential scan's, and the
 // speculation counters must conserve. The seed corpus pins the regimes the
 // engine special-cases — all-equal weights (one batch spanning the scan,
 // everything resolved through rounds), all-distinct (no speculation at
-// all), quantized ties, and both fault modes at depths 1 through 4.
+// all), quantized ties, and both fault modes. The name predates the
+// pipeline's removal and is kept so CI and seed references stay stable.
 func FuzzPipelinedGreedyDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(12), uint8(1), uint8(0), uint8(2), uint8(2), uint8(2))
-	f.Add(int64(2), uint8(14), uint8(30), uint8(3), uint8(1), uint8(1), uint8(4), uint8(1))
-	f.Add(int64(3), uint8(9), uint8(20), uint8(2), uint8(0), uint8(3), uint8(3), uint8(4))
-	f.Add(int64(4), uint8(16), uint8(8), uint8(0), uint8(1), uint8(0), uint8(8), uint8(3))
-	f.Add(int64(5), uint8(8), uint8(40), uint8(1), uint8(0), uint8(2), uint8(2), uint8(4))
-	f.Fuzz(func(t *testing.T, seed int64, n, extra, kindSel, modeSel, faults, p, depth uint8) {
+	f.Add(int64(1), uint8(10), uint8(12), uint8(1), uint8(0), uint8(2), uint8(2))
+	f.Add(int64(2), uint8(14), uint8(30), uint8(3), uint8(1), uint8(1), uint8(4))
+	f.Add(int64(3), uint8(9), uint8(20), uint8(2), uint8(0), uint8(3), uint8(3))
+	f.Add(int64(4), uint8(16), uint8(8), uint8(0), uint8(1), uint8(0), uint8(8))
+	f.Add(int64(5), uint8(8), uint8(40), uint8(1), uint8(0), uint8(2), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, n, extra, kindSel, modeSel, faults, p uint8) {
 		nv := 4 + int(n%16)
 		kind := weightKind(kindSel % 4)
 		mode := fault.Vertices
@@ -29,7 +30,6 @@ func FuzzPipelinedGreedyDifferential(f *testing.F) {
 			mode = fault.Edges
 		}
 		parallelism := 2 + int(p%7)
-		pipeline := 1 + int(depth%4)
 		rng := rand.New(rand.NewSource(seed))
 		g := randomInstance(rng, nv, int(extra)%(3*nv), kind)
 		opts := Options{
@@ -43,26 +43,25 @@ func FuzzPipelinedGreedyDifferential(f *testing.F) {
 		}
 		popts := opts
 		popts.Parallelism = parallelism
-		popts.Pipeline = pipeline
 		parRes, err := Greedy(g, popts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(parRes.Kept) != len(seqRes.Kept) {
-			t.Fatalf("P=%d D=%d kept %d edges, sequential kept %d",
-				parallelism, pipeline, len(parRes.Kept), len(seqRes.Kept))
+			t.Fatalf("P=%d kept %d edges, sequential kept %d",
+				parallelism, len(parRes.Kept), len(seqRes.Kept))
 		}
 		for i := range parRes.Kept {
 			if parRes.Kept[i] != seqRes.Kept[i] {
-				t.Fatalf("P=%d D=%d kept sets diverge at %d: %d != %d",
-					parallelism, pipeline, i, parRes.Kept[i], seqRes.Kept[i])
+				t.Fatalf("P=%d kept sets diverge at %d: %d != %d",
+					parallelism, i, parRes.Kept[i], seqRes.Kept[i])
 			}
 		}
 		if sd, pd := seqRes.Spanner.Digest(), parRes.Spanner.Digest(); sd != pd {
-			t.Fatalf("P=%d D=%d spanner digest %s != sequential %s", parallelism, pipeline, pd, sd)
+			t.Fatalf("P=%d spanner digest %s != sequential %s", parallelism, pd, sd)
 		}
 		if err := checkCounterConservation(parRes); err != nil {
-			t.Fatalf("P=%d D=%d: %v", parallelism, pipeline, err)
+			t.Fatalf("P=%d: %v", parallelism, err)
 		}
 	})
 }

@@ -58,14 +58,10 @@ type IncrementalOptions struct {
 	Oracle fault.Options
 	// RebuildThreshold is the dirty fraction (suffix length over live edge
 	// count) above which ApplyBatch abandons the suffix repair and rebuilds
-	// from scratch with Greedy — a huge suffix repairs slower sequentially
-	// than a (possibly parallel) full rebuild. 0 selects the default (0.6);
-	// values >= 1 never rebuild; negative values always rebuild.
+	// from scratch with Greedy — a huge suffix repairs slower than a full
+	// rebuild. 0 selects the default (0.6); values >= 1 never rebuild;
+	// negative values always rebuild.
 	RebuildThreshold float64
-	// Parallelism and Pipeline are handed to full rebuilds (Greedy); the
-	// suffix repair itself is sequential.
-	Parallelism int
-	Pipeline    int
 	// Progress, if non-nil, fires once per re-examined edge during suffix
 	// repairs and passes through to Greedy during full rebuilds, with the
 	// same abort semantics as Options.Progress. An aborted batch leaves the
@@ -258,8 +254,7 @@ type Incremental struct {
 }
 
 // NewIncremental builds an engine over a deep copy of initial (nil means an
-// empty graph) and runs the initial greedy build. Parallelism and Pipeline
-// apply to this build like any full rebuild.
+// empty graph) and runs the initial greedy build.
 func NewIncremental(initial *graph.Graph, opts IncrementalOptions) (*Incremental, error) {
 	inc, err := newIncrementalShell(initial, opts)
 	if err != nil {
@@ -306,12 +301,6 @@ func newIncrementalShell(initial *graph.Graph, opts IncrementalOptions) (*Increm
 	}
 	if math.IsNaN(opts.RebuildThreshold) {
 		return nil, fmt.Errorf("core: rebuild threshold must not be NaN")
-	}
-	if opts.Parallelism < 0 {
-		return nil, fmt.Errorf("core: parallelism must be >= 0, got %d", opts.Parallelism)
-	}
-	if opts.Pipeline < 0 || opts.Pipeline > MaxPipeline {
-		return nil, fmt.Errorf("core: pipeline must be in [0,%d], got %d", MaxPipeline, opts.Pipeline)
 	}
 	var m *graph.Mutable
 	if initial == nil {
@@ -736,13 +725,11 @@ func (inc *Incremental) repairSuffix(p int, minKey scanKey, inserted map[int]boo
 func (inc *Incremental) rebuild() error {
 	mat, ids := inc.m.Materialize()
 	res, err := Greedy(mat, Options{
-		Stretch:     inc.opts.Stretch,
-		Faults:      inc.opts.Faults,
-		Mode:        inc.opts.Mode,
-		Oracle:      inc.opts.Oracle,
-		Progress:    inc.opts.Progress,
-		Parallelism: inc.opts.Parallelism,
-		Pipeline:    inc.opts.Pipeline,
+		Stretch:  inc.opts.Stretch,
+		Faults:   inc.opts.Faults,
+		Mode:     inc.opts.Mode,
+		Oracle:   inc.opts.Oracle,
+		Progress: inc.opts.Progress,
 	})
 	if err != nil {
 		return err

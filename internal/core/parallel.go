@@ -1,5 +1,4 @@
-// Pipelined speculative edge-batch parallelism for the fault-tolerant
-// greedy.
+// Speculative edge-batch parallelism for the fault-tolerant greedy.
 //
 // The greedy scans edges by increasing weight and asks the fault oracle one
 // exact question per edge against the spanner H built so far. The scan looks
@@ -8,67 +7,39 @@
 // fact (the "monotone lift"): adding edges to H only shrinks the set of
 // valid fault sets, because any F that stretches (u,v) in H' ⊇ H also does
 // so in H — forbid F ∩ H and the H-distance can only be larger. Hence an
-// oracle answer computed against ANY earlier snapshot S ⊆ H stays exact in
-// one direction: "no fault set against S" implies "none against H". Only
-// "found witness" answers need re-checking, and exhibiting the witness
-// against the live H (one bounded Dijkstra via Oracle.ValidateWitness) is a
-// complete re-check — the existence question is answered by the exhibit, no
-// search needed.
+// oracle answer computed against an EARLIER H stays exact in one direction:
+// "no fault set then" implies "none now". Only "found witness" answers need
+// re-checking, and exhibiting the witness against the current H (one
+// bounded Dijkstra via Oracle.ValidateWitness) is a complete re-check.
 //
-// The engine built on that fact has three layers:
+// The engine is one blocking loop over maximal same-weight runs:
 //
-//  1. Speculation (PR 3): each maximal run of >= minSpeculativeBatch
-//     same-weight edges is snapshot, fanned out over Parallelism workers
-//     (each owning a private oracle re-aimed via Rebind), and then validated
-//     and committed sequentially in exact scan order.
+//  1. Speculate: a run of >= minSpeculativeBatch edges is fanned out over
+//     Parallelism workers, each with a private oracle over the live spanner
+//     H. The scan goroutine waits, so H does not change while the workers
+//     read it (graph.Graph permits concurrent reads).
+//  2. Commit: the scan goroutine walks the answers in scan order. Drops are
+//     exact (the lift). A "found" answer commits as-is while H has not
+//     grown since the answers were computed, and otherwise only if its
+//     witness survives ValidateWitness against the current H. An edge whose
+//     witness is refuted — and every later "found" edge, since resolving an
+//     earlier edge could add an edge that invalidates it — is deferred.
+//  3. Rounds: the deferred edges re-enter the same speculate/commit pass on
+//     the same workers, each carrying its last plausible witness as a hint.
+//     Every round resolves all its drops plus at least its first "found"
+//     answer (H is unchanged until the round's own first commit), so rounds
+//     strictly shrink and the loop terminates. A lone straggler is decided
+//     by one live hinted re-query (Stats.SpecRequeries) instead.
 //
-//  2. Pipelining (this PR): the scan goroutine no longer stalls between
-//     "speculation done" and "commit done". Up to Options.Pipeline batches
-//     are in flight at once: their snapshots are taken eagerly (snapshots
-//     are valid however stale — see the lift above) and pushed down
-//     per-worker channels, so while the scan goroutine walks batch i's
-//     answers the workers are already querying batch i+1. Commits stay
-//     strictly in scan order; graph.Snapshot explicitly permits concurrent
-//     snapshot reads while the parent gains edges, which is what makes the
-//     overlap sound. Short batches (below minSpeculativeBatch, in
-//     particular the all-distinct-weight regime) flow through the same
-//     in-order commit cursor but are decided inline against the live
-//     oracle, with zero snapshot or dispatch overhead.
-//
-//  3. Re-speculation rounds (this PR): an invalidated "found witness"
-//     answer used to fall back to a sequential live re-query — which made
-//     the all-equal-weight worst case (one batch spanning the whole scan,
-//     nearly every edge kept) effectively sequential. Instead, a batch's
-//     invalidated edges are collected and re-run as a second (then third,
-//     ...) parallel round against a fresh snapshot. Each round resolves all
-//     its "no fault set" answers (monotone lift) plus at least its first
-//     "found" answer (the round snapshot is exact until the round's first
-//     commit), so rounds strictly shrink and the loop terminates. A round
-//     with a single straggler short-circuits to one live re-query
-//     (Stats.SpecRequeries): a snapshot plus dispatch would cost more than
-//     the query itself.
-//
-// Commit-order invariants that keep the kept-edge set byte-identical to the
-// sequential scan at every (Parallelism, Pipeline) setting:
-//
-//   - batches commit in scan order; within a batch, edges are DECIDED in
-//     scan order except that a deferred (invalidated) edge suspends every
-//     later "found" decision in that batch — a later keep may not be
-//     committed while an earlier edge is unresolved, since resolving it
-//     could add an edge that invalidates the later witness. Drops are never
-//     suspended: the monotone lift makes them exact regardless of how the
-//     pending edges resolve.
-//   - a speculative "found" answer is committed as-is only when H has
-//     gained no edge since the answer's snapshot (tracked by edge count —
-//     H only ever appends); otherwise its witness must survive
-//     ValidateWitness against the live H.
+// Shorter runs (in particular the all-distinct-weight regime) are decided
+// inline against the live oracle, exactly like the sequential scan.
 //
 // Together these reproduce, for every edge, exactly the sequential
 // algorithm's decision state: when edge e is decided, H equals the
 // sequential prefix-spanner for e. The differential suite in
 // parallel_test.go pins kept-set and spanner-digest identity across the
-// full (weight structure × mode × Parallelism × Pipeline) matrix, and the
-// fuzz target in fuzz_test.go hammers the re-speculation commit logic.
+// (weight structure × mode × Parallelism) matrix, and the fuzz target in
+// fuzz_test.go hammers the round logic.
 //
 // Work accounting is conservation-checked: every speculative query ends as
 // exactly one of SpecHits (its answer produced the edge's final decision)
@@ -88,476 +59,162 @@ import (
 	"github.com/ftspanner/ftspanner/internal/graph"
 )
 
-// minSpeculativeBatch is the smallest same-weight run worth a snapshot and
-// worker dispatch; shorter runs (in particular all singletons, the
-// distinct-weight regime) take the inline sequential path with zero
-// overhead.
+// minSpeculativeBatch is the smallest same-weight run worth a worker
+// dispatch; shorter runs (in particular all singletons, the distinct-weight
+// regime) take the inline sequential path with zero overhead.
 const minSpeculativeBatch = 2
 
-// defaultPipelineDepth is the Options.Pipeline value selected by 0: one
-// batch committing while one speculates. Deeper pipelines only pay off when
-// commit passes are long relative to speculation (many revalidations), and
-// every extra slot costs snapshot staleness.
-const defaultPipelineDepth = 2
-
-// MaxPipeline bounds Options.Pipeline: each in-flight slot pins a snapshot
-// and a results buffer, so an unbounded depth would be a memory lever with
-// no latency left to hide. Exported so spec-validating callers (the
-// service) reject over-limit values at submission instead of at build time.
-const MaxPipeline = 64
-
 // respecChunkPerWorker sizes a re-speculation round's query chunk as a
-// multiple of the worker count: enough slack that the round's committable
-// prefix rarely ends inside the chunk's first wave, small enough that a
-// validation failure early in the chunk does not waste a backlog-sized
-// sweep (see respeculate).
+// multiple of the worker count. Commits stay in scan order, so a round can
+// never resolve past its first still-invalid answer: querying the whole
+// backlog would spend |pending| queries to resolve only the committable
+// prefix, turning a keep-dense all-equal-weight scan quadratic. The chunk
+// bounds each round's work by the worker pool instead, and the untouched
+// tail re-enters later rounds against a larger H (when most speculative
+// keeps are destined to flip to drops, later is cheaper).
 const respecChunkPerWorker = 4
 
-// specResult is one worker's speculative answer for one batch edge.
+// specResult is one worker's speculative answer for one batch edge. Between
+// rounds its witness doubles as the edge's re-query hint.
 type specResult struct {
 	witness []int
 	found   bool
 	err     error
 }
 
-// inflight is one speculative batch moving through the pipeline: the edges,
-// the snapshot they were queried against, and the per-edge answers. Workers
-// claim edge indexes through next and announce completion through wg; the
-// scan goroutine waits on wg before walking results. Descriptors are
-// recycled across batches (see builder.getInflight).
-type inflight struct {
-	edges     []graph.Edge
-	snap      *graph.Graph
-	snapEdges int // spanner edge count at snapshot time
-	results   []specResult
-	next      atomic.Int64
-	wg        sync.WaitGroup
-}
-
-// scanParallel is the Parallelism > 1 edge scan: a bounded pipeline of
-// speculative batches with strictly in-order commits.
+// scanParallel is the Parallelism > 1 edge scan.
 func (b *builder) scanParallel(edges []graph.Edge) error {
-	depth := b.opts.Pipeline
-	if depth == 0 {
-		depth = defaultPipelineDepth
-	}
-	b.res.Stats.PipelineDepth = depth
-	workers := b.opts.Parallelism
-
-	// Split the scan into maximal same-weight batches once, so the dispatch
-	// lookahead below can run ahead of the commit cursor.
-	var batches [][]graph.Edge
-	for start := 0; start < len(edges); {
-		end := start + 1
-		for end < len(edges) && edges[end].Weight == edges[start].Weight {
-			end++
-		}
-		batches = append(batches, edges[start:end])
-		start = end
-	}
-
-	// Persistent worker pool: one goroutine + one private oracle per worker,
-	// fed by a per-worker channel with room for the whole pipeline. Every
-	// speculative batch is fanned out to every worker; workers claim edge
-	// indexes from the batch's shared cursor, so a batch smaller than the
-	// pool simply leaves the surplus workers to move on.
-	for len(b.workers) < workers {
+	for len(b.workers) < b.opts.Parallelism {
 		o, err := fault.NewOracle(b.h, b.opts.Mode, b.oracleOpts)
 		if err != nil {
 			return err
 		}
 		b.workers = append(b.workers, o)
 	}
-	b.specChans = make([]chan *inflight, workers)
-	for w := range b.specChans {
-		b.specChans[w] = make(chan *inflight, depth)
-	}
-	var pool sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		pool.Add(1)
-		go func(w int) {
-			defer pool.Done()
-			b.specWorker(b.workers[w], b.specChans[w])
-		}(w)
-	}
-	// Teardown runs on success and error alike: the abort flag makes
-	// workers drain still-queued batches without querying, and the join
-	// guarantees Greedy reads quiescent oracle counters.
-	defer func() {
-		b.specAbort.Store(true)
-		for _, ch := range b.specChans {
-			close(ch)
+	for start := 0; start < len(edges); {
+		end := start + 1
+		for end < len(edges) && edges[end].Weight == edges[start].Weight {
+			end++
 		}
-		pool.Wait()
-		b.specChans = nil
-		b.specAbort.Store(false)
-	}()
-
-	// In-order commit cursor with a dispatch lookahead: at most depth
-	// speculative batches are in flight (snapshot taken, queued to the
-	// workers) at any time. Short batches neither snapshot nor count
-	// against the depth.
-	inFlight := 0
-	spec := make(map[int]*inflight, depth)
-	nextDispatch := 0
-	for i, batch := range batches {
-		// The fill loop always runs past index i before the decision below
-		// (inFlight counts only batches in [i, nextDispatch), so a stalled
-		// dispatcher implies a free slot), so a spec-sized batch is always
-		// dispatched by its commit turn.
-		for inFlight < depth && nextDispatch < len(batches) {
-			if len(batches[nextDispatch]) >= minSpeculativeBatch {
-				spec[nextDispatch] = b.dispatch(batches[nextDispatch])
-				inFlight++
-			}
-			nextDispatch++
-		}
-		fl, ok := spec[i]
-		if !ok {
-			// Short batch: decide inline against the live oracle, exactly
-			// like the sequential scan.
-			for _, e := range batch {
-				if err := b.step(); err != nil {
-					return err
-				}
-				if err := b.scanOne(e); err != nil {
-					return err
-				}
+		batch := edges[start:end]
+		start = end
+		if len(batch) >= minSpeculativeBatch {
+			if err := b.speculateBatch(batch); err != nil {
+				return err
 			}
 			continue
 		}
-		delete(spec, i)
-		err := b.commitInflight(fl)
-		inFlight--
-		b.putInflight(fl)
-		if err != nil {
-			return err
+		for _, e := range batch {
+			if err := b.step(); err != nil {
+				return err
+			}
+			if err := b.scanOne(e); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// specWorker serves one pipeline worker: re-aim the private oracle at each
-// arriving batch's snapshot, then claim and answer edges until the batch is
-// exhausted. Every result slot is written by exactly one worker before that
-// worker's wg.Done, so the scan goroutine's wg.Wait orders all writes
-// before its reads. A panic inside a batch (the oracle, or the injected
-// Chaos hook) is contained by specBatch; the worker then stops querying —
-// its oracle state is suspect — but keeps draining arrivals so the pipeline
-// never deadlocks on a missing wg.Done.
-func (b *builder) specWorker(o *fault.Oracle, ch <-chan *inflight) {
-	broken := false
-	for fl := range ch {
-		if broken || b.specAbort.Load() {
-			fl.wg.Done()
-			continue
-		}
-		broken = b.specBatch(o, fl)
-	}
-}
-
-// specBatch answers one batch's share of edges, recovering any panic into a
-// *PanicError on the claimed slot so the commit walk surfaces it as a clean
-// build error. Claims advance a shared cursor, so the claimed slots of all
-// workers form a contiguous prefix: an error slot is always reached by the
-// commit walk before any slot that was never written (and the walk also
-// cursor-checks for the all-workers-broken case, see commitInflight).
-// Returns whether the worker broke.
-func (b *builder) specBatch(o *fault.Oracle, fl *inflight) (broken bool) {
-	claimed := -1
-	defer fl.wg.Done()
-	defer func() {
-		if v := recover(); v != nil {
-			broken = true
-			if claimed >= 0 {
-				fl.results[claimed] = specResult{err: &PanicError{
-					Site: ChaosSiteWorker, Value: v, Stack: debug.Stack(),
-				}}
-			}
-		}
-	}()
-	b.chaos(ChaosSiteWorker)
-	rebindErr := o.Rebind(fl.snap)
-	for {
-		i := int(fl.next.Add(1)) - 1
-		if i >= len(fl.edges) {
-			return false
-		}
-		claimed = i
-		if rebindErr != nil {
-			fl.results[i] = specResult{err: rebindErr}
-			continue
-		}
-		e := fl.edges[i]
-		wit, found, err := o.FindFaultSet(e.U, e.V, b.opts.Stretch*e.Weight, b.opts.Faults)
-		fl.results[i] = specResult{witness: wit, found: found, err: err}
-	}
-}
-
-// dispatch snapshots the live spanner for one speculative batch and fans it
-// out to every pipeline worker.
-func (b *builder) dispatch(batch []graph.Edge) *inflight {
-	fl := b.getInflight(len(batch))
-	fl.edges = batch
-	fl.snap = b.h.SnapshotInto(fl.snap)
-	fl.snapEdges = b.h.NumEdges()
-	fl.wg.Add(len(b.specChans))
-	for _, ch := range b.specChans {
-		ch <- fl
-	}
+// speculateBatch decides one same-weight batch: a speculative pass over
+// every edge, then re-speculation rounds over the chunked head of whatever
+// the pass deferred, until nothing is pending.
+func (b *builder) speculateBatch(batch []graph.Edge) error {
+	ordinal := int(b.res.Stats.SpecBatches)
 	b.res.Stats.SpecBatches++
-	b.res.Stats.SpecQueries += int64(len(batch))
 	b.emitPhase(PhaseInfo{
 		Phase:       PhaseBatchSpeculate,
-		Batch:       int(b.res.Stats.SpecBatches) - 1,
+		Batch:       ordinal,
 		Edges:       len(batch),
 		Kept:        len(b.res.Kept),
 		WitnessHits: b.live.WitnessHits(),
 	})
-	return fl
-}
-
-// getInflight returns a recycled (or fresh) in-flight descriptor with a
-// results buffer for n edges. Its snap field may hold a recyclable snapshot
-// view for SnapshotInto.
-func (b *builder) getInflight(n int) *inflight {
-	var fl *inflight
-	if k := len(b.freeFl); k > 0 {
-		fl, b.freeFl = b.freeFl[k-1], b.freeFl[:k-1]
-	} else {
-		fl = &inflight{}
+	if cap(b.results) < len(batch) {
+		b.results = make([]specResult, len(batch))
 	}
-	if cap(fl.results) < n {
-		fl.results = make([]specResult, n)
-	}
-	fl.results = fl.results[:n]
-	fl.next.Store(0)
-	return fl
-}
-
-// putInflight recycles a committed batch's descriptor. Safe because
-// commitInflight has waited out every worker touching it, and the workers'
-// oracles do not read their snapshot again until the next Rebind.
-func (b *builder) putInflight(fl *inflight) {
-	fl.edges = nil
-	b.freeFl = append(b.freeFl, fl)
-}
-
-// commitInflight turns one batch's speculative answers into exact commit
-// decisions: a scan-order walk applying the monotone-lift and
-// witness-revalidation rules, then re-speculation rounds over whatever the
-// walk had to defer.
-func (b *builder) commitInflight(fl *inflight) error {
-	fl.wg.Wait()
-	// Claims form a contiguous prefix of the cursor; if every worker broke
-	// (panicked) before the batch was exhausted, the tail slots were never
-	// written and their zero value would silently read as "drop". The
-	// prefix's own error slots are caught by the walk below.
-	if int(fl.next.Load()) < len(fl.edges) {
-		return fmt.Errorf("core: speculation pool lost batch to panics (%d/%d edges unclaimed)",
-			len(fl.edges)-int(fl.next.Load()), len(fl.edges))
-	}
-	pending := b.pendingBuf[:0]
-	for i := range fl.edges {
-		e := fl.edges[i]
-		if err := b.step(); err != nil {
-			b.pendingBuf = pending[:0]
-			return err
-		}
-		r := fl.results[i]
-		if r.err != nil {
-			b.pendingBuf = pending[:0]
-			return fmt.Errorf("core: edge %d: %w", e.ID, r.err)
-		}
-		if !r.found {
-			// Monotone lift: exact whatever happened since the snapshot —
-			// earlier commits, earlier pipelined batches, pending edges.
-			b.res.Stats.SpecHits++
-			continue
-		}
-		if len(pending) == 0 {
-			if b.h.NumEdges() == fl.snapEdges {
-				// H has not changed since the snapshot; the speculative
-				// witness is exact as-is.
-				b.res.Stats.SpecHits++
-				b.live.NoteWitness(r.witness)
-				b.commit(e, r.witness)
-				continue
-			}
-			ok, err := b.live.ValidateWitness(e.U, e.V, b.opts.Stretch*e.Weight, r.witness)
-			if err != nil {
-				b.pendingBuf = pending[:0]
-				return fmt.Errorf("core: edge %d: %w", e.ID, err)
-			}
-			if ok {
-				// The stale witness survived revalidation against the live
-				// spanner: the edge must be kept, one Dijkstra total.
-				b.res.Stats.SpecHits++
-				b.live.NoteWitness(r.witness)
-				b.commit(e, r.witness)
-				continue
-			}
-			// A witness refuted against the live H stays refuted against
-			// every later H (the lift again): it is useless as a hint.
-			fl.results[i].witness = nil
-		}
-		// Invalidated — or unresolvable until the pending edges before it
-		// are: defer to a re-speculation round, keeping any still-plausible
-		// witness as that round's hint. This speculative answer is spent
-		// either way.
-		b.res.Stats.SpecWaste++
-		pending = append(pending, i)
+	results := b.results[:len(batch)]
+	clear(results)
+	b.pending = b.pending[:0]
+	for i := range batch {
+		b.pending = append(b.pending, i)
 	}
 
-	var err error
-	for len(pending) > 0 && err == nil {
-		if len(pending) == 1 {
-			// A single straggler: one (hinted) live re-query beats a
-			// snapshot plus worker dispatch.
-			b.res.Stats.SpecRequeries++
-			i := pending[0]
-			e := fl.edges[i]
-			wit, found, qerr := b.live.FindFaultSetHinted(
-				e.U, e.V, b.opts.Stretch*e.Weight, b.opts.Faults, fl.results[i].witness)
-			if qerr != nil {
-				err = fmt.Errorf("core: edge %d: %w", e.ID, qerr)
-			} else if found {
-				b.commit(e, wit)
-			}
-			pending = pending[:0]
-			break
+	pending, err := b.specPass(batch, results, b.pending, len(batch), true)
+	for err == nil && len(pending) > 1 {
+		b.res.Stats.SpecRounds++
+		head := min(len(pending), respecChunkPerWorker*b.opts.Parallelism)
+		if pending, err = b.specPass(batch, results, pending, head, false); err == nil {
+			b.emitPhase(PhaseInfo{
+				Phase:       PhaseRespecRound,
+				Batch:       ordinal,
+				Edges:       head,
+				Kept:        len(b.res.Kept),
+				Pending:     len(pending),
+				WitnessHits: b.live.WitnessHits(),
+			})
 		}
-		pending, err = b.respeculate(fl, pending)
 	}
-	b.pendingBuf = pending[:0]
-	if err == nil {
-		b.emitPhase(PhaseInfo{
-			Phase:       PhaseBatchCommit,
-			Batch:       b.committedBatches,
-			Edges:       len(fl.edges),
-			Kept:        len(b.res.Kept),
-			WitnessHits: b.live.WitnessHits(),
-		})
-		b.committedBatches++
+	if err != nil {
+		return err
 	}
-	return err
-}
-
-// respeculate runs one re-speculation round: re-query the HEAD of the
-// pending list in parallel against a fresh snapshot of the live spanner,
-// then walk the answers with the same scan-order commit rules. It returns
-// the edges that are still unresolved (strictly fewer than it was given:
-// the round's drops are exact, and its first "found" answer commits as-is
-// because the round snapshot is fresh until the round's own first commit).
-//
-// Only a bounded chunk of the backlog is queried per round. Commits must
-// stay in scan order, so a round can never resolve past its first
-// still-invalid answer — querying the whole backlog would spend
-// |pending| queries to resolve only the committable prefix, turning a
-// keep-dense all-equal-weight scan quadratic. Chunking bounds each round's
-// work by the worker pool instead, and the untouched tail re-enters later
-// rounds against even fresher snapshots (when most speculative keeps are
-// destined to flip to drops, fresher is cheaper).
-//
-// Rounds use their own oracle pool: the pipeline workers are, by design,
-// busy speculating on future batches while rounds run.
-func (b *builder) respeculate(fl *inflight, pending []int) ([]int, error) {
-	b.res.Stats.SpecRounds++
-	chunk := respecChunkPerWorker * b.opts.Parallelism
-	head, tail := pending, []int(nil)
-	if len(pending) > chunk {
-		head, tail = pending[:chunk], pending[chunk:]
-	}
-	workers := b.opts.Parallelism
-	if workers > len(head) {
-		workers = len(head)
-	}
-	for len(b.rounders) < workers {
-		o, err := fault.NewOracle(b.h, b.opts.Mode, b.oracleOpts)
+	if len(pending) == 1 {
+		// A lone straggler: one (hinted) live re-query beats a worker
+		// dispatch.
+		b.res.Stats.SpecRequeries++
+		e := batch[pending[0]]
+		wit, found, err := b.live.FindFaultSetHinted(
+			e.U, e.V, b.opts.Stretch*e.Weight, b.opts.Faults, results[pending[0]].witness)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("core: edge %d: %w", e.ID, err)
 		}
-		b.rounders = append(b.rounders, o)
-	}
-	var snapSpare *graph.Graph
-	if k := len(b.freeSnaps); k > 0 {
-		snapSpare, b.freeSnaps = b.freeSnaps[k-1], b.freeSnaps[:k-1]
-	}
-	snap := b.h.SnapshotInto(snapSpare)
-	snapEdges := b.h.NumEdges()
-	for _, o := range b.rounders[:workers] {
-		if err := o.Rebind(snap); err != nil {
-			return nil, err
+		if found {
+			b.commit(e, wit)
 		}
 	}
-	if cap(b.roundRes) < len(head) {
-		b.roundRes = make([]specResult, len(head))
-	}
-	results := b.roundRes[:len(head)]
+	b.emitPhase(PhaseInfo{
+		Phase:       PhaseBatchCommit,
+		Batch:       ordinal,
+		Edges:       len(batch),
+		Kept:        len(b.res.Kept),
+		WitnessHits: b.live.WitnessHits(),
+	})
+	return nil
+}
 
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(o *fault.Oracle) {
-			defer wg.Done()
-			claimed := -1
-			defer func() {
-				// Same containment as specBatch: a panic becomes an error on
-				// the claimed slot, and the goroutine stops (its remaining
-				// claims fall to the surviving workers or the cursor check).
-				if v := recover(); v != nil && claimed >= 0 {
-					results[claimed] = specResult{err: &PanicError{
-						Site: ChaosSiteRespec, Value: v, Stack: debug.Stack(),
-					}}
-				}
-			}()
-			b.chaos(ChaosSiteRespec)
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(head) {
-					return
-				}
-				claimed = j
-				e := fl.edges[head[j]]
-				// The edge's last witness rides along as a hint: a witness
-				// that was merely blocked behind an unresolved earlier edge
-				// revalidates in one Dijkstra instead of a fresh search.
-				wit, found, err := o.FindFaultSetHinted(
-					e.U, e.V, b.opts.Stretch*e.Weight, b.opts.Faults, fl.results[head[j]].witness)
-				results[j] = specResult{witness: wit, found: found, err: err}
-			}
-		}(b.rounders[w])
+// specPass queries the first head pending edges in parallel against the
+// live spanner, then walks their answers in scan order with the commit
+// rules, and returns the edges still unresolved: this pass's deferrals
+// followed by the unqueried tail. first marks the batch's initial pass,
+// whose walk also fires the per-edge Progress step.
+func (b *builder) specPass(batch []graph.Edge, results []specResult, pending []int, head int, first bool) ([]int, error) {
+	if err := b.query(batch, results, pending[:head], first); err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	b.res.Stats.SpecQueries += int64(len(head))
-	b.freeSnaps = append(b.freeSnaps, snap)
-	if int(next.Load()) < len(head) {
-		return nil, fmt.Errorf("core: re-speculation round lost %d/%d edges to panics",
-			len(head)-int(next.Load()), len(head))
-	}
-
+	hEdges := b.h.NumEdges()
 	out := pending[:0]
-	for j, i := range head {
-		e := fl.edges[i]
-		r := results[j]
+	for _, i := range pending[:head] {
+		e := batch[i]
+		if first {
+			if err := b.step(); err != nil {
+				return nil, err
+			}
+		}
+		r := results[i]
 		if r.err != nil {
 			return nil, fmt.Errorf("core: edge %d: %w", e.ID, r.err)
 		}
 		if !r.found {
+			// Monotone lift: exact whatever was committed since.
 			b.res.Stats.SpecHits++
 			continue
 		}
 		if len(out) == 0 {
-			if b.h.NumEdges() == snapEdges {
-				b.res.Stats.SpecHits++
-				b.live.NoteWitness(r.witness)
-				b.commit(e, r.witness)
-				continue
-			}
-			ok, err := b.live.ValidateWitness(e.U, e.V, b.opts.Stretch*e.Weight, r.witness)
-			if err != nil {
-				return nil, fmt.Errorf("core: edge %d: %w", e.ID, err)
+			ok := b.h.NumEdges() == hEdges // H unchanged: the witness is exact
+			if !ok {
+				var err error
+				if ok, err = b.live.ValidateWitness(e.U, e.V, b.opts.Stretch*e.Weight, r.witness); err != nil {
+					return nil, fmt.Errorf("core: edge %d: %w", e.ID, err)
+				}
 			}
 			if ok {
 				b.res.Stats.SpecHits++
@@ -565,24 +222,63 @@ func (b *builder) respeculate(fl *inflight, pending []int) ([]int, error) {
 				b.commit(e, r.witness)
 				continue
 			}
-			r.witness = nil // refuted against live H: dead as a hint too
+			// A witness refuted against the current H stays refuted against
+			// every later H (the lift again): it is useless as a hint.
+			results[i].witness = nil
 		}
-		// Deferred again: carry this round's (possibly nil) witness as the
-		// next round's hint.
+		// Invalidated, or unresolvable until the deferred edges before it
+		// are: this answer is spent, its witness rides along as a hint.
 		b.res.Stats.SpecWaste++
-		fl.results[i] = r
 		out = append(out, i)
 	}
-	// The unqueried tail stays pending as-is (append on the shared backing
-	// array only ever copies forward, so the in-place filter above is safe).
-	out = append(out, tail...)
-	b.emitPhase(PhaseInfo{
-		Phase:       PhaseRespecRound,
-		Batch:       b.committedBatches,
-		Edges:       len(head),
-		Kept:        len(b.res.Kept),
-		Pending:     len(out),
-		WitnessHits: b.live.WitnessHits(),
-	})
-	return out, nil
+	// In-place filter: out never overtakes the read position, and the
+	// unqueried tail is copied forward behind it.
+	return append(out, pending[head:]...), nil
+}
+
+// query answers the given batch positions on the worker pool while the scan
+// goroutine waits. Workers claim positions through a shared cursor and each
+// writes only its claimed result slots, so wg.Wait orders every write before
+// the commit walk's reads. A panic inside a worker (the oracle, or the
+// injected Chaos hook) is recovered into a *PanicError and fails the build
+// instead of the process.
+func (b *builder) query(batch []graph.Edge, results []specResult, idx []int, first bool) error {
+	site := ChaosSiteRespec
+	if first {
+		site = ChaosSiteWorker
+	}
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		panicked atomic.Pointer[PanicError]
+	)
+	for _, o := range b.workers[:min(len(b.workers), len(idx))] {
+		wg.Add(1)
+		go func(o *fault.Oracle) {
+			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					panicked.CompareAndSwap(nil, &PanicError{Site: site, Value: v, Stack: debug.Stack()})
+				}
+			}()
+			b.chaos(site)
+			for {
+				j := int(next.Add(1)) - 1
+				if j >= len(idx) {
+					return
+				}
+				i := idx[j]
+				e := batch[i]
+				wit, found, err := o.FindFaultSetHinted(
+					e.U, e.V, b.opts.Stretch*e.Weight, b.opts.Faults, results[i].witness)
+				results[i] = specResult{witness: wit, found: found, err: err}
+			}
+		}(o)
+	}
+	wg.Wait()
+	b.res.Stats.SpecQueries += int64(len(idx))
+	if pe := panicked.Load(); pe != nil {
+		return pe
+	}
+	return nil
 }

@@ -76,9 +76,9 @@ func reweightDistinct(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error) {
 
 // TestGreedyParallelDifferential is the tentpole acceptance suite: across
 // hundreds of random instances, both fault modes, and every tie structure,
-// the pipelined builder at every (P, pipeline depth) in {2,4,8} x {1,2,4}
-// must produce a kept-edge set — and a spanner digest — byte-identical to
-// the sequential builder's, with conserved work counters.
+// the speculative builder at every P in {2,4,8} must produce a kept-edge
+// set — and a spanner digest — byte-identical to the sequential builder's,
+// with conserved work counters.
 func TestGreedyParallelDifferential(t *testing.T) {
 	instances := 75 // x4 weight kinds = 300 instances
 	if testing.Short() {
@@ -104,47 +104,44 @@ func TestGreedyParallelDifferential(t *testing.T) {
 			}
 			seqDigest := seqRes.Spanner.Digest()
 			for _, p := range []int{2, 4, 8} {
-				for _, depth := range []int{1, 2, 4} {
-					popts := opts
-					popts.Parallelism = p
-					popts.Pipeline = depth
-					parRes, err := Greedy(g, popts)
-					if err != nil {
-						t.Fatal(err)
+				popts := opts
+				popts.Parallelism = p
+				parRes, err := Greedy(g, popts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tag := fmt.Sprintf("inst %d (%s mode=%v n=%d m=%d k=%v f=%d P=%d)",
+					inst, kind, mode, n, g.NumEdges(), stretch, faults, p)
+				if len(parRes.Kept) != len(seqRes.Kept) {
+					t.Fatalf("%s: parallel kept %d edges, sequential kept %d",
+						tag, len(parRes.Kept), len(seqRes.Kept))
+				}
+				for i := range parRes.Kept {
+					if parRes.Kept[i] != seqRes.Kept[i] {
+						t.Fatalf("%s: kept sets diverge at position %d: %d != %d",
+							tag, i, parRes.Kept[i], seqRes.Kept[i])
 					}
-					tag := fmt.Sprintf("inst %d (%s mode=%v n=%d m=%d k=%v f=%d P=%d D=%d)",
-						inst, kind, mode, n, g.NumEdges(), stretch, faults, p, depth)
-					if len(parRes.Kept) != len(seqRes.Kept) {
-						t.Fatalf("%s: parallel kept %d edges, sequential kept %d",
-							tag, len(parRes.Kept), len(seqRes.Kept))
-					}
-					for i := range parRes.Kept {
-						if parRes.Kept[i] != seqRes.Kept[i] {
-							t.Fatalf("%s: kept sets diverge at position %d: %d != %d",
-								tag, i, parRes.Kept[i], seqRes.Kept[i])
-						}
-					}
-					if d := parRes.Spanner.Digest(); d != seqDigest {
-						t.Fatalf("%s: spanner digest %s != sequential %s", tag, d, seqDigest)
-					}
-					// Every recorded witness must be a genuine fault set for
-					// its edge (witness CONTENT may legitimately differ from
-					// the sequential run's).
-					if err := checkWitnesses(parRes); err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					// A distinct-weight scan has no batch of length >= 2, so
-					// it must never speculate; every other kind on these
-					// sizes has ties, so at least one batch must have formed.
-					if kind == weightsAllDistinct && parRes.Stats.SpecBatches != 0 {
-						t.Fatalf("%s: distinct weights speculated %d batches", tag, parRes.Stats.SpecBatches)
-					}
-					if kind == weightsAllEqual && parRes.Stats.SpecBatches != 1 {
-						t.Fatalf("%s: all-equal weights formed %d batches, want 1", tag, parRes.Stats.SpecBatches)
-					}
-					if err := checkCounterConservation(parRes); err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
+				}
+				if d := parRes.Spanner.Digest(); d != seqDigest {
+					t.Fatalf("%s: spanner digest %s != sequential %s", tag, d, seqDigest)
+				}
+				// Every recorded witness must be a genuine fault set for
+				// its edge (witness CONTENT may legitimately differ from
+				// the sequential run's).
+				if err := checkWitnesses(parRes); err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				// A distinct-weight scan has no batch of length >= 2, so
+				// it must never speculate; every other kind on these
+				// sizes has ties, so at least one batch must have formed.
+				if kind == weightsAllDistinct && parRes.Stats.SpecBatches != 0 {
+					t.Fatalf("%s: distinct weights speculated %d batches", tag, parRes.Stats.SpecBatches)
+				}
+				if kind == weightsAllEqual && parRes.Stats.SpecBatches != 1 {
+					t.Fatalf("%s: all-equal weights formed %d batches, want 1", tag, parRes.Stats.SpecBatches)
+				}
+				if err := checkCounterConservation(parRes); err != nil {
+					t.Fatalf("%s: %v", tag, err)
 				}
 			}
 			if seqRes.Stats.SpecBatches != 0 || seqRes.Stats.SpecQueries != 0 {
@@ -337,44 +334,12 @@ func TestGreedyParallelValidation(t *testing.T) {
 	if _, err := Greedy(g, Options{Stretch: 3, Mode: fault.Vertices, Parallelism: -1}); err == nil {
 		t.Fatal("negative parallelism must be rejected")
 	}
-	if _, err := Greedy(g, Options{Stretch: 3, Mode: fault.Vertices, Parallelism: 2, Pipeline: -1}); err == nil {
-		t.Fatal("negative pipeline must be rejected")
-	}
-	if _, err := Greedy(g, Options{Stretch: 3, Mode: fault.Vertices, Parallelism: 2, Pipeline: MaxPipeline + 1}); err == nil {
-		t.Fatalf("pipeline over %d must be rejected", MaxPipeline)
-	}
 	res, err := Greedy(g, Options{Stretch: 3, Mode: fault.Vertices, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.SpecBatches != 0 {
 		t.Fatal("parallelism 1 must not speculate")
-	}
-	if res.Stats.PipelineDepth != 0 {
-		t.Fatal("sequential run must report pipeline depth 0")
-	}
-}
-
-// TestGreedyPipelineDepthReported pins that parallel runs report the
-// effective depth (default applied for 0) and that deep pipelines on tied
-// weights actually overlap — multiple batches are dispatched before the
-// first commit finishes, which the dispatch-ahead counters witness
-// indirectly through conserved stats and identical output (the differential
-// suite) plus the depth echo here.
-func TestGreedyPipelineDepthReported(t *testing.T) {
-	rng := rand.New(rand.NewSource(5150))
-	g := randomInstance(rng, 14, 30, weightsQuantized)
-	for _, tc := range []struct{ in, want int }{{0, defaultPipelineDepth}, {1, 1}, {4, 4}} {
-		res, err := Greedy(g, Options{Stretch: 3, Faults: 1, Mode: fault.Vertices, Parallelism: 3, Pipeline: tc.in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.PipelineDepth != tc.want {
-			t.Fatalf("Pipeline=%d reported depth %d, want %d", tc.in, res.Stats.PipelineDepth, tc.want)
-		}
-		if res.Stats.SpecBatches == 0 {
-			t.Fatalf("Pipeline=%d: quantized weights did not speculate", tc.in)
-		}
 	}
 }
 
@@ -391,7 +356,7 @@ func TestGreedyReSpeculationRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Greedy(g, Options{Stretch: 2, Faults: 2, Mode: fault.Vertices, Parallelism: 4, Pipeline: 2})
+	res, err := Greedy(g, Options{Stretch: 2, Faults: 2, Mode: fault.Vertices, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,8 +386,8 @@ func TestGreedyReSpeculationRounds(t *testing.T) {
 }
 
 // TestGreedyParallelConcurrentBuilds runs several parallel builds at once to
-// give the race detector cross-build interleavings (solver pools, snapshot
-// reads).
+// give the race detector cross-build interleavings (solver pools, shared
+// input reads).
 func TestGreedyParallelConcurrentBuilds(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	g := randomInstance(rng, 16, 40, weightsQuantized)

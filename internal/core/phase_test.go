@@ -42,7 +42,7 @@ func TestPhaseHookEvents(t *testing.T) {
 	prevSpecBatch, prevCommitBatch := -1, -1
 	opts := Options{
 		Stretch: 3, Faults: 1, Mode: fault.Vertices,
-		Parallelism: 4, Pipeline: 3,
+		Parallelism: 4,
 		Phase: func(info PhaseInfo) {
 			switch info.Phase {
 			case PhaseBatchSpeculate:

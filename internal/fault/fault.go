@@ -226,37 +226,17 @@ func NewOracle(g *graph.Graph, mode Mode, opts Options) (*Oracle, error) {
 // Mode returns the oracle's fault mode.
 func (o *Oracle) Mode() Mode { return o.mode }
 
-// Rebind points the oracle at a different graph on the same vertex set,
-// keeping all accumulated state (memo table, witness cache, counters). The
-// parallel greedy uses it to re-aim per-worker oracles at each batch's fresh
-// spanner snapshot instead of rebuilding them: the generation-stamped memo
-// never serves stale entries across queries, and cached witnesses are only
-// ever used after revalidation against the current graph, so both carry
-// over safely.
-func (o *Oracle) Rebind(g *graph.Graph) error {
-	if g.NumVertices() != o.forbiddenV.Cap() {
-		return fmt.Errorf("fault: rebind graph has %d vertices, oracle built for %d",
-			g.NumVertices(), o.forbiddenV.Cap())
-	}
-	if g.NumEdges() > o.forbiddenE.Cap() {
-		return fmt.Errorf("fault: rebind graph has %d edges, over EdgeCapacity %d",
-			g.NumEdges(), o.forbiddenE.Cap())
-	}
-	o.g = g
-	return nil
-}
-
-// Rewind is Rebind for long-lived oracles whose graph shrinks and regrows
-// between query runs: it re-aims the oracle at g — typically the same graph
-// after a Graph.Truncate and before a fresh run of appends — growing the
-// vertex structures when g gained vertices and the edge masks up to
-// edgeCapacity (the maximum edge ID the graph will hold before the next
-// Rewind; zero keeps the current capacity).
+// Rewind is for long-lived oracles whose graph shrinks and regrows between
+// query runs: it re-aims the oracle at g — typically the same graph after a
+// Graph.Truncate and before a fresh run of appends — growing the vertex
+// structures when g gained vertices and the edge masks up to edgeCapacity
+// (the maximum edge ID the graph will hold before the next Rewind; zero
+// keeps the current capacity).
 //
-// All accumulated state carries over, exactly as with Rebind: the memo table
-// is generation-stamped per query so entries from earlier graph states can
-// never serve, and cached witnesses are only used after revalidation against
-// the current graph — a stale witness whose element IDs now mean different
+// All accumulated state (memo table, witness cache, counters) carries over:
+// the memo table is generation-stamped per query so entries from earlier
+// graph states can never serve, and cached witnesses are only used after
+// revalidation against the current graph — a stale witness whose element IDs now mean different
 // edges either fails its one-Dijkstra recheck or proves a genuine fault set
 // of the current graph, which is all the caller ever relies on. The
 // incremental spanner engine uses this to carry one oracle across delta
@@ -359,7 +339,7 @@ func (o *Oracle) FindFaultSet(u, v int, bound float64, budget int) ([]int, bool,
 // FindFaultSetHinted is FindFaultSet with a candidate witness tried first:
 // if hint (non-empty, within budget) still witnesses on the current graph —
 // one bounded reach-only test — a copy of it is returned directly, skipping
-// the search; otherwise the full query runs. The pipelined greedy's
+// the search; otherwise the full query runs. The speculative greedy's
 // re-speculation rounds pass each deferred edge's last known witness, so a
 // witness that was merely blocked behind an unresolved earlier edge costs
 // one Dijkstra to confirm instead of a fresh exponential search. A hinted
@@ -384,7 +364,7 @@ func (o *Oracle) FindFaultSetHinted(u, v int, bound float64, budget int, hint []
 // ValidateWitness checks with a single bounded reachability test whether w
 // still witnesses dist_{g\w}(u,v) > bound on the oracle's CURRENT graph.
 // This is how the parallel greedy salvages speculative answers computed
-// against a stale spanner snapshot: a witness that survives one Dijkstra-
+// against an earlier, smaller spanner: a witness that survives one Dijkstra-
 // priced revalidation proves the edge must still be kept, with no need to
 // re-run the exponential search. Elements containing an endpoint (Vertices
 // mode) report false without running; out-of-range elements are an error.

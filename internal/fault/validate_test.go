@@ -51,65 +51,6 @@ func TestBidiAblationDifferential(t *testing.T) {
 	}
 }
 
-// TestRebindTracksSnapshots drives one oracle across a growing graph's
-// snapshots, checking results always reflect the bound graph and that
-// rebinding rejects mismatched shapes.
-func TestRebindTracksSnapshots(t *testing.T) {
-	g := graph.New(4)
-	oracle, err := NewOracle(g.Snapshot(), Vertices, Options{EdgeCapacity: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Empty graph: the empty fault set is already a witness.
-	w, found, err := oracle.FindFaultSet(0, 3, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found || len(w) != 0 {
-		t.Fatalf("empty graph: found=%v w=%v, want empty witness", found, w)
-	}
-
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 3, 1)
-	g.MustAddEdge(0, 2, 1)
-	g.MustAddEdge(2, 3, 1)
-	if err := oracle.Rebind(g.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	// Two vertex-disjoint 0-3 paths: budget 1 cannot break both.
-	if _, found, err = oracle.FindFaultSet(0, 3, 10, 1); err != nil {
-		t.Fatal(err)
-	}
-	if found {
-		t.Fatal("budget 1 cannot disconnect two disjoint paths")
-	}
-	// Budget 2 can.
-	if w, found, err = oracle.FindFaultSet(0, 3, 10, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !found || len(w) != 2 {
-		t.Fatalf("budget 2: found=%v w=%v, want a 2-vertex witness", found, w)
-	}
-
-	big := graph.New(5)
-	if err := oracle.Rebind(big); err == nil {
-		t.Fatal("rebind must reject a different vertex count")
-	}
-	over := graph.New(4)
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			over.MustAddEdge(i, j, 1)
-		}
-	}
-	overCap, err := NewOracle(graph.New(4), Vertices, Options{EdgeCapacity: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := overCap.Rebind(over); err == nil {
-		t.Fatal("rebind must reject a graph over EdgeCapacity")
-	}
-}
-
 // TestValidateWitness pins the revalidation semantics the parallel greedy's
 // commit loop relies on.
 func TestValidateWitness(t *testing.T) {

@@ -68,16 +68,13 @@ type segment struct {
 // spanner H built by the greedy remains CSR-backed throughout. Abandoned
 // blocks are reclaimed by compaction once they exceed half the arena.
 //
-// Graph is not safe for concurrent mutation; concurrent reads are fine. For
-// readers that must stay consistent while the owner keeps adding edges, see
-// Snapshot.
+// Graph is not safe for concurrent mutation; concurrent reads are fine.
 type Graph struct {
 	edges []Edge
 	arcs  []Arc          // CSR arena: per-vertex contiguous arc blocks
 	seg   []segment      // per-vertex block descriptors; len(seg) == NumVertices()
 	dead  int            // arena slots abandoned by block relocations
 	index map[[2]int]int // normalized endpoint pair -> edge ID
-	view  bool           // read-only Snapshot view; mutators and index queries reject
 }
 
 // Errors returned by mutating operations.
@@ -86,7 +83,6 @@ var (
 	ErrParallelEdge   = errors.New("graph: parallel edges are not allowed")
 	ErrVertexRange    = errors.New("graph: vertex out of range")
 	ErrNonPositiveWgt = errors.New("graph: edge weight must be positive and finite")
-	ErrReadOnlyView   = errors.New("graph: snapshot views are read-only")
 )
 
 // New returns an empty graph on n isolated vertices.
@@ -106,12 +102,8 @@ func (g *Graph) NumVertices() int { return len(g.seg) }
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// AddVertex appends a new isolated vertex and returns its ID. It panics on a
-// snapshot view.
+// AddVertex appends a new isolated vertex and returns its ID.
 func (g *Graph) AddVertex() int {
-	if g.view {
-		panic(ErrReadOnlyView)
-	}
 	g.seg = append(g.seg, segment{})
 	return len(g.seg) - 1
 }
@@ -120,9 +112,6 @@ func (g *Graph) AddVertex() int {
 // ID. Self-loops, parallel edges, out-of-range endpoints and non-positive or
 // non-finite weights are rejected.
 func (g *Graph) AddEdge(u, v int, w float64) (int, error) {
-	if g.view {
-		return 0, ErrReadOnlyView
-	}
 	if u < 0 || u >= len(g.seg) || v < 0 || v >= len(g.seg) {
 		return 0, fmt.Errorf("%w: (%d,%d) with %d vertices", ErrVertexRange, u, v, len(g.seg))
 	}
@@ -171,11 +160,8 @@ func (g *Graph) addArc(v int, a Arc) {
 // relocations, preserving each vertex's slack capacity. It runs
 // automatically when holes exceed half the arena; callers that finished
 // building a graph may invoke it explicitly to tighten memory before a
-// read-heavy phase. It panics on a snapshot view.
+// read-heavy phase.
 func (g *Graph) Compact() {
-	if g.view {
-		panic(ErrReadOnlyView)
-	}
 	total := 0
 	for i := range g.seg {
 		total += g.seg[i].cap
@@ -204,15 +190,7 @@ func (g *Graph) Compact() {
 // since. Cost is O(edges removed). The incremental spanner engine uses this
 // to rewind its kept-prefix graph to a batch's divergence point instead of
 // rebuilding it edge by edge.
-//
-// Truncate breaks the append-only contract that makes Snapshot views safe
-// against concurrent parent mutation: views taken before the truncation may
-// observe popped arcs being overwritten by later appends. It must not be
-// called while any view of the graph is still in use, and panics on a view.
 func (g *Graph) Truncate(n int) {
-	if g.view {
-		panic(ErrReadOnlyView)
-	}
 	if n < 0 || n > len(g.edges) {
 		panic(fmt.Sprintf("graph: Truncate(%d) with %d edges", n, len(g.edges)))
 	}
@@ -286,14 +264,8 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return ok
 }
 
-// EdgeBetween returns the edge joining u and v, if any. It panics on a
-// snapshot view: views carry no endpoint index (sharing the parent's map
-// would race with concurrent inserts), and a silent "no edge" answer would
-// be a wrong one.
+// EdgeBetween returns the edge joining u and v, if any.
 func (g *Graph) EdgeBetween(u, v int) (Edge, bool) {
-	if g.view {
-		panic("graph: EdgeBetween is not available on a snapshot view")
-	}
 	if u < 0 || u >= len(g.seg) || v < 0 || v >= len(g.seg) || u == v {
 		return Edge{}, false
 	}
@@ -325,9 +297,7 @@ func (g *Graph) MaxDegree() int {
 }
 
 // Clone returns a deep copy of the graph. The copy's arc arena is compacted:
-// relocation holes in the original are not carried over. Cloning a snapshot
-// view yields a regular mutable graph (the endpoint index is rebuilt from
-// the edge list, not copied).
+// relocation holes in the original are not carried over.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		edges: make([]Edge, len(g.edges)),
@@ -346,59 +316,6 @@ func (g *Graph) Clone() *Graph {
 		c.index[normPair(e.U, e.V)] = e.ID
 	}
 	return c
-}
-
-// Snapshot returns a read-only view of the graph at its current size. The
-// view shares the CSR arena and edge list with the parent, so taking one is
-// O(NumVertices) (the per-vertex block descriptors are copied) and touches
-// no per-edge state.
-//
-// The view stays consistent — it keeps seeing exactly the vertices and
-// edges present at snapshot time — even while the parent continues to gain
-// edges on another goroutine, because the parent only ever appends: new arcs
-// land in block slack or freshly grown arena space that no block descriptor
-// of the view covers, and compaction replaces the parent's arena wholesale
-// while the view retains the old one. This is what lets the parallel greedy
-// fan oracle queries out over an immutable picture of the spanner H while
-// the scan goroutine keeps committing edges.
-//
-// Views support the CSR read surface (NumVertices, NumEdges, Edge, Edges,
-// EdgesByWeight, Neighbors, Degree, Clone, Digest, ...). Mutators reject
-// with ErrReadOnlyView, and the endpoint-index queries HasEdge/EdgeBetween
-// panic: the index map cannot be shared with a concurrently mutating parent.
-func (g *Graph) Snapshot() *Graph {
-	return g.SnapshotInto(nil)
-}
-
-// SnapshotInto is Snapshot with view recycling: when view is a *Graph
-// previously returned by Snapshot/SnapshotInto (of any graph) that the caller
-// no longer reads, its per-vertex descriptor slice is reused instead of
-// allocated afresh. The pipelined parallel greedy takes one snapshot per
-// speculative batch and per re-speculation round, so recycling turns the
-// per-batch O(NumVertices) allocation into a copy over warm memory. A nil or
-// non-view argument (or one too small to hold the descriptors) falls back to
-// a fresh allocation; the recycled view must not be aliased by any other
-// goroutine when it is passed in.
-func (g *Graph) SnapshotInto(view *Graph) *Graph {
-	var seg []segment
-	if view != nil && view.view && cap(view.seg) >= len(g.seg) {
-		seg = view.seg[:len(g.seg)]
-	} else {
-		seg = make([]segment, len(g.seg))
-	}
-	copy(seg, g.seg)
-	if view != nil && view.view {
-		view.edges = g.edges[:len(g.edges):len(g.edges)]
-		view.arcs = g.arcs[:len(g.arcs):len(g.arcs)]
-		view.seg = seg
-		return view
-	}
-	return &Graph{
-		edges: g.edges[:len(g.edges):len(g.edges)],
-		arcs:  g.arcs[:len(g.arcs):len(g.arcs)],
-		seg:   seg,
-		view:  true,
-	}
 }
 
 // String returns a short human-readable summary.

@@ -25,10 +25,8 @@ const maxGeneratedSize = 1 << 20
 // value would be a memory amplification lever.
 const maxParallelism = 64
 
-// maxPipeline caps the per-job pipeline depth at the core engine's own
-// bound, so every accepted spec validates there too (and an over-limit
-// value is a 400 at submission, never a failed job at build time).
-const maxPipeline = core.MaxPipeline
+// maxPipeline bounds the ignored JobSpec.Pipeline field (see its doc).
+const maxPipeline = 64
 
 // newRand is the service's deterministic RNG constructor: same seed, same
 // randomized build or verification outcome.
@@ -169,9 +167,9 @@ func materialize(spec *JobSpec) (*graph.Graph, error) {
 // cacheKeyFor derives the result cache key of a normalized spec and its
 // materialized graph. Only sampling-vft output depends on the seed, so the
 // seed is zeroed for every other algorithm. Parallelism and Pipeline never
-// enter the key: the pipelined parallel greedy's kept-edge set is provably
-// identical to the sequential one's at every (worker count, depth), so one
-// cached result serves every setting (and in-flight dedup coalesces a P=4
+// enter the key: the speculative greedy's kept-edge set is provably
+// identical to the sequential one's at every worker count, so one cached
+// result serves every setting (and in-flight dedup coalesces a P=4
 // submission onto a running P=0 build).
 func cacheKeyFor(spec JobSpec, g *graph.Graph) CacheKey {
 	key := CacheKey{
@@ -191,8 +189,7 @@ func cacheKeyFor(spec JobSpec, g *graph.Graph) CacheKey {
 // honoring ctx through the core Progress hook where the algorithm supports
 // it. It is called on a worker goroutine. Observability rides along: oracle
 // query latencies feed the sampled histogram, build-phase boundaries become
-// events on the job's build span, and greedy jobs that asked for
-// parallelism without pinning a pipeline depth get the tuner's current one.
+// events on the job's build span.
 func (s *Server) build(ctx context.Context, job *Job) (*buildResult, error) {
 	spec := job.spec
 	mode, err := parseMode(spec.Mode)
@@ -211,22 +208,12 @@ func (s *Server) build(ctx context.Context, job *Job) (*buildResult, error) {
 		job.mu.Lock()
 		span := job.buildSpan
 		job.mu.Unlock()
-		pipeline := spec.Pipeline
-		if spec.Pipeline == 0 && spec.Parallelism > 1 && spec.Algorithm == AlgoGreedy {
-			// Adaptive mode: an unset depth means "server's choice", and the
-			// server's choice is whatever the waste-feedback tuner currently
-			// recommends. Determinism is unaffected — the kept-edge set is
-			// identical at every depth.
-			pipeline = s.tuner.depthNow()
-			span.SetAttr("adaptive_pipeline", int64(pipeline))
-		}
 		opts := core.Options{
 			Stretch:     spec.Stretch,
 			Faults:      spec.Faults,
 			Mode:        mode,
 			Progress:    hook,
 			Parallelism: spec.Parallelism,
-			Pipeline:    pipeline,
 			Chaos:       s.cfg.Chaos,
 			Oracle: fault.Options{
 				ObserveQuery: func(d time.Duration) { s.lat.oracleQuery.Record(d) },

@@ -145,10 +145,7 @@ type statsBody struct {
 	SpecRounds       int64   `json:"spec_rounds,omitempty"`
 	SpecRequeries    int64   `json:"spec_requeries,omitempty"`
 	SpecHitRate      float64 `json:"spec_hit_rate,omitempty"`
-	// PipelineDepth is the effective pipeline depth the build ran with (0
-	// for sequential builds).
-	PipelineDepth int     `json:"pipeline_depth,omitempty"`
-	DurationMS    float64 `json:"duration_ms"`
+	DurationMS       float64 `json:"duration_ms"`
 	// QueueMS/BuildMS/PersistMS are this job's lifecycle-phase durations as
 	// this server observed them: submission-to-worker wait, worker
 	// wall-clock, and the durable-store write. All zero for cache hits
@@ -202,7 +199,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			SpecRounds:       st.SpecRounds,
 			SpecRequeries:    st.SpecRequeries,
 			SpecHitRate:      st.SpecHitRate(),
-			PipelineDepth:    st.PipelineDepth,
 			DurationMS:       float64(st.Duration.Microseconds()) / 1000,
 			QueueMS:          float64(job.queueWait.Microseconds()) / 1000,
 			BuildMS:          float64(job.buildDur.Microseconds()) / 1000,

@@ -65,13 +65,10 @@ type JobSpec struct {
 	// kept-edge set is identical at every setting, so it does not affect the
 	// cache key: a result built at any parallelism serves them all.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Pipeline bounds how many speculative batches the greedy keeps in
-	// flight at once (core.Options.Pipeline): while batch i commits, batches
-	// i+1..i+Pipeline-1 already speculate against their own snapshots.
-	// Requires Parallelism > 1; 0 selects the engine default, 1 disables the
-	// overlap. Like Parallelism it is determinism-neutral — the kept-edge
-	// set is identical at every depth — so it is excluded from the cache
-	// key.
+	// Pipeline is accepted and ignored. It stays in the wire format with its
+	// range check (0..64, nonzero only with Parallelism > 1) so that every
+	// existing client's request is accepted or rejected exactly as before.
+	// It is not in the cache key.
 	Pipeline int `json:"pipeline,omitempty"`
 	// Priority is the scheduling class: "high", "normal" (the default), or
 	// "low". It orders a saturated pool's dequeues and selects the per-class

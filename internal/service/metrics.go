@@ -46,8 +46,6 @@ type metrics struct {
 	sessionOracleReuses   atomic.Int64 // suffix repairs that rewound the retained prefix graph + oracle
 	sessionOracleRebuilds atomic.Int64 // suffix repairs that built them from scratch (fallback or first batch)
 
-	maxPipeline atomic.Int64 // deepest effective pipeline any completed build ran
-
 	// Per-priority-class scheduling counters, indexed by class.
 	dequeued         [numClasses]atomic.Int64 // jobs handed to a worker from this class
 	rejected         [numClasses]atomic.Int64 // submissions refused with 429 (class cap)
@@ -71,17 +69,6 @@ func (m *metrics) buildStarted() {
 }
 
 func (m *metrics) buildFinished() { m.buildsInFlight.Add(-1) }
-
-// notePipelineDepth maintains the deepest-pipeline gauge.
-func (m *metrics) notePipelineDepth(d int) {
-	n := int64(d)
-	for {
-		hw := m.maxPipeline.Load()
-		if n <= hw || m.maxPipeline.CompareAndSwap(hw, n) {
-			return
-		}
-	}
-}
 
 // QueueClassSnapshot reports one priority class's queue in GET /metrics.
 type QueueClassSnapshot struct {
@@ -176,7 +163,7 @@ type MetricsSnapshot struct {
 	// they answered; seed hits are included in witness_cache_hits.
 	WitnessSeedTries int64 `json:"witness_seed_tries"`
 	WitnessSeedHits  int64 `json:"witness_seed_hits"`
-	// Spec* aggregate the pipelined parallel greedy's speculation counters
+	// Spec* aggregate the speculative parallel greedy's counters
 	// across completed builds: batches speculated, speculative queries
 	// issued (initial batches plus re-speculation rounds), answers
 	// committed straight from speculation, answers invalidated by an
@@ -190,9 +177,6 @@ type MetricsSnapshot struct {
 	SpecRounds    int64   `json:"spec_rounds"`
 	SpecRequeries int64   `json:"spec_requeries"`
 	SpecHitRatio  float64 `json:"spec_hit_ratio"`
-	// MaxPipelineDepth is the deepest effective pipeline any completed
-	// build ran with (0 until a parallel build completes).
-	MaxPipelineDepth int64 `json:"max_pipeline_depth"`
 	// JobsEvicted counts terminal jobs removed by the retention janitor;
 	// their IDs answer 404 afterwards.
 	JobsEvicted int64 `json:"jobs_evicted"`
@@ -230,11 +214,6 @@ type MetricsSnapshot struct {
 	// log-bucketed histograms: queue wait per priority class, build and
 	// persist durations, store get/put, and sampled oracle queries.
 	Latency LatencySnapshot `json:"latency"`
-	// AdaptivePipelineDepth is the depth the tuner would hand the next
-	// adaptive build (jobs with parallelism > 1 and pipeline unset);
-	// AdaptivePipelineCap is its configured ceiling.
-	AdaptivePipelineDepth int `json:"adaptive_pipeline_depth"`
-	AdaptivePipelineCap   int `json:"adaptive_pipeline_cap"`
 	// WaitBudgetMS is the load-shedding latency budget (0 = shedding off).
 	WaitBudgetMS float64 `json:"wait_budget_ms"`
 }
@@ -268,14 +247,13 @@ func (s *Server) Metrics() MetricsSnapshot {
 		WitnessSeedTries:   s.met.witnessSeeds.Load(),
 		WitnessSeedHits:    s.met.witnessSeedOK.Load(),
 
-		SpecBatches:      s.met.specBatches.Load(),
-		SpecQueries:      s.met.specQueries.Load(),
-		SpecHits:         s.met.specHits.Load(),
-		SpecWaste:        s.met.specWaste.Load(),
-		SpecRounds:       s.met.specRounds.Load(),
-		SpecRequeries:    s.met.specRequeries.Load(),
-		MaxPipelineDepth: s.met.maxPipeline.Load(),
-		JobsEvicted:      s.met.jobsEvicted.Load(),
+		SpecBatches:   s.met.specBatches.Load(),
+		SpecQueries:   s.met.specQueries.Load(),
+		SpecHits:      s.met.specHits.Load(),
+		SpecWaste:     s.met.specWaste.Load(),
+		SpecRounds:    s.met.specRounds.Load(),
+		SpecRequeries: s.met.specRequeries.Load(),
+		JobsEvicted:   s.met.jobsEvicted.Load(),
 
 		SessionsCreatedTotal:      s.met.sessionsCreated.Load(),
 		SessionsClosedTotal:       s.met.sessionsClosed.Load(),
@@ -294,10 +272,8 @@ func (s *Server) Metrics() MetricsSnapshot {
 		BuildsInFlight:      s.met.buildsInFlight.Load(),
 		MaxConcurrentBuilds: s.met.maxInFlight.Load(),
 
-		Latency:               s.lat.snapshot(),
-		AdaptivePipelineDepth: s.tuner.depthNow(),
-		AdaptivePipelineCap:   s.cfg.PipelineCap,
-		WaitBudgetMS:          float64(s.cfg.WaitBudget.Nanoseconds()) / 1e6,
+		Latency:      s.lat.snapshot(),
+		WaitBudgetMS: float64(s.cfg.WaitBudget.Nanoseconds()) / 1e6,
 	}
 	if total := snap.CacheHits + snap.CacheMisses; total > 0 {
 		snap.CacheHitRatio = float64(snap.CacheHits) / float64(total)

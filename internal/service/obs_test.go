@@ -3,7 +3,6 @@ package service
 import (
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +28,7 @@ func childNamed(root obs.SpanSnapshot, name string) *obs.SpanSnapshot {
 	return nil
 }
 
-// TestTraceEndpointSpanTree drives a pipelined parallel build with the
+// TestTraceEndpointSpanTree drives a speculative parallel build with the
 // durable store enabled and checks the whole trace contract: a closed root
 // named "job" whose children are queue-wait, build, and persist in
 // chronological order, build-phase events on the build span, and phase
@@ -78,11 +77,6 @@ func TestTraceEndpointSpanTree(t *testing.T) {
 	}
 	if commits == 0 {
 		t.Fatalf("build span has no batch-commit events (events: %d)", len(build.Events))
-	}
-	// Adaptive depth: pipeline unset + parallelism > 1 means the tuner
-	// chose, and the choice is stamped on the span and the job stats.
-	if a := attrValue(build.Attrs, "adaptive_pipeline"); a != int64(st.Stats.PipelineDepth) {
-		t.Fatalf("build span adaptive_pipeline=%d, job stats pipeline_depth=%d", a, st.Stats.PipelineDepth)
 	}
 	// The lifecycle phases partition the root: non-overlapping children
 	// cannot sum past their parent.
@@ -179,82 +173,6 @@ func TestTraceRetention(t *testing.T) {
 	}
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+sub.ID, nil, nil); code != http.StatusOK {
 		t.Fatalf("job status after trace drop returned %d, want 200", code)
-	}
-}
-
-// TestPipeTunerFeedback pins the controller's walk: low waste deepens up to
-// the cap, high waste (or heavy re-speculation) shallows down to 1, and the
-// dead band holds.
-func TestPipeTunerFeedback(t *testing.T) {
-	tu := newPipeTuner(4)
-	if d := tu.depthNow(); d != tunerStartDepth {
-		t.Fatalf("start depth %d, want %d", d, tunerStartDepth)
-	}
-	lowWaste := core.Stats{SpecBatches: 10, SpecQueries: 100, SpecWaste: 1}
-	for i := 0; i < 10; i++ {
-		tu.observe(lowWaste)
-	}
-	if d := tu.depthNow(); d != 4 {
-		t.Fatalf("depth after sustained low waste = %d, want cap 4", d)
-	}
-	highWaste := core.Stats{SpecBatches: 10, SpecQueries: 100, SpecWaste: 50}
-	for i := 0; i < 10; i++ {
-		tu.observe(highWaste)
-	}
-	if d := tu.depthNow(); d != 1 {
-		t.Fatalf("depth after sustained high waste = %d, want floor 1", d)
-	}
-	midWaste := core.Stats{SpecBatches: 10, SpecQueries: 100, SpecWaste: 10}
-	tu.observe(midWaste)
-	if d := tu.depthNow(); d != 1 {
-		t.Fatalf("dead band moved the depth to %d", d)
-	}
-	// Heavy re-speculation counts as waste even with a good hit ratio.
-	tu = newPipeTuner(4)
-	tu.observe(core.Stats{SpecBatches: 10, SpecQueries: 100, SpecWaste: 1, SpecRounds: 20})
-	if d := tu.depthNow(); d != 1 {
-		t.Fatalf("depth after round-heavy build = %d, want 1", d)
-	}
-	// No-speculation builds carry no signal.
-	tu.observe(core.Stats{})
-	if d := tu.depthNow(); d != 1 {
-		t.Fatalf("empty stats moved the depth to %d", d)
-	}
-	if got := newPipeTuner(1000).max; got != core.MaxPipeline {
-		t.Fatalf("tuner cap %d not clamped to engine max %d", got, core.MaxPipeline)
-	}
-}
-
-// TestAdaptivePipelineDifferential is the determinism check behind adaptive
-// mode: a build whose depth the tuner chose produces a byte-identical
-// spanner and kept set to the sequential build of the same spec.
-func TestAdaptivePipelineDifferential(t *testing.T) {
-	_, seqTS := newTestServer(t, Config{Workers: 1})
-	_, adTS := newTestServer(t, Config{Workers: 2, PipelineCap: 3})
-
-	seqSub := submitJob(t, seqTS, parallelSpec(51, 0))
-	waitState(t, seqTS, seqSub.ID, StateDone)
-	var seq spannerResponse
-	if code := doJSON(t, http.MethodGet, seqTS.URL+"/v1/jobs/"+seqSub.ID+"/spanner", nil, &seq); code != http.StatusOK {
-		t.Fatalf("spanner returned %d", code)
-	}
-
-	adSub := submitJob(t, adTS, parallelSpec(51, 4)) // pipeline unset: adaptive
-	adSt := waitState(t, adTS, adSub.ID, StateDone)
-	if d := adSt.Stats.PipelineDepth; d < 1 || d > 3 {
-		t.Fatalf("adaptive build ran at depth %d, want within [1,3]", d)
-	}
-	var ad spannerResponse
-	if code := doJSON(t, http.MethodGet, adTS.URL+"/v1/jobs/"+adSub.ID+"/spanner", nil, &ad); code != http.StatusOK {
-		t.Fatalf("spanner returned %d", code)
-	}
-	if !reflect.DeepEqual(seq.Kept, ad.Kept) || seq.Spanner != ad.Spanner {
-		t.Fatal("adaptive pipelined build differs from sequential build")
-	}
-	m := getMetrics(t, adTS)
-	if m.AdaptivePipelineDepth < 1 || m.AdaptivePipelineDepth > 3 || m.AdaptivePipelineCap != 3 {
-		t.Fatalf("metrics adaptive depth/cap = %d/%d, want within [1,3]/3",
-			m.AdaptivePipelineDepth, m.AdaptivePipelineCap)
 	}
 }
 

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -17,9 +20,11 @@ func parallelSpec(seed int64, p int) JobSpec {
 
 // TestParallelJobEndToEnd submits a parallel build and checks the job
 // completes with speculation stats surfaced in both the job status and
-// /metrics.
+// /metrics, and that its spanner is byte-identical to a sequential build of
+// the same spec on a second server (no shared cache, so both really build).
 func TestParallelJobEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
+	_, seqTS := newTestServer(t, Config{Workers: 1})
 
 	sub := submitJob(t, ts, parallelSpec(5, 4))
 	st := waitState(t, ts, sub.ID, StateDone)
@@ -33,43 +38,100 @@ func TestParallelJobEndToEnd(t *testing.T) {
 	if st.Stats.SpecHits+st.Stats.SpecWaste != st.Stats.SpecQueries {
 		t.Fatalf("spec accounting leak: %+v", *st.Stats)
 	}
+	if st.Stats.WitnessHits+st.Stats.WitnessMisses > 0 && st.Stats.WitnessHitRate <= 0 {
+		t.Fatalf("witness hit rate not surfaced: %+v", *st.Stats)
+	}
 	m := getMetrics(t, ts)
 	if m.SpecBatches < 1 || m.SpecQueries != st.Stats.SpecQueries ||
 		m.SpecHits != st.Stats.SpecHits || m.SpecWaste != st.Stats.SpecWaste {
 		t.Fatalf("metrics do not aggregate speculation counters: %+v vs %+v", m, *st.Stats)
 	}
+	if m.SpecRounds != st.Stats.SpecRounds || m.SpecRequeries != st.Stats.SpecRequeries {
+		t.Fatalf("metrics do not aggregate round counters: %+v vs %+v", m, *st.Stats)
+	}
+	if m.WitnessSeedTries != st.Stats.WitnessSeedTries || m.WitnessSeedHits != st.Stats.WitnessSeedHits {
+		t.Fatalf("metrics do not aggregate seed counters: %+v vs %+v", m, *st.Stats)
+	}
+
+	seqSub := submitJob(t, seqTS, parallelSpec(5, 0))
+	if seqSub.Cached {
+		t.Fatal("second server answered from a cache it cannot have")
+	}
+	waitState(t, seqTS, seqSub.ID, StateDone)
+	parDigest, _, parKept := spannerDigestOf(t, ts, sub.ID)
+	seqDigest, _, seqKept := spannerDigestOf(t, seqTS, seqSub.ID)
+	if parDigest != seqDigest || !reflect.DeepEqual(parKept, seqKept) {
+		t.Fatal("parallel build differs from sequential build")
+	}
+}
+
+// postJobRaw submits a raw JSON job body, as a client that sets fields the
+// Go JobSpec would omit.
+func postJobRaw(t *testing.T, ts *httptest.Server, body string) (submitResponse, int) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sub submitResponse
+	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sub, resp.StatusCode
 }
 
 // TestParallelismSharesCacheKey verifies the determinism guarantee is
 // exploited by the cache: a result built sequentially answers a parallel
 // submission of the same spec (and vice versa) without a rebuild, and the
-// spanners are identical.
+// spanners are identical. A "parallelism":4,"pipeline":4 body — pipeline is
+// accepted and ignored — lands on the same cache key and spanner digest as
+// the P=0 build, whether it coalesces onto it in flight or hits the cache.
 func TestParallelismSharesCacheKey(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
 	seqSub := submitJob(t, ts, parallelSpec(9, 0))
 	waitState(t, ts, seqSub.ID, StateDone)
-	var seqSpanner spannerResponse
-	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+seqSub.ID+"/spanner", nil, &seqSpanner); code != http.StatusOK {
-		t.Fatalf("spanner returned %d", code)
-	}
+	seqDigest, seqSpanner, seqKept := spannerDigestOf(t, ts, seqSub.ID)
 
 	parSub := submitJob(t, ts, parallelSpec(9, 8))
 	if !parSub.Cached {
 		t.Fatalf("parallel submission of an already-built spec did not hit the cache: %+v", parSub)
 	}
-	var parSpanner spannerResponse
-	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+parSub.ID+"/spanner", nil, &parSpanner); code != http.StatusOK {
-		t.Fatalf("spanner returned %d", code)
-	}
-	if !reflect.DeepEqual(seqSpanner.Kept, parSpanner.Kept) || seqSpanner.Spanner != parSpanner.Spanner {
+	parDigest, parSpanner, parKept := spannerDigestOf(t, ts, parSub.ID)
+	if !reflect.DeepEqual(seqKept, parKept) || seqSpanner != parSpanner || seqDigest != parDigest {
 		t.Fatal("cached parallel result differs from sequential build")
+	}
+
+	const gen = `"generator":{"name":"random","n":30,"m":150,"seed":10},"stretch":3,"faults":1`
+	first, code := postJobRaw(t, ts, `{`+gen+`}`)
+	if code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("P=0 submission returned %d", code)
+	}
+	second, code := postJobRaw(t, ts, `{`+gen+`,"parallelism":4,"pipeline":4}`)
+	if code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("parallelism+pipeline submission returned %d", code)
+	}
+	if !second.Cached && !(second.Deduplicated && second.ID == first.ID) {
+		t.Fatalf("parallelism+pipeline submission neither coalesced onto %s nor hit the cache: %+v", first.ID, second)
+	}
+	st0, st4 := waitState(t, ts, first.ID, StateDone), waitState(t, ts, second.ID, StateDone)
+	if st0.GraphDigest != st4.GraphDigest {
+		t.Fatalf("graph digests differ: %s vs %s", st0.GraphDigest, st4.GraphDigest)
+	}
+	d0, _, kept0 := spannerDigestOf(t, ts, first.ID)
+	d4, _, kept4 := spannerDigestOf(t, ts, second.ID)
+	if d0 != d4 || !reflect.DeepEqual(kept0, kept4) {
+		t.Fatal("parallelism+pipeline submission served a different spanner")
 	}
 }
 
 // TestParallelismValidation pins the spec validation: negative or oversized
 // worker counts and non-greedy algorithms are rejected, as are pipeline
-// depths without workers to feed them.
+// values outside the range the ignored field has always accepted, or set
+// without workers.
 func TestParallelismValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	bad := []JobSpec{
@@ -92,47 +154,27 @@ func TestParallelismValidation(t *testing.T) {
 	}
 }
 
-// TestPipelineJobEndToEnd submits a pipelined parallel build and checks the
-// depth and round counters surface in the job stats and /metrics, and that
-// the pipeline depth stays out of the cache key (a deeper resubmission is a
-// cache hit).
+// TestPipelineJobEndToEnd submits a parallel build that sets the ignored
+// pipeline field at both ends of its accepted range: each builds (or hits
+// the cache) like any parallel job, and no value leaks into the cache key.
 func TestPipelineJobEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
 	spec := parallelSpec(11, 4)
-	spec.Pipeline = 4
+	spec.Pipeline = maxPipeline
 	sub := submitJob(t, ts, spec)
 	st := waitState(t, ts, sub.ID, StateDone)
-	if st.Stats == nil {
-		t.Fatal("done job has no stats")
-	}
-	if st.Stats.PipelineDepth != 4 {
-		t.Fatalf("job stats report pipeline depth %d, want 4", st.Stats.PipelineDepth)
-	}
-	if st.Stats.SpecBatches < 1 {
-		t.Fatalf("pipelined build reported no speculation: %+v", *st.Stats)
+	if st.Stats == nil || st.Stats.SpecBatches < 1 {
+		t.Fatalf("parallel build with pipeline set reported no speculation: %+v", st.Stats)
 	}
 	if st.Stats.SpecHits+st.Stats.SpecWaste != st.Stats.SpecQueries {
 		t.Fatalf("spec accounting leak: %+v", *st.Stats)
 	}
-	if st.Stats.WitnessHits+st.Stats.WitnessMisses > 0 && st.Stats.WitnessHitRate <= 0 {
-		t.Fatalf("witness hit rate not surfaced: %+v", *st.Stats)
-	}
-	m := getMetrics(t, ts)
-	if m.MaxPipelineDepth != 4 {
-		t.Fatalf("metrics max_pipeline_depth %d, want 4", m.MaxPipelineDepth)
-	}
-	if m.SpecRounds != st.Stats.SpecRounds || m.SpecRequeries != st.Stats.SpecRequeries {
-		t.Fatalf("metrics do not aggregate round counters: %+v vs %+v", m, *st.Stats)
-	}
-	if m.WitnessSeedTries != st.Stats.WitnessSeedTries || m.WitnessSeedHits != st.Stats.WitnessSeedHits {
-		t.Fatalf("metrics do not aggregate seed counters: %+v vs %+v", m, *st.Stats)
-	}
 
-	// Same spec at a different depth: determinism-neutral, so a cache hit.
-	spec.Pipeline = 1
-	again := submitJob(t, ts, spec)
-	if !again.Cached {
-		t.Fatalf("pipeline depth leaked into the cache key: %+v", again)
+	for _, p := range []int{0, 1} {
+		spec.Pipeline = p
+		if again := submitJob(t, ts, spec); !again.Cached {
+			t.Fatalf("pipeline %d leaked into the cache key: %+v", p, again)
+		}
 	}
 }

@@ -40,7 +40,6 @@ func recordFor(key CacheKey, res *buildResult) *store.Record {
 			SpecWaste:        st.SpecWaste,
 			SpecRounds:       st.SpecRounds,
 			SpecRequeries:    st.SpecRequeries,
-			PipelineDepth:    int64(st.PipelineDepth),
 			WitnessSeedTries: st.WitnessSeedTries,
 			WitnessSeedHits:  st.WitnessSeedHits,
 			DurationNS:       int64(st.Duration),
@@ -89,7 +88,6 @@ func resultFromRecord(g *graph.Graph, rec *store.Record) (*buildResult, error) {
 			SpecWaste:        st.SpecWaste,
 			SpecRounds:       st.SpecRounds,
 			SpecRequeries:    st.SpecRequeries,
-			PipelineDepth:    int(st.PipelineDepth),
 			WitnessSeedTries: st.WitnessSeedTries,
 			WitnessSeedHits:  st.WitnessSeedHits,
 			Duration:         time.Duration(st.DurationNS),

@@ -93,17 +93,11 @@ type Config struct {
 	// 429 and Retry-After instead of joining a queue they would only age
 	// in. Zero disables shedding (the per-class depth caps still apply).
 	WaitBudget time.Duration
-	// PipelineCap bounds the adaptive pipeline depth chosen for greedy jobs
-	// that ask for Parallelism > 1 but leave Pipeline unset: the server
-	// tunes the depth from observed speculation waste, never exceeding this
-	// cap (default 8, clamped to the engine maximum). Jobs that set
-	// Pipeline explicitly are never tuned.
-	PipelineCap int
 	// Version is an opaque build stamp reported in /metrics and /healthz.
 	Version string
 	// Chaos, if non-nil, is handed to every greedy build as the core
 	// engine's fault-injection hook (core.Options.Chaos): it is invoked at
-	// named sites inside oracle queries, pipeline workers, and
+	// named sites inside oracle queries, speculation workers, and
 	// re-speculation rounds, and may panic to exercise the server's panic
 	// containment. Test-only; nil in production.
 	Chaos func(site string)
@@ -132,7 +126,6 @@ type Config struct {
 const (
 	defaultJobRetention  = 15 * time.Minute
 	defaultStoreMaxBytes = 256 << 20
-	defaultPipelineCap   = 8
 )
 
 func (c *Config) applyDefaults() {
@@ -157,14 +150,8 @@ func (c *Config) applyDefaults() {
 	if c.TraceRetention == 0 {
 		c.TraceRetention = c.JobRetention
 	}
-	if c.PipelineCap <= 0 {
-		c.PipelineCap = defaultPipelineCap
-	}
 	if c.SessionRetention == 0 {
 		c.SessionRetention = defaultSessionRetention
-	}
-	if c.PipelineCap > maxPipeline {
-		c.PipelineCap = maxPipeline
 	}
 	caps := make(map[Priority]int, numClasses)
 	for p := range classes {
@@ -186,12 +173,10 @@ type Server struct {
 	store *store.Store // nil when persistence is disabled
 	met   metrics
 
-	// Observability and adaptive control (this package's obs.go and
-	// adaptive.go): latency histograms for /metrics, the pipeline-depth
-	// tuner, the queue-wait load shedder, and the start time behind
-	// uptime_seconds.
+	// Observability and load control (this package's obs.go and shed.go):
+	// latency histograms for /metrics, the queue-wait load shedder, and the
+	// start time behind uptime_seconds.
 	lat     *latencies
-	tuner   *pipeTuner
 	shedder *waitShedder
 	started time.Time
 
@@ -256,7 +241,6 @@ func New(cfg Config) (*Server, error) {
 		active:   make(map[CacheKey]*Job),
 		sessions: make(map[string]*Session),
 		lat:      newLatencies(),
-		tuner:    newPipeTuner(cfg.PipelineCap),
 		shedder:  newWaitShedder(cfg.WaitBudget),
 		started:  time.Now(),
 		ctx:      ctx,
@@ -602,9 +586,7 @@ func (s *Server) finish(job *Job, res *buildResult, err error) {
 		s.met.specWaste.Add(res.stats.SpecWaste)
 		s.met.specRounds.Add(res.stats.SpecRounds)
 		s.met.specRequeries.Add(res.stats.SpecRequeries)
-		s.met.notePipelineDepth(res.stats.PipelineDepth)
 		s.lat.build.Record(buildDur)
-		s.tuner.observe(res.stats)
 		s.cache.Put(job.key, res)
 		pstart := time.Now()
 		ps := tr.Root().StartSpan("persist")

@@ -33,7 +33,12 @@ import (
 // uvarint length + bytes):
 //
 //	key, numVertices, inputEdges, spannerDigest,
-//	len(kept), kept[0..], then the fifteen Stats counters.
+//	len(kept), kept[0..], then the fifteen Stats counter slots.
+//
+// Slot 11 once held a speculative pipeline depth. It is reserved: writers
+// put 0 there and readers skip it, so records written before and after the
+// pipeline's removal decode alike, including those pulled from peers of
+// either version during anti-entropy.
 //
 // Version 1 carried ten counters; readers reject it like any other unknown
 // version, so pre-existing records are quarantined and rebuilt once (the
@@ -78,7 +83,6 @@ type Stats struct {
 	SpecWaste        int64
 	SpecRounds       int64
 	SpecRequeries    int64
-	PipelineDepth    int64
 	WitnessSeedTries int64
 	WitnessSeedHits  int64
 	DurationNS       int64
@@ -120,23 +124,25 @@ func Encode(rec *Record) []byte {
 	return append(buf, payload...)
 }
 
-// counters lists the stats fields in codec order.
+// counters lists the stats fields in codec order, with the reserved slot 11
+// written as 0.
 func (s *Stats) counters() [15]int64 {
 	return [15]int64{
 		s.EdgesScanned, s.OracleCalls, s.Dijkstras,
 		s.WitnessHits, s.WitnessMisses,
 		s.SpecBatches, s.SpecQueries, s.SpecHits, s.SpecWaste,
-		s.SpecRounds, s.SpecRequeries, s.PipelineDepth,
+		s.SpecRounds, s.SpecRequeries, 0,
 		s.WitnessSeedTries, s.WitnessSeedHits,
 		s.DurationNS,
 	}
 }
 
+// setCounters is the inverse of counters; the reserved slot 11 is skipped.
 func (s *Stats) setCounters(c [15]int64) {
 	s.EdgesScanned, s.OracleCalls, s.Dijkstras = c[0], c[1], c[2]
 	s.WitnessHits, s.WitnessMisses = c[3], c[4]
 	s.SpecBatches, s.SpecQueries, s.SpecHits, s.SpecWaste = c[5], c[6], c[7], c[8]
-	s.SpecRounds, s.SpecRequeries, s.PipelineDepth = c[9], c[10], c[11]
+	s.SpecRounds, s.SpecRequeries = c[9], c[10]
 	s.WitnessSeedTries, s.WitnessSeedHits = c[12], c[13]
 	s.DurationNS = c[14]
 }

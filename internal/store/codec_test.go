@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"math/rand"
@@ -28,7 +29,6 @@ func sampleRecord() *Record {
 			SpecWaste:        1,
 			SpecRounds:       2,
 			SpecRequeries:    1,
-			PipelineDepth:    4,
 			WitnessSeedTries: 8,
 			WitnessSeedHits:  5,
 			DurationNS:       1_234_567_890,
@@ -68,7 +68,6 @@ func randomRecord(rng *rand.Rand) *Record {
 			SpecWaste:        rng.Int63n(1 << 30),
 			SpecRounds:       rng.Int63n(1 << 30),
 			SpecRequeries:    rng.Int63n(1 << 30),
-			PipelineDepth:    rng.Int63n(64),
 			WitnessSeedTries: rng.Int63n(1 << 30),
 			WitnessSeedHits:  rng.Int63n(1 << 30),
 			DurationNS:       rng.Int63n(1 << 50),
@@ -197,5 +196,72 @@ func TestCodecHostileCounts(t *testing.T) {
 	data = append(data, payload...)
 	if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile kept count: got err %v, want ErrCorrupt", err)
+	}
+}
+
+// goldenV2Reserved is a version-2 record as written while counter slot 11
+// still held a pipeline depth (4 here). Slot 11 is now reserved: it must
+// decode with no error to the same kept list and digest, be skipped, and be
+// written back as 0.
+const goldenV2Reserved = "465453520200000082000000bda5a9c51f76317c30313233616263647c337c327c76" +
+	"65727465787c6772656564797c301e9601406465616462656566646561646265656664" +
+	"656164626565666465616462656566646561646265656664656164626565666465616462" +
+	"656566646561646265656605000503950107ac02c402c24314b40106181602040208100aa48bb09909"
+
+func TestCodecReservedSlotGolden(t *testing.T) {
+	data, err := hex.DecodeString(goldenV2Reserved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Record{
+		Key:           "v1|0123abcd|3|2|vertex|greedy|0",
+		NumVertices:   30,
+		InputEdges:    150,
+		SpannerDigest: "deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef",
+		Kept:          []int{0, 5, 3, 149, 7},
+		Stats: Stats{
+			EdgesScanned: 150, OracleCalls: 162, Dijkstras: 4321,
+			WitnessHits: 10, WitnessMisses: 90,
+			SpecBatches: 3, SpecQueries: 12, SpecHits: 11, SpecWaste: 1,
+			SpecRounds: 2, SpecRequeries: 1,
+			WitnessSeedTries: 8, WitnessSeedHits: 5,
+			DurationNS: 1_234_567_890,
+		},
+	}
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatalf("decode golden v2 record: %v", err)
+	}
+	if !recordsEqual(want, got) {
+		t.Fatalf("golden decode mismatch:\n want %+v\n got  %+v", want, got)
+	}
+
+	// Re-encoding keeps the layout byte for byte except slot 11, now 0: the
+	// payload differs in exactly that one varint byte (and so in the CRC).
+	re := Encode(got)
+	if len(re) != len(data) {
+		t.Fatalf("re-encoded length %d, golden %d", len(re), len(data))
+	}
+	var diff []int
+	for i := headerSize; i < len(re); i++ {
+		if re[i] != data[i] {
+			diff = append(diff, i)
+		}
+	}
+	if len(diff) != 1 || data[diff[0]] != 0x08 || re[diff[0]] != 0x00 {
+		t.Fatalf("re-encoded payload differs at %v, want only the reserved slot (varint 4 -> 0)", diff)
+	}
+
+	// A peer's record pulled during anti-entropy goes through the same
+	// decoder: it imports and serves with nothing quarantined.
+	s := mustOpen(t, t.TempDir(), -1)
+	if _, imported, err := s.ImportEncoded(data); err != nil || !imported {
+		t.Fatalf("ImportEncoded(golden) = (%v, %v)", imported, err)
+	}
+	if rec, ok := s.Get(want.Key); !ok || !recordsEqual(want, rec) {
+		t.Fatalf("imported golden record: ok=%v got=%+v", ok, rec)
+	}
+	if m := s.Snapshot(); m.CorruptTotal != 0 || len(m.Quarantined) != 0 {
+		t.Fatalf("golden record quarantined: %+v", m)
 	}
 }
