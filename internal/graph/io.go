@@ -6,26 +6,61 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 )
+
+// encodeChunk is the size Encode's output buffer is flushed at; the buffer
+// holds at most one chunk plus one edge line, whatever the graph's size.
+const encodeChunk = 32 << 10
+
+// maxEdgeLine bounds one encoded edge line: "e", two int64 endpoints, the
+// shortest round-trip form of a float64 (at most 24 bytes), three spaces and
+// the newline.
+const maxEdgeLine = 1 + 2*20 + 24 + 3 + 1
+
+// encodeBufs recycles Encode's chunk buffers across calls: Digest runs on
+// every cache lookup and session batch, and a fresh chunk per call would be
+// garbage the size of the graph's text.
+var encodeBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, encodeChunk+maxEdgeLine)
+	return &b
+}}
 
 // Encode writes the graph in a simple line-oriented text format:
 //
 //	p <numVertices> <numEdges>
 //	e <u> <v> <weight>    (one line per edge, in edge-ID order)
 //
-// Lines starting with '#' are comments. The format round-trips exactly
-// through Decode, including edge IDs (which are assigned in line order).
+// Weights are written in the shortest form that parses back to the same
+// float64 (strconv 'g', precision -1). Lines starting with '#' are comments.
+// The format round-trips exactly through Decode, including edge IDs (which
+// are assigned in line order). The bytes are the graph's canonical form:
+// Digest hashes them, so they must never change for a given graph.
 func (g *Graph) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "p %d %d\n", g.NumVertices(), g.NumEdges()); err != nil {
-		return err
-	}
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	buf := append((*bp)[:0], 'p', ' ')
+	buf = strconv.AppendInt(buf, int64(g.NumVertices()), 10)
+	buf = append(buf, ' ')
+	buf = strconv.AppendInt(buf, int64(g.NumEdges()), 10)
+	buf = append(buf, '\n')
 	for _, e := range g.edges {
-		if _, err := fmt.Fprintf(bw, "e %d %d %s\n", e.U, e.V, strconv.FormatFloat(e.Weight, 'g', -1, 64)); err != nil {
-			return err
+		buf = append(buf, 'e', ' ')
+		buf = strconv.AppendInt(buf, int64(e.U), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(e.V), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendFloat(buf, e.Weight, 'g', -1, 64)
+		buf = append(buf, '\n')
+		if len(buf) >= encodeChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // Decode parses a graph in the format produced by Encode.

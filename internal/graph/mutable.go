@@ -138,9 +138,31 @@ func (m *Mutable) Waste() float64 {
 // session's canonical greedy scan order: a from-scratch rebuild of the
 // materialized graph makes decisions in exactly the order the incremental
 // engine maintains them in.
+//
+// The output is presized from one counting pass over the live edges: the
+// edge list, the endpoint index and every vertex's CSR block get their exact
+// final size, so the AddEdge calls that follow never relocate a block or
+// rehash the index.
 func (m *Mutable) Materialize() (*Graph, []int) {
-	out := New(m.g.NumVertices())
-	ids := make([]int, 0, m.NumLiveEdges())
+	live := m.NumLiveEdges()
+	out := &Graph{
+		edges: make([]Edge, 0, live),
+		seg:   make([]segment, m.g.NumVertices()),
+		index: make(map[[2]int]int, live),
+	}
+	for _, e := range m.g.edges {
+		if !m.dead[e.ID] {
+			out.seg[e.U].cap++
+			out.seg[e.V].cap++
+		}
+	}
+	off := 0
+	for v := range out.seg {
+		out.seg[v].off = off
+		off += out.seg[v].cap
+	}
+	out.arcs = make([]Arc, off)
+	ids := make([]int, 0, live)
 	for _, e := range m.g.edges {
 		if m.dead[e.ID] {
 			continue

@@ -254,6 +254,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	from := 0
+	shutdown := s.ctx.Done()
 	for {
 		evs, updated, terminal := job.eventsSince(from)
 		for _, e := range evs {
@@ -272,22 +273,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-updated:
 		case <-r.Context().Done():
 			return
-		case <-s.ctx.Done():
-			// Graceful drain finishes every running job (appending its
-			// terminal event) before Close cancels s.ctx, but this select
-			// can observe both channels ready and pick shutdown first —
-			// deliver whatever raced in so a streaming client always sees
-			// the terminal event before the listener closes.
-			evs, _, _ := job.eventsSince(from)
-			for _, e := range evs {
-				if err := enc.Encode(e); err != nil {
-					return
-				}
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-			return
+		case <-shutdown:
+			// Close cancels s.ctx before the running build records its
+			// terminal event, but it always records one (cancelled, or
+			// done if the build won the race), and queued jobs are
+			// cancelled too. Keep following the job until that event so a
+			// streaming client never loses it to the shutdown; the client
+			// hanging up still ends the stream.
+			shutdown = nil
 		}
 	}
 }

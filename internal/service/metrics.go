@@ -255,9 +255,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		SpecRequeries: s.met.specRequeries.Load(),
 		JobsEvicted:   s.met.jobsEvicted.Load(),
 
-		SessionsCreatedTotal:      s.met.sessionsCreated.Load(),
-		SessionsClosedTotal:       s.met.sessionsClosed.Load(),
-		SessionsEvictedTotal:      s.met.sessionsEvicted.Load(),
 		SessionsSeededTotal:       s.met.sessionsSeeded.Load(),
 		SessionDeltaBatchesTotal:  s.met.sessionDeltaBatches.Load(),
 		SessionDeltaOpsTotal:      s.met.sessionDeltaOps.Load(),
@@ -303,8 +300,13 @@ func (s *Server) Metrics() MetricsSnapshot {
 		snap.StoreBreakerTrips = st.BreakerTrips
 		snap.StoreQuarantined = len(st.Quarantined)
 	}
+	// The lifecycle counters move under sessMu together with the session
+	// map, so one snapshot always accounts for every session it saw.
 	s.sessMu.Lock()
 	snap.SessionsActive = len(s.sessions)
+	snap.SessionsCreatedTotal = s.met.sessionsCreated.Load()
+	snap.SessionsClosedTotal = s.met.sessionsClosed.Load()
+	snap.SessionsEvictedTotal = s.met.sessionsEvicted.Load()
 	s.sessMu.Unlock()
 	now := time.Now()
 	s.mu.Lock()

@@ -328,9 +328,10 @@ func (s *Server) sweepExpired(now time.Time) int {
 	return evicted
 }
 
-// Close cancels every in-flight build, waits for the workers to exit, and
-// releases the durable store. Persisted results stay on disk for the next
-// Server over the same directory. Close is idempotent, and safe against
+// Close cancels every in-flight build, waits for the workers to exit, writes
+// each live session's final result to the durable store, and releases the
+// store. Persisted results stay on disk for the next Server over the same
+// directory. Close is idempotent, and safe against
 // concurrent submissions: admissions stop first, then the pool drains, then
 // any job that slipped into the queue is cancelled so no client waits on it
 // forever.
@@ -341,6 +342,7 @@ func (s *Server) Close() {
 		s.wg.Wait()
 		s.cancelQueued("server closed")
 		if s.store != nil {
+			s.persistSessions()
 			s.store.Close()
 		}
 	})

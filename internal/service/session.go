@@ -27,9 +27,12 @@ import (
 // Sessions participate in the two-tier result cache: a session created from
 // a graph whose greedy result is already cached (by digest) seeds its engine
 // from the cached kept set instead of rebuilding, and after every applied
-// batch the session publishes its current result under the evolving digest —
-// so a batch job submitted for a graph some session just built answers from
-// cache, and a future session over that graph seeds instantly.
+// batch the session publishes its current result to the memory tier under
+// the evolving digest — so a batch job submitted for a graph some session
+// just built answers from cache. The disk tier gets only the session's final
+// result, written once when the session is deleted, evicted or the server
+// closes, so a future session or job over that graph seeds instantly even
+// after a restart, while a delta batch costs no durable write.
 
 // maxSessionDeltaOps bounds one delta request's operation count.
 const maxSessionDeltaOps = 4096
@@ -64,7 +67,7 @@ type SessionSpec struct {
 	// default, >= 1 never rebuilds, negative always rebuilds.
 	RebuildThreshold float64 `json:"rebuild_threshold,omitempty"`
 	// NoCache opts the session out of the two-tier result cache: no seeding
-	// at create, no publishing after batches.
+	// at create, no publishing after batches, nothing persisted at close.
 	NoCache bool `json:"no_cache,omitempty"`
 	// DisableStateReuse turns off carrying the engine's prefix graph and
 	// fault oracle across delta batches
@@ -142,8 +145,12 @@ type Session struct {
 	eng     *core.Incremental
 	batches int
 	digest  string // materialized digest after the last successful batch
-	seeded  bool   // engine seeded from the result cache at create
-	closed  bool
+	// result is the current graph's greedy result as last published (the
+	// spanner endpoint serves it); persisted marks it written to the store.
+	result    *buildResult
+	persisted bool
+	seeded    bool // engine seeded from the result cache at create
+	closed    bool
 	// events is the bounded event log; baseSeq is events[0]'s sequence
 	// number once trimming starts.
 	events  []SessionEvent
@@ -265,17 +272,14 @@ func sessionCacheKey(spec SessionSpec, digest string) CacheKey {
 	}
 }
 
-// publishSession pushes the session's current result into both cache tiers
-// under its evolving digest and returns that digest. Caller holds sess.mu.
-// Skipped for NoCache sessions.
-func (s *Server) publishSession(sess *Session) (string, error) {
+// publishSession makes the engine's current result the session's published
+// one: it is what the spanner endpoint serves and what persistSession
+// writes, and unless the session is NoCache it goes into the memory cache
+// tier under its evolving digest. Caller holds sess.mu.
+func (s *Server) publishSession(sess *Session) error {
 	mat, kept, err := sess.eng.Current()
 	if err != nil {
-		return "", err
-	}
-	digest := mat.Digest()
-	if sess.spec.NoCache {
-		return digest, nil
+		return err
 	}
 	spanner := graph.New(mat.NumVertices())
 	for _, id := range kept {
@@ -284,11 +288,28 @@ func (s *Server) publishSession(sess *Session) (string, error) {
 	}
 	res := &buildResult{input: mat, spanner: spanner, kept: kept}
 	res.stats.EdgesScanned = mat.NumEdges()
-	key := sessionCacheKey(sess.spec, digest)
-	s.cache.Put(key, res)
-	s.storePut(key, res)
-	s.met.sessionCachePuts.Add(1)
-	return digest, nil
+	sess.digest, sess.result, sess.persisted = mat.Digest(), res, false
+	if !sess.spec.NoCache {
+		s.cache.Put(sessionCacheKey(sess.spec, sess.digest), res)
+		s.met.sessionCachePuts.Add(1)
+	}
+	return nil
+}
+
+// persistSession writes the session's published result to the disk tier,
+// once per result. It runs when a session leaves service (delete, eviction,
+// server close), without sess.mu held: the write is disk I/O.
+func (s *Server) persistSession(sess *Session) {
+	if s.store == nil || sess.spec.NoCache {
+		return
+	}
+	sess.mu.Lock()
+	res, digest, done := sess.result, sess.digest, sess.persisted
+	sess.persisted = true
+	sess.mu.Unlock()
+	if res != nil && !done {
+		s.storePut(sessionCacheKey(sess.spec, digest), res)
+	}
 }
 
 // createSession builds the engine (seeding from the result cache when the
@@ -355,14 +376,11 @@ func (s *Server) createSession(spec SessionSpec) (*Session, error) {
 	s.nextSess++
 	sess.id = fmt.Sprintf("s%d", s.nextSess)
 	s.sessions[sess.id] = sess
-	s.sessMu.Unlock()
 	s.met.sessionsCreated.Add(1)
+	s.sessMu.Unlock()
 
 	sess.mu.Lock()
-	digest, err := s.publishSession(sess)
-	if err == nil {
-		sess.digest = digest
-	}
+	_ = s.publishSession(sess) // a fresh engine needs no repair
 	sess.appendEventLocked(SessionEvent{
 		Type:      "created",
 		LiveEdges: sess.eng.NumLiveEdges(),
@@ -412,6 +430,9 @@ func (s *Server) sweepSessions(now time.Time) int {
 		idle := sess.lastUsed.Before(cutoff)
 		sess.mu.Unlock()
 		if idle {
+			// Counted before the session leaves the map, so no Metrics
+			// snapshot sees it neither active nor evicted.
+			s.met.sessionsEvicted.Add(1)
 			delete(s.sessions, id)
 			expired = append(expired, sess)
 		}
@@ -421,12 +442,23 @@ func (s *Server) sweepSessions(now time.Time) int {
 		sess.mu.Lock()
 		sess.closeLocked("retention expired")
 		sess.mu.Unlock()
+		s.persistSession(sess)
 	}
-	if n := len(expired); n > 0 {
-		s.met.sessionsEvicted.Add(int64(n))
-		return n
+	return len(expired)
+}
+
+// persistSessions writes every live session's published result to the
+// disk tier; Close calls it before releasing the store.
+func (s *Server) persistSessions() {
+	s.sessMu.Lock()
+	live := make([]*Session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		live = append(live, sess)
 	}
-	return 0
+	s.sessMu.Unlock()
+	for _, sess := range live {
+		s.persistSession(sess)
+	}
 }
 
 // sessionResponse answers session create/status requests.
@@ -603,10 +635,7 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.batches++
 	batchNo := sess.batches
-	digest, perr := s.publishSession(sess)
-	if perr == nil {
-		sess.digest = digest
-	}
+	_ = s.publishSession(sess) // the batch succeeded, so the engine needs no repair
 	ev := SessionEvent{
 		Type:        "deltas",
 		Batch:       batchNo,
@@ -674,35 +703,30 @@ func (s *Server) handleSessionSpanner(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.eng.NeedsRepair() {
-		// The documented recovery path: finish the aborted re-scan before
-		// answering reads.
+		// The documented recovery path: finish the aborted re-scan, and
+		// publish its result, before answering reads.
 		if err := sess.eng.Repair(); err != nil {
 			writeError(w, http.StatusInternalServerError, "repair: %v", err)
 			return
 		}
-		if digest, err := s.publishSession(sess); err == nil {
-			sess.digest = digest
+		if err := s.publishSession(sess); err != nil {
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
 		}
 	}
-	mat, kept, err := sess.eng.Current()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	spanner := graph.New(mat.NumVertices())
-	edges := make([]SessionEdge, 0, len(kept))
-	for _, id := range kept {
-		e := mat.Edge(id)
-		spanner.MustAddEdge(e.U, e.V, e.Weight)
+	res := sess.result
+	edges := make([]SessionEdge, 0, len(res.kept))
+	for _, id := range res.kept {
+		e := res.input.Edge(id)
 		edges = append(edges, SessionEdge{U: e.U, V: e.V, Weight: e.Weight})
 	}
 	var sb strings.Builder
-	if err := spanner.Encode(&sb); err != nil {
+	if err := res.spanner.Encode(&sb); err != nil {
 		writeError(w, http.StatusInternalServerError, "encode: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, sessionSpannerResponse{
-		ID: sess.id, Digest: mat.Digest(), Spanner: sb.String(), Kept: edges,
+		ID: sess.id, Digest: sess.digest, Spanner: sb.String(), Kept: edges,
 	})
 }
 
@@ -763,6 +787,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	s.sessMu.Lock()
 	sess, ok := s.sessions[id]
 	if ok {
+		s.met.sessionsClosed.Add(1)
 		delete(s.sessions, id)
 	}
 	s.sessMu.Unlock()
@@ -773,6 +798,6 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	sess.closeLocked("deleted")
 	sess.mu.Unlock()
-	s.met.sessionsClosed.Add(1)
+	s.persistSession(sess)
 	writeJSON(w, http.StatusOK, sessionDeleteResponse{ID: id, Closed: true})
 }

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ftspanner/ftspanner/internal/core"
+	"github.com/ftspanner/ftspanner/internal/fault"
 	"github.com/ftspanner/ftspanner/internal/graph"
 )
 
@@ -689,6 +691,145 @@ func TestSessionEventLogTrim(t *testing.T) {
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq != evs[i-1].Seq+1 {
 			t.Fatalf("event seqs not contiguous at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
+		}
+	}
+}
+
+// storeWrites reads the durable store's write count.
+func storeWrites(t *testing.T, s *Server) int64 {
+	t.Helper()
+	m := s.Metrics()
+	if !m.StoreEnabled {
+		t.Fatal("store not enabled")
+	}
+	return m.StoreWrites
+}
+
+// churn applies delta batches from..from+n-1 of a fixed stream to session
+// id, which must be over pathGraph(t, 7): batch i inserts one chord from
+// vertex 0 and deletes batch i-1's chord.
+func churn(t *testing.T, s *Server, id string, from, n int) {
+	t.Helper()
+	for i := from; i < from+n; i++ {
+		deltas := []map[string]any{{"op": "insert", "u": 0, "v": 2 + i%4, "weight": 1.5}}
+		if i > 0 {
+			deltas = append(deltas, map[string]any{"op": "delete", "u": 0, "v": 2 + (i-1)%4})
+		}
+		if w := postJSON(t, s, "/v1/sessions/"+id+"/deltas", map[string]any{"deltas": deltas}); w.Code != http.StatusOK {
+			t.Fatalf("batch %d = %d: %s", i, w.Code, w.Body.String())
+		}
+	}
+}
+
+// TestSessionBatchesSkipStoreDeleteWritesOnce locks the store tier's
+// session contract: delta batches publish to the memory tier only (a
+// cross-job still answers cached), and DELETE writes the final result once.
+func TestSessionBatchesSkipStoreDeleteWritesOnce(t *testing.T) {
+	s := sessionTestServer(t, Config{StoreDir: t.TempDir()})
+	w := postJSON(t, s, "/v1/sessions", map[string]any{"graph": pathGraph(t, 7), "stretch": 3, "faults": 1})
+	id := decodeBody[sessionResponse](t, w).ID
+	before := storeWrites(t, s)
+	churn(t, s, id, 0, 6)
+	if got := storeWrites(t, s); got != before {
+		t.Fatalf("store writes went %d -> %d over 6 delta batches, want no durable write", before, got)
+	}
+
+	jw := postJSON(t, s, "/v1/jobs", map[string]any{
+		"graph": encodeCurrentSessionGraph(t, s, id), "stretch": 3, "faults": 1,
+	})
+	if job := decodeBody[submitResponse](t, jw); !job.Cached || job.FromStore {
+		t.Fatalf("cross-job over the session's graph got %+v, want a memory-tier hit", job)
+	}
+
+	req := httptest.NewRequest(http.MethodDelete, "/v1/sessions/"+id, nil)
+	dw := httptest.NewRecorder()
+	s.ServeHTTP(dw, req)
+	if dw.Code != http.StatusOK {
+		t.Fatalf("delete = %d: %s", dw.Code, dw.Body.String())
+	}
+	if got := storeWrites(t, s); got != before+1 {
+		t.Fatalf("store writes went %d -> %d on DELETE, want exactly one", before, got)
+	}
+	s.Close() // the deleted session is not persisted a second time
+	if got := storeWrites(t, s); got != before+1 {
+		t.Fatalf("store writes %d after Close, want %d", got, before+1)
+	}
+}
+
+// TestSessionFinalResultSurvivesRestart closes a server under a live
+// session and checks a new server over the same store directory answers a
+// job over the session's final graph from disk, without building.
+func TestSessionFinalResultSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	s1 := sessionTestServer(t, Config{StoreDir: dir})
+	w := postJSON(t, s1, "/v1/sessions", map[string]any{"graph": pathGraph(t, 7), "stretch": 3, "faults": 1})
+	id := decodeBody[sessionResponse](t, w).ID
+	churn(t, s1, id, 0, 5)
+	final := encodeCurrentSessionGraph(t, s1, id)
+	s1.Close()
+
+	s2 := sessionTestServer(t, Config{StoreDir: dir})
+	jw := postJSON(t, s2, "/v1/jobs", map[string]any{"graph": final, "stretch": 3, "faults": 1})
+	if job := decodeBody[submitResponse](t, jw); !job.Cached || !job.FromStore {
+		t.Fatalf("job over the session's final graph after restart got %+v, want a from_store hit", job)
+	}
+	if b := s2.Metrics().BuildsTotal; b != 0 {
+		t.Fatalf("builds_total = %d after restart, want 0", b)
+	}
+}
+
+// TestSessionNoCacheNeverWrites: a no_cache session writes nothing to the
+// store through batches, DELETE, or server Close.
+func TestSessionNoCacheNeverWrites(t *testing.T) {
+	dir := t.TempDir()
+	s := sessionTestServer(t, Config{StoreDir: dir})
+	ids := make([]string, 2)
+	for i := range ids {
+		w := postJSON(t, s, "/v1/sessions", map[string]any{
+			"graph": pathGraph(t, 7), "stretch": 3, "faults": 1, "no_cache": true,
+		})
+		ids[i] = decodeBody[sessionResponse](t, w).ID
+		churn(t, s, ids[i], 0, 3)
+	}
+	req := httptest.NewRequest(http.MethodDelete, "/v1/sessions/"+ids[0], nil)
+	s.ServeHTTP(httptest.NewRecorder(), req)
+	s.Close() // ids[1] is still live
+	if got := storeWrites(t, s); got != 0 {
+		t.Fatalf("no_cache sessions caused %d store writes, want 0", got)
+	}
+	if files := storeFiles(t, dir, ".ftr"); len(files) != 0 {
+		t.Fatalf("store dir holds %v, want no records", files)
+	}
+}
+
+// TestSessionSpannerMatchesCleanRoomGreedy: the spanner endpoint, now
+// served from the published result, still answers exactly a from-scratch
+// core.Greedy of the session's current graph after every batch.
+func TestSessionSpannerMatchesCleanRoomGreedy(t *testing.T) {
+	s := sessionTestServer(t, Config{})
+	w := postJSON(t, s, "/v1/sessions", map[string]any{"graph": pathGraph(t, 7), "stretch": 3, "faults": 1})
+	id := decodeBody[sessionResponse](t, w).ID
+	for i := 0; i < 4; i++ {
+		churn(t, s, id, i, 1)
+		sp := decodeBody[sessionSpannerResponse](t, getPath(t, s, "/v1/sessions/"+id+"/spanner"))
+		g, err := graph.Decode(strings.NewReader(encodeCurrentSessionGraph(t, s, id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Greedy(g, core.Options{Stretch: 3, Faults: 1, Mode: fault.Vertices})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := graph.Decode(strings.NewReader(sp.Spanner))
+		if err != nil {
+			t.Fatalf("round %d: decode spanner: %v", i, err)
+		}
+		if sp.Digest != g.Digest() {
+			t.Fatalf("round %d: answer digest %s, current graph %s", i, sp.Digest, g.Digest())
+		}
+		if got.Digest() != want.Spanner.Digest() || len(sp.Kept) != want.Spanner.NumEdges() {
+			t.Fatalf("round %d: session spanner (%d edges) differs from clean-room greedy (%d edges)",
+				i, got.NumEdges(), want.Spanner.NumEdges())
 		}
 	}
 }
