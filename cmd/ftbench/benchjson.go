@@ -233,6 +233,12 @@ func runBenchJSON(path string, out io.Writer, parallelism int) error {
 	}
 	report.Benchmarks = append(report.Benchmarks, sessionEntries...)
 
+	decodeEntries, err := decodeBenchEntries(out)
+	if err != nil {
+		return err
+	}
+	report.Benchmarks = append(report.Benchmarks, decodeEntries...)
+
 	if oracleBench, err := oracleQueryBench(out); err != nil {
 		return err
 	} else {

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -200,50 +200,60 @@ func (n *Node) local(w http.ResponseWriter, r *http.Request) {
 
 // ---- job ID prefixing ------------------------------------------------
 
-// idPattern matches the fleet-scoped job ID form p<ringIndex>~<localID>.
-// The prefix makes any job readable through any node: the ring index says
-// which replica holds it, no lookup table needed.
-var idPattern = regexp.MustCompile(`^p(\d+)~(.+)$`)
+// Fleet job IDs have the form p<ringIndex>~<localID>. The prefix makes any
+// job readable through any node: the ring index says which replica holds
+// it, no lookup table needed.
 
 // parseID splits a fleet job ID into its ring index and the replica-local
-// ID. Unprefixed IDs map to (-1, id).
+// ID; unprefixed IDs map to (-1, id). It accepts what ^p(\d+)~(.+)$ matches.
 func parseID(id string) (int, string) {
-	m := idPattern.FindStringSubmatch(id)
-	if m == nil {
+	head, local, ok := strings.Cut(id, "~")
+	if !ok || len(head) < 2 || head[0] != 'p' || local == "" || strings.ContainsRune(local, '\n') ||
+		strings.IndexFunc(head[1:], func(r rune) bool { return r < '0' || r > '9' }) >= 0 {
 		return -1, id
 	}
-	idx, err := strconv.Atoi(m[1])
+	idx, err := strconv.Atoi(head[1:])
 	if err != nil {
 		return -1, id
 	}
-	return idx, m[2]
+	return idx, local
 }
 
 // prefixID scopes a replica-local job ID to ring index idx.
-func prefixID(idx int, id string) string { return fmt.Sprintf("p%d~%s", idx, id) }
+func prefixID(idx int, id string) string { return "p" + strconv.Itoa(idx) + "~" + id }
 
-// rewriteIDs maps the named string fields of a JSON object body through
-// fn. Non-object bodies and absent fields pass through untouched.
-func rewriteIDs(body []byte, fn func(string) string, fields ...string) []byte {
-	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
+// rewriteID maps the string value of body's top-level field through fn and
+// splices the new JSON string over the old, so every other byte leaves as
+// the service wrote it. With leading set, only a body whose first key is
+// field is rewritten, reading just its opening tokens (service answers
+// carry their ID first); otherwise the field's last occurrence is, as a
+// JSON decoder reads it. Anything else passes through untouched.
+func rewriteID(body []byte, field string, fn func(string) string, leading bool) []byte {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
 		return body
 	}
-	changed := false
-	for _, f := range fields {
-		if v, ok := m[f].(string); ok {
-			m[f] = fn(v)
-			changed = true
+	var id json.RawMessage // the field's value as last seen, ending at end
+	end := int64(0)
+	for dec.More() {
+		key, err := dec.Token()
+		var raw json.RawMessage
+		if err != nil || dec.Decode(&raw) != nil {
+			return body
+		}
+		if key == field {
+			id, end = raw, dec.InputOffset()
+		}
+		if leading {
+			break
 		}
 	}
-	if !changed {
+	var val string
+	if len(id) == 0 || id[0] != '"' || json.Unmarshal(id, &val) != nil {
 		return body
 	}
-	out, err := json.Marshal(m)
-	if err != nil {
-		return body
-	}
-	return out
+	quoted, _ := json.Marshal(fn(val)) // a string always marshals
+	return slices.Concat(body[:end-int64(len(id))], quoted, body[end:])
 }
 
 // ---- local dispatch --------------------------------------------------
@@ -254,24 +264,28 @@ func rewriteIDs(body []byte, fn func(string) string, fields ...string) []byte {
 type capture struct {
 	code   int
 	header http.Header
-	buf    bytes.Buffer
+	body   []byte
 }
 
-func newCapture() *capture                     { return &capture{code: http.StatusOK, header: make(http.Header)} }
 func (c *capture) Header() http.Header         { return c.header }
 func (c *capture) WriteHeader(code int)        { c.code = code }
-func (c *capture) Write(p []byte) (int, error) { return c.buf.Write(p) }
+func (c *capture) Write(p []byte) (int, error) { c.body = append(c.body, p...); return len(p), nil }
 
-// dispatchLocal serves req on the attached service and relays the
-// response with this node's ring prefix applied to the named ID fields.
-func (n *Node) dispatchLocal(w http.ResponseWriter, req *http.Request, idFields ...string) {
-	c := newCapture()
+// serveLocal serves req on the attached service into a buffer; a successful
+// answer leaves with this node's ring prefix on its ID field, if one is named.
+func (n *Node) serveLocal(req *http.Request, idField string) *capture {
+	c := &capture{code: http.StatusOK, header: make(http.Header)}
 	n.cfg.Local.ServeHTTP(c, req)
-	body := c.buf.Bytes()
-	if c.code < 300 && n.selfIdx >= 0 {
-		body = rewriteIDs(body, func(id string) string { return prefixID(n.selfIdx, id) }, idFields...)
+	if c.code < 300 && n.selfIdx >= 0 && idField != "" {
+		c.body = rewriteID(c.body, idField, func(id string) string { return prefixID(n.selfIdx, id) }, true)
 	}
-	relay(w, c.code, c.header, body)
+	return c
+}
+
+// dispatchLocal serves req on the attached service and relays the answer.
+func (n *Node) dispatchLocal(w http.ResponseWriter, req *http.Request, idField string) {
+	c := n.serveLocal(req, idField)
+	relay(w, c.code, c.header, c.body)
 }
 
 // relay writes a buffered upstream response downstream, preserving the
@@ -309,7 +323,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		n.routedLocal.Add(1)
-		n.dispatchLocal(w, cloneWithBody(r, "/v1/jobs", body), "id")
+		n.dispatchLocal(w, newLocalRequest(r.Method, "/v1/jobs", body), "id")
 		return
 	}
 	digest, err := service.SpecDigest(body)
@@ -357,17 +371,12 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // peer is unreachable or draining and the caller should hedge.
 func (n *Node) submitTo(w http.ResponseWriter, target int, body []byte) bool {
 	if target == n.selfIdx && n.cfg.Local != nil {
-		c := newCapture()
-		n.cfg.Local.ServeHTTP(c, newLocalRequest(http.MethodPost, "/v1/jobs", body))
-		if c.code == http.StatusServiceUnavailable && isDraining(c.buf.Bytes()) {
+		c := n.serveLocal(newLocalRequest(http.MethodPost, "/v1/jobs", body), "id")
+		if c.code == http.StatusServiceUnavailable && isDraining(c.body) {
 			return false // local drain: let the hedge try a peer
 		}
 		n.routedLocal.Add(1)
-		resp := c.buf.Bytes()
-		if c.code < 300 {
-			resp = rewriteIDs(resp, func(id string) string { return prefixID(n.selfIdx, id) }, "id")
-		}
-		relay(w, c.code, c.header, resp)
+		relay(w, c.code, c.header, c.body)
 		return true
 	}
 	peer := n.ring.Peers()[target]
@@ -506,15 +515,15 @@ func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	_ = json.Unmarshal(body, &req)
 	idx, rawID := parseID(req.JobID)
+	body = rewriteID(body, "job_id", func(string) string { return rawID }, false)
 	forwarded := r.Header.Get(forwardedHeader) != ""
 	if idx < 0 || idx == n.selfIdx || forwarded {
 		if n.cfg.Local == nil {
 			writeErr(w, http.StatusNotFound, "no job %q", req.JobID)
 			return
 		}
-		local := rewriteIDs(body, func(string) string { return rawID }, "job_id")
 		n.routedLocal.Add(1)
-		n.dispatchLocal(w, newLocalRequest(http.MethodPost, "/v1/verify", local), "job_id")
+		n.dispatchLocal(w, newLocalRequest(http.MethodPost, "/v1/verify", body), "job_id")
 		return
 	}
 	if idx >= len(n.ring.Peers()) {
@@ -522,8 +531,7 @@ func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	peer := n.ring.Peers()[idx]
-	fwd := rewriteIDs(body, func(string) string { return rawID }, "job_id")
-	preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "http://"+peer+"/v1/verify", bytes.NewReader(fwd))
+	preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "http://"+peer+"/v1/verify", bytes.NewReader(body))
 	if err != nil {
 		writeErr(w, http.StatusBadGateway, "proxy: %v", err)
 		return
@@ -660,12 +668,11 @@ func (n *Node) PollNow() {
 func (n *Node) fetchSummary(idx int) (service.ClusterSummary, error) {
 	var sum service.ClusterSummary
 	if idx == n.selfIdx && n.cfg.Local != nil {
-		c := newCapture()
-		n.cfg.Local.ServeHTTP(c, newLocalRequest(http.MethodGet, "/v1/cluster/summary", nil))
+		c := n.serveLocal(newLocalRequest(http.MethodGet, "/v1/cluster/summary", nil), "")
 		if c.code != http.StatusOK {
 			return sum, fmt.Errorf("local summary: status %d", c.code)
 		}
-		return sum, json.Unmarshal(c.buf.Bytes(), &sum)
+		return sum, json.Unmarshal(c.body, &sum)
 	}
 	resp, err := n.api.Get("http://" + n.ring.Peers()[idx] + "/v1/cluster/summary")
 	if err != nil {
@@ -702,12 +709,5 @@ func newLocalRequest(method, path string, body []byte) *http.Request {
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	return req
-}
-
-// cloneWithBody rebuilds an incoming request for local dispatch with an
-// already-read body.
-func cloneWithBody(r *http.Request, path string, body []byte) *http.Request {
-	req := newLocalRequest(r.Method, path, body)
 	return req
 }

@@ -112,18 +112,12 @@ func (g *Graph) AddVertex() int {
 // ID. Self-loops, parallel edges, out-of-range endpoints and non-positive or
 // non-finite weights are rejected.
 func (g *Graph) AddEdge(u, v int, w float64) (int, error) {
-	if u < 0 || u >= len(g.seg) || v < 0 || v >= len(g.seg) {
-		return 0, fmt.Errorf("%w: (%d,%d) with %d vertices", ErrVertexRange, u, v, len(g.seg))
-	}
-	if u == v {
-		return 0, fmt.Errorf("%w: vertex %d", ErrSelfLoop, u)
-	}
-	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
-		return 0, fmt.Errorf("%w: %v", ErrNonPositiveWgt, w)
+	if err := g.checkEdge(u, v, w); err != nil {
+		return 0, err
 	}
 	key := normPair(u, v)
 	if _, dup := g.index[key]; dup {
-		return 0, fmt.Errorf("%w: (%d,%d)", ErrParallelEdge, u, v)
+		return 0, parallelEdge(u, v)
 	}
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{ID: id, U: u, V: v, Weight: w})
@@ -131,6 +125,62 @@ func (g *Graph) AddEdge(u, v int, w float64) (int, error) {
 	g.addArc(v, Arc{To: u, ID: id, Weight: w})
 	g.index[key] = id
 	return id, nil
+}
+
+// checkEdge applies AddEdge's rules, in AddEdge's order, up to the
+// parallel-edge check: endpoints in range, no self-loop, a positive finite
+// weight.
+func (g *Graph) checkEdge(u, v int, w float64) error {
+	if u < 0 || u >= len(g.seg) || v < 0 || v >= len(g.seg) {
+		return fmt.Errorf("%w: (%d,%d) with %d vertices", ErrVertexRange, u, v, len(g.seg))
+	}
+	if u == v {
+		return fmt.Errorf("%w: vertex %d", ErrSelfLoop, u)
+	}
+	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
+		return fmt.Errorf("%w: %v", ErrNonPositiveWgt, w)
+	}
+	return nil
+}
+
+func parallelEdge(u, v int) error { return fmt.Errorf("%w: (%d,%d)", ErrParallelEdge, u, v) }
+
+// pushEdge is the first half of building a graph in bulk: it appends an edge
+// that passed checkEdge to the edge list and the endpoint index, and counts
+// it into both endpoints' block capacities, leaving the arcs to layOut. The
+// parallel-edge check rides on the index insert, one hash operation per
+// edge: a pair already present fails with ErrParallelEdge, after which the
+// index is wrong and the graph must be discarded.
+func (g *Graph) pushEdge(u, v int, w float64) error {
+	id, n := len(g.edges), len(g.index)
+	g.index[normPair(u, v)] = id
+	if len(g.index) == n {
+		return parallelEdge(u, v)
+	}
+	g.edges = append(g.edges, Edge{ID: id, U: u, V: v, Weight: w})
+	g.seg[u].cap++
+	g.seg[v].cap++
+	return nil
+}
+
+// layOut is the second half: with every edge pushed, it sizes each vertex's
+// CSR block to its exact degree and fills the blocks in edge-ID order — the
+// within-block order AddEdge produces and Truncate relies on — in one
+// arena allocation.
+func (g *Graph) layOut() {
+	off := 0
+	for v := range g.seg {
+		g.seg[v].off = off
+		off += g.seg[v].cap
+	}
+	g.arcs = make([]Arc, off)
+	for _, e := range g.edges {
+		su, sv := &g.seg[e.U], &g.seg[e.V]
+		g.arcs[su.off+su.deg] = Arc{To: e.V, ID: e.ID, Weight: e.Weight}
+		g.arcs[sv.off+sv.deg] = Arc{To: e.U, ID: e.ID, Weight: e.Weight}
+		su.deg++
+		sv.deg++
+	}
 }
 
 // addArc appends one directed arc to v's CSR block, relocating the block to

@@ -2,11 +2,14 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 )
 
 // encodeChunk is the size Encode's output buffer is flushed at; the buffer
@@ -63,77 +66,168 @@ func (g *Graph) Encode(w io.Writer) error {
 	return err
 }
 
-// Decode parses a graph in the format produced by Encode.
+// maxLine bounds one input line, its newline excluded: Decode has always
+// refused longer lines (it once read through a bufio.Scanner with a 16 MiB
+// token buffer, which had to hold the line and its newline).
+const maxLine = 16<<20 - 1
+
+// minEdgeLine is the length of the shortest edge line, "e 0 1 1\n".
+// DecodeString presizes for the header's edge count, but never for more
+// edges than the rest of the input can hold at this length each, so a
+// header cannot make a tiny body allocate a huge edge list.
+const minEdgeLine = 8
+
+// ErrTooManyVertices is returned by DecodeString when a header declares more
+// vertices than the caller's bound.
+var ErrTooManyVertices = errors.New("too many vertices")
+
+// Decode parses a graph in the format produced by Encode. It reads r to the
+// end and parses the text with DecodeString, with no vertex bound.
 func Decode(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeString(string(data), 0)
+}
+
+// DecodeString parses a graph in the format produced by Encode from s, in
+// one pass that cuts lines and fields in place. Fields are separated by
+// runs of Unicode white space, lines end at '\n', blank lines and lines
+// whose first field starts with '#' are skipped, and an error about a line
+// names it; a line of 16 MiB or more is refused with bufio.ErrTooLong. When
+// maxVertices > 0, a header declaring more vertices is refused with
+// ErrTooManyVertices before anything is allocated.
+//
+// Edges are collected in line order, which assigns their IDs, and the CSR
+// arena is laid out once at the end with exact per-vertex blocks.
+func DecodeString(s string, maxVertices int) (*Graph, error) {
 	var (
-		g       *Graph
-		lineNum int
-		edges   int
+		g        *Graph
+		promised int
+		lineNum  int
+		f        [4]string
 	)
-	for sc.Scan() {
+	for pos := 0; pos < len(s); {
+		line := s[pos:]
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line, pos = line[:i], pos+i+1
+		} else {
+			pos = len(s)
+		}
 		lineNum++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		if len(line) > maxLine {
+			return nil, fmt.Errorf("graph: line %d: %w", lineNum, bufio.ErrTooLong)
+		}
+		nf := splitFields(line, &f)
+		if nf == 0 || f[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		switch f[0] {
 		case "p":
 			if g != nil {
 				return nil, fmt.Errorf("graph: line %d: duplicate header", lineNum)
 			}
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("graph: line %d: header needs 2 fields, got %d", lineNum, len(fields)-1)
+			if nf != 3 {
+				return nil, fmt.Errorf("graph: line %d: header needs 2 fields, got %d", lineNum, nf-1)
 			}
-			n, err := strconv.Atoi(fields[1])
+			n, err := strconv.Atoi(f[1])
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad vertex count: %w", lineNum, err)
 			}
-			m, err := strconv.Atoi(fields[2])
+			m, err := strconv.Atoi(f[2])
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad edge count: %w", lineNum, err)
 			}
 			if n < 0 || m < 0 {
 				return nil, fmt.Errorf("graph: line %d: negative counts", lineNum)
 			}
-			g = New(n)
-			edges = m
+			if maxVertices > 0 && n > maxVertices {
+				return nil, fmt.Errorf("graph: line %d: %w: %d, over the limit of %d", lineNum, ErrTooManyVertices, n, maxVertices)
+			}
+			promised = m
+			m = min(m, (len(s)-pos)/minEdgeLine+1)
+			g = &Graph{
+				edges: make([]Edge, 0, m),
+				seg:   make([]segment, n),
+				index: make(map[[2]int]int, m),
+			}
 		case "e":
 			if g == nil {
 				return nil, fmt.Errorf("graph: line %d: edge before header", lineNum)
 			}
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("graph: line %d: edge needs 3 fields, got %d", lineNum, len(fields)-1)
+			if nf != 4 {
+				return nil, fmt.Errorf("graph: line %d: edge needs 3 fields, got %d", lineNum, nf-1)
 			}
-			u, err := strconv.Atoi(fields[1])
+			u, err := strconv.Atoi(f[1])
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad endpoint: %w", lineNum, err)
 			}
-			v, err := strconv.Atoi(fields[2])
+			v, err := strconv.Atoi(f[2])
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad endpoint: %w", lineNum, err)
 			}
-			wgt, err := strconv.ParseFloat(fields[3], 64)
+			w, err := strconv.ParseFloat(f[3], 64)
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad weight: %w", lineNum, err)
 			}
-			if _, err := g.AddEdge(u, v, wgt); err != nil {
+			if err := g.checkEdge(u, v, w); err != nil {
+				return nil, fmt.Errorf("graph: line %d: %w", lineNum, err)
+			}
+			if err := g.pushEdge(u, v, w); err != nil {
 				return nil, fmt.Errorf("graph: line %d: %w", lineNum, err)
 			}
 		default:
-			return nil, fmt.Errorf("graph: line %d: unknown record %q", lineNum, fields[0])
+			return nil, fmt.Errorf("graph: line %d: unknown record %q", lineNum, f[0])
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if g == nil {
 		return nil, fmt.Errorf("graph: missing header")
 	}
-	if g.NumEdges() != edges {
-		return nil, fmt.Errorf("graph: header promised %d edges, found %d", edges, g.NumEdges())
+	if g.NumEdges() != promised {
+		return nil, fmt.Errorf("graph: header promised %d edges, found %d", promised, g.NumEdges())
 	}
+	g.layOut()
 	return g, nil
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields cuts line around runs of white space exactly as strings.Fields
+// does (unicode.IsSpace on decoded runes; invalid UTF-8 is not space). It
+// stores the first len(f) fields in f, as substrings of line, and returns
+// the number of fields.
+func splitFields(line string, f *[4]string) int {
+	n, start := 0, -1
+	for i := 0; i < len(line); {
+		c, size := line[i], 1
+		var space bool
+		if c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case !space:
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			if n < len(f) {
+				f[n] = line[start:i]
+			}
+			n, start = n+1, -1
+		}
+		i += size
+	}
+	if start >= 0 {
+		if n < len(f) {
+			f[n] = line[start:]
+		}
+		n++
+	}
+	return n
 }

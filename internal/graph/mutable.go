@@ -139,10 +139,9 @@ func (m *Mutable) Waste() float64 {
 // materialized graph makes decisions in exactly the order the incremental
 // engine maintains them in.
 //
-// The output is presized from one counting pass over the live edges: the
-// edge list, the endpoint index and every vertex's CSR block get their exact
-// final size, so the AddEdge calls that follow never relocate a block or
-// rehash the index.
+// The output is laid out in one pass: the edge list and endpoint index are
+// presized to the live count, and every vertex's CSR block gets its exact
+// final size, so nothing relocates or rehashes.
 func (m *Mutable) Materialize() (*Graph, []int) {
 	live := m.NumLiveEdges()
 	out := &Graph{
@@ -150,26 +149,14 @@ func (m *Mutable) Materialize() (*Graph, []int) {
 		seg:   make([]segment, m.g.NumVertices()),
 		index: make(map[[2]int]int, live),
 	}
-	for _, e := range m.g.edges {
-		if !m.dead[e.ID] {
-			out.seg[e.U].cap++
-			out.seg[e.V].cap++
-		}
-	}
-	off := 0
-	for v := range out.seg {
-		out.seg[v].off = off
-		off += out.seg[v].cap
-	}
-	out.arcs = make([]Arc, off)
 	ids := make([]int, 0, live)
 	for _, e := range m.g.edges {
-		if m.dead[e.ID] {
-			continue
+		if !m.dead[e.ID] {
+			_ = out.pushEdge(e.U, e.V, e.Weight) // live pairs are distinct
+			ids = append(ids, e.ID)
 		}
-		out.MustAddEdge(e.U, e.V, e.Weight)
-		ids = append(ids, e.ID)
 	}
+	out.layOut()
 	return out, ids
 }
 

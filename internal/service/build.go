@@ -16,8 +16,9 @@ import (
 	"github.com/ftspanner/ftspanner/internal/obs"
 )
 
-// maxGeneratedSize caps generator parameters so a single request cannot ask
-// the server to materialize an absurdly large graph.
+// maxGeneratedSize caps generator parameters, and the vertex count an inline
+// graph may declare, so a single request cannot ask the server to
+// materialize an absurdly large graph.
 const maxGeneratedSize = 1 << 20
 
 // maxParallelism caps the per-job speculative worker count: each worker
@@ -116,7 +117,7 @@ func parseMode(s string) (fault.Mode, error) {
 // decoding the inline text or by running the named generator.
 func materialize(spec *JobSpec) (*graph.Graph, error) {
 	if spec.Graph != "" {
-		g, err := graph.Decode(strings.NewReader(spec.Graph))
+		g, err := graph.DecodeString(spec.Graph, maxGeneratedSize)
 		if err != nil {
 			return nil, fmt.Errorf("inline graph: %w", err)
 		}

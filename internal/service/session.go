@@ -317,7 +317,7 @@ func (s *Server) persistSession(sess *Session) {
 func (s *Server) createSession(spec SessionSpec) (*Session, error) {
 	var initial *graph.Graph
 	if spec.Graph != "" {
-		g, err := graph.Decode(strings.NewReader(spec.Graph))
+		g, err := graph.DecodeString(spec.Graph, maxGeneratedSize)
 		if err != nil {
 			return nil, &submitError{status: http.StatusBadRequest, msg: fmt.Sprintf("inline graph: %v", err)}
 		}
