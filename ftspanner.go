@@ -108,9 +108,8 @@ type (
 // Incremental maintenance types, re-exported from the core engine. An
 // Incremental engine holds a mutable graph plus its fault-tolerant greedy
 // spanner and applies delta batches (ApplyBatch) by re-scanning only the
-// disturbed weight suffix, falling back to a full rebuild when a batch
-// dirties too much of the scan order. The maintained kept set is always
-// identical to a from-scratch greedy build of the current graph.
+// disturbed weight suffix. The maintained kept set is always identical to a
+// from-scratch greedy build of the current graph.
 type (
 	// MutableGraph is a Graph supporting edge insertion and tombstoned
 	// deletion, the substrate of an Incremental engine and a session.

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
-	"github.com/ftspanner/ftspanner/internal/bitset"
 	"github.com/ftspanner/ftspanner/internal/fault"
 	"github.com/ftspanner/ftspanner/internal/graph"
 )
@@ -31,61 +27,12 @@ import (
 // Experiment E11 measures the size/time trade-off against the exact
 // algorithm.
 //
-// The result's Witness map is nil: conservative keeps carry no fault-set
-// witnesses, so Lemma 3 blocking-set extraction does not apply.
+// It is the greedy's scan loop with the packing count as the keep test;
+// Options.Parallelism is ignored. The result's Witness map is nil:
+// conservative keeps carry no fault-set witnesses, so Lemma 3 blocking-set
+// extraction does not apply.
 func GreedyConservative(g *graph.Graph, opts Options) (*Result, error) {
-	if g == nil {
-		return nil, fmt.Errorf("core: nil graph")
-	}
-	if opts.Stretch < 1 {
-		return nil, fmt.Errorf("core: stretch must be >= 1, got %v", opts.Stretch)
-	}
-	if opts.Faults < 0 {
-		return nil, fmt.Errorf("core: faults must be >= 0, got %d", opts.Faults)
-	}
-	if opts.Mode != fault.Vertices && opts.Mode != fault.Edges {
-		return nil, fmt.Errorf("core: invalid fault mode %d", int(opts.Mode))
-	}
-
-	start := time.Now()
-	h := graph.New(g.NumVertices())
-	oracleOpts := opts.Oracle
-	oracleOpts.EdgeCapacity = g.NumEdges()
-	oracle, err := fault.NewOracle(h, opts.Mode, oracleOpts)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		Input:   g,
-		Spanner: h,
-		KeptSet: bitset.New(g.NumEdges()),
-		Mode:    opts.Mode,
-		Stretch: opts.Stretch,
-		Faults:  opts.Faults,
-	}
-	for _, e := range g.EdgesByWeight() {
-		if opts.Progress != nil {
-			if err := opts.Progress(res.Stats.EdgesScanned, len(res.Kept)); err != nil {
-				return nil, err
-			}
-		}
-		res.Stats.EdgesScanned++
-		count, err := oracle.CountDisjointShortPaths(e.U, e.V, opts.Stretch*e.Weight, opts.Faults+1)
-		if err != nil {
-			return nil, fmt.Errorf("core: edge %d: %w", e.ID, err)
-		}
-		if count > opts.Faults {
-			continue // f+1 disjoint detours: provably safe to drop
-		}
-		h.MustAddEdge(e.U, e.V, e.Weight)
-		res.Kept = append(res.Kept, e.ID)
-		res.KeptSet.Add(e.ID)
-	}
-	res.Stats.OracleCalls = int64(res.Stats.EdgesScanned)
-	res.Stats.Dijkstras = oracle.Dijkstras()
-	res.Stats.Duration = time.Since(start)
-	return res, nil
+	return build(g, opts, true)
 }
 
 // ConservativeVFT is GreedyConservative with vertex faults.

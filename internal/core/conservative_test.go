@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,6 +16,8 @@ func TestConservativeOptionValidation(t *testing.T) {
 	g := gen.Complete(4)
 	bad := []core.Options{
 		{Stretch: 0.5, Faults: 1, Mode: fault.Vertices},
+		{Stretch: math.NaN(), Faults: 1, Mode: fault.Vertices},
+		{Stretch: math.Inf(1), Faults: 1, Mode: fault.Vertices},
 		{Stretch: 3, Faults: -1, Mode: fault.Vertices},
 		{Stretch: 3, Faults: 1},
 	}

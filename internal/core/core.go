@@ -9,6 +9,21 @@
 // within-stretch detour); the paper's contribution is the size analysis,
 // which this repository verifies empirically in experiments E1–E6.
 //
+// Every shortcut in this package rests on one fact, the monotonicity behind
+// the greedy's correctness argument (arXiv 1812.05778): adding edges to H
+// only shrinks the set of breaking fault sets. If F stretches (u,v) in
+// H' ⊇ H, then F (in EFT mode, F ∩ H) stretches it in H too, since H\F is a
+// subgraph of H'\F. So a drop decided against H stays exact against every
+// H' ⊇ H, a keep decided against H' stays exact against every H ⊆ H', and a
+// witness found against a smaller H needs one recheck against the larger.
+// The speculative engine (parallel.go) and the session repair shortcuts
+// (incremental.go) are both applications of it.
+//
+// All builds run one scan loop (scan.run): Greedy from an empty H, the
+// sessions' initial build and repairs from a kept prefix with the previous
+// run's decisions at hand, and GreedyConservative with its packing count as
+// the keep test.
+//
 // Each kept edge's witness fault set F_e is recorded: Lemma 3 turns the
 // collection {(x, e) : x ∈ F_e} directly into a (k+1)-blocking set, which
 // package blocking consumes.
@@ -16,6 +31,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/ftspanner/ftspanner/internal/bitset"
@@ -95,9 +111,9 @@ func (e *PanicError) Error() string {
 }
 
 // chaos fires the Options.Chaos hook, if any, for site.
-func (b *builder) chaos(site string) {
-	if b.opts.Chaos != nil {
-		b.opts.Chaos(site)
+func (s *scan) chaos(site string) {
+	if s.opts.Chaos != nil {
+		s.opts.Chaos(site)
 	}
 }
 
@@ -244,69 +260,57 @@ type Result struct {
 // on a worker pool; the kept-edge set is guaranteed identical to the
 // sequential scan's (see parallel.go for the argument).
 func Greedy(g *graph.Graph, opts Options) (*Result, error) {
+	return build(g, opts, false)
+}
+
+// build runs the scan loop over g from position 0 and an empty H: the exact
+// greedy, or with conservative set GreedyConservative's packing keep test.
+func build(g *graph.Graph, opts Options, conservative bool) (*Result, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
-	if opts.Stretch < 1 {
-		return nil, fmt.Errorf("core: stretch must be >= 1, got %v", opts.Stretch)
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
-	if opts.Faults < 0 {
-		return nil, fmt.Errorf("core: faults must be >= 0, got %d", opts.Faults)
-	}
-	if opts.Mode != fault.Vertices && opts.Mode != fault.Edges {
-		return nil, fmt.Errorf("core: invalid fault mode %d", int(opts.Mode))
-	}
-	if opts.Parallelism < 0 {
-		return nil, fmt.Errorf("core: parallelism must be >= 0, got %d", opts.Parallelism)
-	}
-
 	start := time.Now()
-	h := graph.New(g.NumVertices())
-	oracleOpts := opts.Oracle
-	oracleOpts.EdgeCapacity = g.NumEdges()
-	if opts.Chaos != nil {
-		chaos := opts.Chaos
-		oracleOpts.Chaos = func() { chaos(ChaosSiteOracle) }
-	}
-	oracle, err := fault.NewOracle(h, opts.Mode, oracleOpts)
+	s, err := newScan(graph.New(g.NumVertices()), opts, g.NumEdges())
 	if err != nil {
 		return nil, err
 	}
-
-	b := &builder{
-		g:          g,
-		h:          h,
-		opts:       opts,
-		oracleOpts: oracleOpts,
-		live:       oracle,
-		res: &Result{
-			Input:   g,
-			Spanner: h,
-			KeptSet: bitset.New(g.NumEdges()),
-			Witness: make(map[int][]int),
-			Mode:    opts.Mode,
-			Stretch: opts.Stretch,
-			Faults:  opts.Faults,
-		},
-		hToInput: make([]int, 0, g.NumEdges()),
-	}
-
-	edges := g.EdgesByWeight()
-	if opts.Parallelism > 1 {
-		err = b.scanParallel(edges)
+	if conservative {
+		s.opts.Parallelism = 0
+		s.test = func(e graph.Edge) (bool, error) {
+			// f+1 disjoint detours make the edge provably safe to drop.
+			count, err := s.live.CountDisjointShortPaths(e.U, e.V, opts.Stretch*e.Weight, opts.Faults+1)
+			return count <= opts.Faults, err
+		}
 	} else {
-		err = b.scanSequential(edges)
+		s.witness = make(map[int][]int)
 	}
-	if err != nil {
+	if err := s.run(g.EdgesByWeight()); err != nil {
 		return nil, err
 	}
 
+	res := &Result{
+		Input:   g,
+		Spanner: s.h,
+		Kept:    make([]int, len(s.kept)),
+		KeptSet: bitset.New(g.NumEdges()),
+		Witness: s.witness,
+		Mode:    opts.Mode,
+		Stretch: opts.Stretch,
+		Faults:  opts.Faults,
+		Stats:   s.stats,
+	}
+	for i, e := range s.kept {
+		res.Kept[i] = e.ID
+		res.KeptSet.Add(e.ID)
+	}
 	// Fold the per-goroutine oracle counters into the run's Stats. Every
 	// speculative pass joins its workers before the scan moves on, so every
 	// counter below is quiescent: each oracle is read exactly once, after
 	// its last query.
-	res := b.res
-	for _, o := range append([]*fault.Oracle{b.live}, b.workers...) {
+	for _, o := range append([]*fault.Oracle{s.live}, s.workers...) {
 		res.Stats.OracleCalls += o.Calls()
 		res.Stats.Dijkstras += o.Dijkstras()
 		res.Stats.WitnessHits += o.WitnessHits()
@@ -314,92 +318,179 @@ func Greedy(g *graph.Graph, opts Options) (*Result, error) {
 		res.Stats.WitnessSeedTries += o.WitnessSeedTries()
 		res.Stats.WitnessSeedHits += o.WitnessSeedHits()
 	}
+	if conservative {
+		res.Stats.OracleCalls = int64(res.Stats.EdgesScanned) // one packing per edge
+	}
 	res.Stats.Duration = time.Since(start)
 	return res, nil
 }
 
-// builder carries one greedy run's mutable state: the growing spanner, the
-// live oracle bound to it, and the result being assembled. The sequential
-// and parallel scans share its bookkeeping so they cannot diverge on
-// anything but scheduling.
-type builder struct {
-	g          *graph.Graph
-	h          *graph.Graph
+// validate is the options check shared by Greedy, GreedyConservative and
+// NewIncremental.
+func (o Options) validate() error {
+	if o.Stretch < 1 || math.IsInf(o.Stretch, 0) || math.IsNaN(o.Stretch) {
+		return fmt.Errorf("core: stretch must be a finite number >= 1, got %v", o.Stretch)
+	}
+	if o.Faults < 0 {
+		return fmt.Errorf("core: faults must be >= 0, got %d", o.Faults)
+	}
+	if o.Mode != fault.Vertices && o.Mode != fault.Edges {
+		return fmt.Errorf("core: invalid fault mode %d", int(o.Mode))
+	}
+	if o.Parallelism < 0 {
+		return fmt.Errorf("core: parallelism must be >= 0, got %d", o.Parallelism)
+	}
+	return nil
+}
+
+// scan is the greedy's one scan loop and its state: the kept spanner H, the
+// live oracle bound to it, and how each edge is decided. Greedy,
+// GreedyConservative and every Incremental build and repair run it.
+type scan struct {
 	opts       Options
 	oracleOpts fault.Options
+	h          *graph.Graph
 	live       *fault.Oracle
-	res        *Result
-	hToInput   []int // spanner edge ID -> input edge ID
+	// kept lists H's edges as scanned: H's edge i is kept[i].
+	kept []graph.Edge
+	// witness, if non-nil, records each kept edge's fault set F_e by edge ID.
+	witness map[int][]int
+	// test, if non-nil, replaces the exact fault-set search as the keep test.
+	test func(e graph.Edge) (bool, error)
+	// prior, if non-nil, holds a session's previous decisions over the
+	// scanned edges for the monotonicity shortcuts.
+	prior *repair
+	// stats counts the current run's scanned edges and speculation.
+	stats Stats
+	// pos indexes the run's current edge; after a sequential run fails, the
+	// edge at pos is the first one whose decision was not committed.
+	pos int
 
 	// workers are the per-goroutine speculation oracles (Parallelism > 1),
-	// bound to the live spanner like live itself; their counters fold into
-	// Stats at the end of the run. results and pending are speculateBatch's
+	// bound to H like live itself. results and pending are speculateBatch's
 	// scratch, reused across batches.
 	workers []*fault.Oracle
 	results []specResult
 	pending []int
 }
 
-// emitPhase delivers one phase-boundary event to the Options.Phase hook.
-// Only ever called from the scan goroutine.
-func (b *builder) emitPhase(info PhaseInfo) {
-	if b.opts.Phase != nil {
-		b.opts.Phase(info)
+// newScan binds a scan to the kept prefix h, with a live oracle sized for
+// edgeCap edge IDs.
+func newScan(h *graph.Graph, opts Options, edgeCap int) (*scan, error) {
+	oracleOpts := opts.Oracle
+	oracleOpts.EdgeCapacity = edgeCap
+	if opts.Chaos != nil {
+		chaos := opts.Chaos
+		oracleOpts.Chaos = func() { chaos(ChaosSiteOracle) }
 	}
+	live, err := fault.NewOracle(h, opts.Mode, oracleOpts)
+	if err != nil {
+		return nil, err
+	}
+	return &scan{opts: opts, oracleOpts: oracleOpts, h: h, live: live}, nil
 }
 
-func (b *builder) scanSequential(edges []graph.Edge) error {
-	for _, e := range edges {
-		if err := b.step(); err != nil {
+// run walks edges in scan order over H, deciding each one. Same-weight runs
+// go to the speculative engine when Parallelism > 1; every other edge is
+// decided inline.
+func (s *scan) run(edges []graph.Edge) error {
+	s.stats = Stats{}
+	for len(s.workers) < s.opts.Parallelism {
+		o, err := fault.NewOracle(s.h, s.opts.Mode, s.oracleOpts)
+		if err != nil {
 			return err
 		}
-		if err := b.scanOne(e); err != nil {
-			return err
+		s.workers = append(s.workers, o)
+	}
+	for s.pos = 0; s.pos < len(edges); {
+		end := s.pos + 1
+		if s.opts.Parallelism > 1 {
+			for end < len(edges) && edges[end].Weight == edges[s.pos].Weight {
+				end++
+			}
+			if end-s.pos >= minSpeculativeBatch {
+				if err := s.speculateBatch(edges[s.pos:end]); err != nil {
+					return err
+				}
+				s.pos = end
+				continue
+			}
+		}
+		for ; s.pos < end; s.pos++ {
+			if err := s.step(); err != nil {
+				return err
+			}
+			if err := s.decide(edges[s.pos], nil); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
 // step fires the Progress hook and counts the edge about to be decided.
-func (b *builder) step() error {
-	if b.opts.Progress != nil {
-		if err := b.opts.Progress(b.res.Stats.EdgesScanned, len(b.res.Kept)); err != nil {
+func (s *scan) step() error {
+	if s.opts.Progress != nil {
+		if err := s.opts.Progress(s.stats.EdgesScanned, len(s.kept)); err != nil {
 			return err
 		}
 	}
-	b.res.Stats.EdgesScanned++
+	s.stats.EdgesScanned++
 	return nil
 }
 
-// scanOne decides one edge exactly with the live oracle against the current
-// spanner — the sequential hot path, and the parallel path's fallback for
-// invalidated speculation.
-func (b *builder) scanOne(e graph.Edge) error {
-	witness, found, err := b.live.FindFaultSet(e.U, e.V, b.opts.Stretch*e.Weight, b.opts.Faults)
-	if err != nil {
-		return fmt.Errorf("core: edge %d: %w", e.ID, err)
+// decide settles edge e against the current H: by a monotonicity shortcut
+// when the prior decisions allow one, otherwise by the keep test — the exact
+// fault-set search, trying the hint witness first when one is given.
+func (s *scan) decide(e graph.Edge, hint []int) error {
+	keep, known := false, false
+	if s.prior != nil {
+		keep, known = s.prior.recall(e)
 	}
-	if found {
-		b.commit(e, witness)
-	}
-	return nil
-}
-
-// commit keeps edge e with the given witness fault set (spanner IDs in edge
-// mode; translated to input IDs here). The witness slice is owned by the
-// builder after this call.
-func (b *builder) commit(e graph.Edge, witness []int) {
-	b.h.MustAddEdge(e.U, e.V, e.Weight)
-	b.hToInput = append(b.hToInput, e.ID)
-	b.res.Kept = append(b.res.Kept, e.ID)
-	b.res.KeptSet.Add(e.ID)
-	if b.opts.Mode == fault.Edges {
-		// The oracle speaks spanner edge IDs; translate to input IDs.
-		for i, hid := range witness {
-			witness[i] = b.hToInput[hid]
+	var witness []int
+	if !known {
+		var err error
+		if s.test != nil {
+			keep, err = s.test(e)
+		} else {
+			witness, keep, err = s.live.FindFaultSetHinted(e.U, e.V, s.opts.Stretch*e.Weight, s.opts.Faults, hint)
+		}
+		if err != nil {
+			return fmt.Errorf("core: edge %d: %w", e.ID, err)
 		}
 	}
-	b.res.Witness[e.ID] = witness
+	if keep {
+		s.commit(e, witness)
+	}
+	if s.prior != nil {
+		s.prior.settle(e, keep)
+	}
+	return nil
+}
+
+// commit appends e to H with its witness fault set (H edge IDs in edge mode,
+// translated to scanned edge IDs here). The witness slice is owned by the
+// scan after this call.
+func (s *scan) commit(e graph.Edge, witness []int) {
+	s.h.MustAddEdge(e.U, e.V, e.Weight)
+	s.kept = append(s.kept, e)
+	if s.witness == nil {
+		return
+	}
+	if s.opts.Mode == fault.Edges {
+		for i, hid := range witness {
+			witness[i] = s.kept[hid].ID
+		}
+	}
+	s.witness[e.ID] = witness
+}
+
+// emitPhase delivers one phase-boundary event to the Options.Phase hook.
+// Only ever called from the scan goroutine.
+func (s *scan) emitPhase(info PhaseInfo) {
+	if s.opts.Phase != nil {
+		s.opts.Phase(info)
+	}
 }
 
 // GreedyVFT is Greedy with vertex faults (the paper's headline setting).

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -19,6 +20,8 @@ func TestGreedyOptionValidation(t *testing.T) {
 		opts core.Options
 	}{
 		{name: "stretch < 1", opts: core.Options{Stretch: 0.5, Faults: 1, Mode: fault.Vertices}},
+		{name: "NaN stretch", opts: core.Options{Stretch: math.NaN(), Faults: 1, Mode: fault.Vertices}},
+		{name: "+Inf stretch", opts: core.Options{Stretch: math.Inf(1), Faults: 1, Mode: fault.Vertices}},
 		{name: "negative faults", opts: core.Options{Stretch: 3, Faults: -1, Mode: fault.Vertices}},
 		{name: "bad mode", opts: core.Options{Stretch: 3, Faults: 1}},
 	}

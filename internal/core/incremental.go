@@ -28,21 +28,21 @@ import (
 // Every decision before p carries over verbatim; the suffix from p is
 // re-scanned against the prefix's kept set.
 //
-// Monotonicity shortcuts make the re-scan cheap. Walking the suffix in
+// The re-scan is the package's scan loop (scan.run) from p, and the
+// monotonicity lemma (package doc) makes it cheap. Walking the suffix in
 // order, maintain two flags comparing the new H-prefix to the old run's
 // H-prefix at the same point in the merged (live + just-deleted-kept) order:
 // superset (new H ⊇ old H) and subset (new H ⊆ old H). While superset
-// holds, an edge the old run dropped stays dropped — the oracle found no
-// breaking fault set against a subgraph of today's H, and adding edges only
-// shortens fault-free distances (in EFT mode, any new fault set F' maps to
-// F = F' ∩ oldH with oldH\F ⊆ newH\F', so "no fault set" is preserved
-// too). Symmetrically, while subset holds, an edge the old run kept stays
-// kept. Both shortcuts skip the oracle query entirely; the flags flip the
-// first time a decision or a deletion makes the prefixes diverge, after
-// which the affected direction falls back to real queries. Flag updates:
-// passing a deleted kept edge clears superset; a kept inserted edge or an
-// old-dropped edge flipping to kept clears subset; an old-kept edge
-// flipping to dropped clears superset.
+// holds, an edge the old run dropped stays dropped; while subset holds, an
+// edge the old run kept stays kept. Both shortcuts skip the oracle query
+// entirely; the flags flip the first time a decision or a deletion makes the
+// prefixes diverge, after which the affected direction falls back to real
+// queries. Passing a deleted kept edge or an old keep flipping to a drop
+// clears superset; a new keep the old run did not have clears subset.
+//
+// A repair from p queries only edges a from-scratch build would also query,
+// each against the same prefix H, so no dirty fraction makes a full rebuild
+// cheaper: the engine's initial build is itself a repair from position 0.
 
 // IncrementalOptions configures an Incremental engine. Stretch, Faults and
 // Mode have Options semantics and are fixed for the engine's lifetime (they
@@ -56,17 +56,11 @@ type IncrementalOptions struct {
 	Mode fault.Mode
 	// Oracle tunes the fault-set search; EdgeCapacity is managed internally.
 	Oracle fault.Options
-	// RebuildThreshold is the dirty fraction (suffix length over live edge
-	// count) above which ApplyBatch abandons the suffix repair and rebuilds
-	// from scratch with Greedy — a huge suffix repairs slower than a full
-	// rebuild. 0 selects the default (0.6); values >= 1 never rebuild;
-	// negative values always rebuild.
-	RebuildThreshold float64
-	// Progress, if non-nil, fires once per re-examined edge during suffix
-	// repairs and passes through to Greedy during full rebuilds, with the
-	// same abort semantics as Options.Progress. An aborted batch leaves the
-	// engine needing repair (NeedsRepair); the graph mutations stay applied
-	// and the next ApplyBatch or Repair call finishes the re-scan.
+	// Progress, if non-nil, fires once per edge scanned by the initial
+	// build and by suffix repairs, with the same abort semantics as
+	// Options.Progress. An aborted batch leaves the engine needing repair
+	// (NeedsRepair); the graph mutations stay applied and the next
+	// ApplyBatch or Repair call finishes the re-scan.
 	Progress func(scanned, kept int) error
 	// DisableStateReuse turns off carrying the kept-prefix graph and fault
 	// oracle across batches: every suffix repair rebuilds both from scratch,
@@ -75,10 +69,6 @@ type IncrementalOptions struct {
 	// kept set is digest-identical either way.
 	DisableStateReuse bool
 }
-
-// defaultRebuildThreshold is the dirty fraction above which a full rebuild
-// replaces the suffix repair when IncrementalOptions.RebuildThreshold is 0.
-const defaultRebuildThreshold = 0.6
 
 // DeltaOp is the kind of one Delta.
 type DeltaOp int
@@ -135,8 +125,7 @@ type BatchStats struct {
 	// counts one Deleted per removed incident edge).
 	Inserted int
 	Deleted  int
-	// SuffixLen is how many live edges the repair re-examined (the whole
-	// graph for a full rebuild).
+	// SuffixLen is how many live edges the repair re-examined.
 	SuffixLen int
 	// OracleQueries counts suffix decisions that ran a live fault-set
 	// search; ShortcutKeeps/ShortcutDrops count decisions carried over by
@@ -144,20 +133,15 @@ type BatchStats struct {
 	OracleQueries int64
 	ShortcutKeeps int
 	ShortcutDrops int
-	// FullRebuild is true when the dirty fraction crossed the threshold and
-	// the batch was resolved by a from-scratch Greedy run.
-	FullRebuild bool
 	// OracleReused marks a suffix repair that rewound the retained prefix
 	// graph and fault oracle to the divergence point instead of rebuilding
 	// them; OracleBuilt marks a suffix repair that constructed them from
-	// scratch (first batch, reuse disabled, or a prior fallback invalidated
-	// the retained state). Both are false when the batch left every decision
-	// intact or was resolved by a full rebuild.
+	// scratch (seeded engine's first repair, reuse disabled, or a compaction
+	// or aborted repair invalidated the retained state). Both are false when
+	// the batch left every decision intact.
 	OracleReused bool
 	OracleBuilt  bool
-	// DirtyFraction is suffix length over live edge count at decision time.
-	DirtyFraction float64
-	Duration      time.Duration
+	Duration     time.Duration
 }
 
 // BatchResult is the output of one ApplyBatch call: the kept-set delta plus
@@ -177,7 +161,6 @@ type BatchResult struct {
 // IncrementalStats accumulates engine instrumentation across batches.
 type IncrementalStats struct {
 	Batches       int
-	FullRebuilds  int
 	Inserted      int
 	Deleted       int
 	SuffixEdges   int64
@@ -187,7 +170,7 @@ type IncrementalStats struct {
 	Compactions   int
 	// OracleReuses counts suffix repairs that rewound the retained prefix
 	// graph and oracle; OracleRebuilds counts suffix repairs that built them
-	// from scratch. Full Greedy rebuilds show up in FullRebuilds, not here.
+	// from scratch.
 	OracleReuses   int64
 	OracleRebuilds int64
 }
@@ -230,18 +213,15 @@ type Incremental struct {
 	order    []graph.Edge
 	orderBuf []graph.Edge
 
-	// Retained repair state carried across batches. h is the kept spanner
-	// with edges appended in scan order, hKeys[i] the scan key of h's edge i
-	// (ascending — the scan-position → arena-watermark map), and oracle
-	// stays bound to h with its memo and witness cache warm. A suffix repair
-	// at divergence key k truncates h back to the watermark before k and
-	// Rewinds the oracle instead of rebuilding both, making a small delta
-	// cost O(dirty suffix). All three are nil after an invalidation —
-	// compaction, full rebuild, or aborted repair — and the next suffix
-	// repair then rebuilds them from scratch (and retains the result).
-	h      *graph.Graph
-	hKeys  []scanKey
-	oracle *fault.Oracle
+	// sc is the retained scan carried across batches: its H holds the kept
+	// edges appended in scan order (sc.kept is ascending by scan key — the
+	// scan-position → arena-watermark map), and its oracle stays bound to H
+	// with its memo and witness cache warm. A suffix repair at divergence key
+	// k truncates H back to the watermark before k and Rewinds the oracle
+	// instead of rebuilding both, making a small delta cost O(dirty suffix).
+	// sc is nil after a compaction or an aborted repair, and the next repair
+	// then rebuilds it from the kept prefix (and retains the result).
+	sc *scan
 
 	// pending, when non-nil, marks decisions at scan keys >= *pending as
 	// stale: a previous repair aborted (Progress error or oracle failure)
@@ -254,13 +234,15 @@ type Incremental struct {
 }
 
 // NewIncremental builds an engine over a deep copy of initial (nil means an
-// empty graph) and runs the initial greedy build.
+// empty graph) and runs the initial greedy build: a repair from scan
+// position 0 with no prior decisions, whose H and oracle the first batch
+// then rewinds.
 func NewIncremental(initial *graph.Graph, opts IncrementalOptions) (*Incremental, error) {
 	inc, err := newIncrementalShell(initial, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := inc.rebuild(); err != nil {
+	if err := inc.repairSuffix(0, scanKey{}, &repair{inc: inc, res: &BatchResult{}}); err != nil {
 		return nil, err
 	}
 	return inc, nil
@@ -290,17 +272,8 @@ func NewIncrementalSeeded(initial *graph.Graph, kept []int, opts IncrementalOpti
 }
 
 func newIncrementalShell(initial *graph.Graph, opts IncrementalOptions) (*Incremental, error) {
-	if opts.Stretch < 1 || math.IsInf(opts.Stretch, 0) || math.IsNaN(opts.Stretch) {
-		return nil, fmt.Errorf("core: stretch must be a finite number >= 1, got %v", opts.Stretch)
-	}
-	if opts.Faults < 0 {
-		return nil, fmt.Errorf("core: faults must be >= 0, got %d", opts.Faults)
-	}
-	if opts.Mode != fault.Vertices && opts.Mode != fault.Edges {
-		return nil, fmt.Errorf("core: invalid fault mode %d", int(opts.Mode))
-	}
-	if math.IsNaN(opts.RebuildThreshold) {
-		return nil, fmt.Errorf("core: rebuild threshold must not be NaN")
+	if err := opts.options().validate(); err != nil {
+		return nil, err
 	}
 	var m *graph.Mutable
 	if initial == nil {
@@ -317,6 +290,11 @@ func newIncrementalShell(initial *graph.Graph, opts IncrementalOptions) (*Increm
 		return inc.order[i].Weight < inc.order[j].Weight
 	})
 	return inc, nil
+}
+
+// options is the engine's scan configuration. Sessions do not speculate.
+func (o IncrementalOptions) options() Options {
+	return Options{Stretch: o.Stretch, Faults: o.Faults, Mode: o.Mode, Oracle: o.Oracle, Progress: o.Progress}
 }
 
 // NumVertices returns the session graph's vertex count.
@@ -370,9 +348,8 @@ func (inc *Incremental) Repair() error {
 
 // ApplyBatch validates and applies one mutation batch, then repairs the kept
 // set: decisions before the batch's earliest dirty scan position carry over,
-// the suffix is re-decided against the prefix (with monotonicity shortcuts),
-// and a dirty fraction above RebuildThreshold falls back to a from-scratch
-// Greedy rebuild. On success the kept set is digest-identical to rebuilding
+// and the suffix is re-decided against the prefix (with monotonicity
+// shortcuts). On success the kept set is digest-identical to rebuilding
 // the current graph from scratch.
 //
 // A *DeltaError means the batch was rejected wholesale — nothing changed.
@@ -484,36 +461,12 @@ func (inc *Incremental) ApplyBatch(b Batch) (*BatchResult, error) {
 		return !keyLess(keyOf(inc.order[i]), *minKey)
 	})
 	res.Stats.SuffixLen = len(inc.order) - p
-	if len(inc.order) > 0 {
-		res.Stats.DirtyFraction = float64(res.Stats.SuffixLen) / float64(len(inc.order))
+	r := &repair{
+		inc: inc, res: res, inserted: inserted, deletedKept: deletedKept,
+		superset: !resumed, subset: !resumed,
 	}
-	threshold := inc.opts.RebuildThreshold
-	if threshold == 0 {
-		threshold = defaultRebuildThreshold
-	}
-
-	if res.Stats.DirtyFraction > threshold {
-		// Full rebuild: snapshot the pre-repair decisions for the delta
-		// report. (The suffix path computes its delta during the walk and
-		// skips this O(|E|) copy.)
-		res.Stats.FullRebuild = true
-		oldKept := append([]bool(nil), inc.kept...)
-		if err := inc.rebuild(); err != nil {
-			inc.pending = minKey
-			inc.invalidateRetained()
-			return nil, err
-		}
-		inc.invalidateRetained()
-		for _, e := range inc.order {
-			was := e.ID < len(oldKept) && oldKept[e.ID]
-			if inc.kept[e.ID] && !was {
-				res.KeptAdded = append(res.KeptAdded, e)
-			} else if !inc.kept[e.ID] && was {
-				res.KeptRemoved = append(res.KeptRemoved, e)
-			}
-		}
-	} else if err := inc.repairSuffix(p, *minKey, inserted, deletedKept, resumed, res); err != nil {
-		inc.invalidateRetained()
+	if err := inc.repairSuffix(p, *minKey, r); err != nil {
+		inc.sc = nil // its H no longer matches the kept table
 		return nil, err
 	}
 	inc.pending = nil
@@ -532,6 +485,12 @@ func (inc *Incremental) finishBatch(res *BatchResult, start time.Time) {
 	inc.stats.OracleQueries += res.Stats.OracleQueries
 	inc.stats.ShortcutKeeps += int64(res.Stats.ShortcutKeeps)
 	inc.stats.ShortcutDrops += int64(res.Stats.ShortcutDrops)
+	if res.Stats.OracleReused {
+		inc.stats.OracleReuses++
+	}
+	if res.Stats.OracleBuilt {
+		inc.stats.OracleRebuilds++
+	}
 }
 
 // mergeOrder folds the batch's mutations into the maintained scan order,
@@ -597,152 +556,108 @@ func (inc *Incremental) mergeOrder(inserted map[int]bool, deleted []graph.Edge) 
 	return deletedKept
 }
 
-// invalidateRetained drops the cross-batch repair state. The next suffix
-// repair rebuilds the prefix graph and oracle from scratch (and retains the
-// fresh pair again). Called on compaction, full rebuild, and aborted repair
-// — the fallbacks where the retained arena's watermarks stop describing the
-// engine's decisions.
-func (inc *Incremental) invalidateRetained() {
-	inc.h = nil
-	inc.hKeys = nil
-	inc.oracle = nil
-}
-
-// repairSuffix re-decides order[p:] against the kept prefix order[:p]. The
-// prefix graph h and the fault oracle persist across batches: when the
-// retained pair is valid, the repair truncates h's CSR arena back to the
-// kept watermark at the divergence key (hKeys is the scan-position →
-// watermark map; the just-deleted kept edges all sit at keys >= minKey, so
-// the truncation sheds them too) and re-aims the oracle with Rewind, keeping
-// its memo and scored witness cache warm. Otherwise — first repair, reuse
-// disabled, or a fallback invalidated the state — both are built from
-// scratch exactly as a cold engine would, then retained for the next batch.
-// The deleted kept edges merge into the walk at their old scan slots to keep
-// the superset flag honest; resumed repairs run with both shortcut flags off
-// (see Incremental.pending).
-func (inc *Incremental) repairSuffix(p int, minKey scanKey, inserted map[int]bool, deletedKept []graph.Edge, resumed bool, res *BatchResult) error {
+// repairSuffix runs the scan loop over order[p:] against the kept prefix
+// order[:p], with r recalling and settling decisions. The retained scan is
+// rewound when it exists: its H's CSR arena is truncated back to the kept
+// watermark at the divergence key (the just-deleted kept edges all sit at
+// keys >= minKey, so the truncation sheds them too) and the oracle is
+// re-aimed with Rewind, keeping its memo and scored witness cache warm.
+// Otherwise — a seeded engine's first repair, reuse disabled, or the state
+// was invalidated — the scan is built from the kept prefix exactly as a cold
+// engine would, then retained for the next batch.
+func (inc *Incremental) repairSuffix(p int, minKey scanKey, r *repair) error {
 	order := inc.order
-	bs := &res.Stats
-	if inc.h != nil && !resumed && !inc.opts.DisableStateReuse {
-		cut := sort.Search(len(inc.hKeys), func(i int) bool {
-			return !keyLess(inc.hKeys[i], minKey)
+	s := inc.sc
+	if s != nil && !inc.opts.DisableStateReuse {
+		cut := sort.Search(len(s.kept), func(i int) bool {
+			return !keyLess(keyOf(s.kept[i]), minKey)
 		})
-		inc.h.Truncate(cut)
-		inc.hKeys = inc.hKeys[:cut]
-		for inc.h.NumVertices() < inc.m.NumVertices() {
-			inc.h.AddVertex()
+		s.h.Truncate(cut)
+		s.kept = s.kept[:cut]
+		for s.h.NumVertices() < inc.m.NumVertices() {
+			s.h.AddVertex()
 		}
-		if err := inc.oracle.Rewind(inc.h, len(order)); err != nil {
+		if err := s.live.Rewind(s.h, len(order)); err != nil {
 			return err
 		}
-		bs.OracleReused = true
-		inc.stats.OracleReuses++
+		r.res.Stats.OracleReused = true
 	} else {
 		h := graph.New(inc.m.NumVertices())
-		hKeys := make([]scanKey, 0, inc.keptN)
+		kept := make([]graph.Edge, 0, inc.keptN)
 		for _, e := range order[:p] {
 			if inc.kept[e.ID] {
 				h.MustAddEdge(e.U, e.V, e.Weight)
-				hKeys = append(hKeys, keyOf(e))
+				kept = append(kept, e)
 			}
 		}
-		oracleOpts := inc.opts.Oracle
-		oracleOpts.EdgeCapacity = len(order)
-		oracle, err := fault.NewOracle(h, inc.opts.Mode, oracleOpts)
-		if err != nil {
+		var err error
+		if s, err = newScan(h, inc.opts.options(), len(order)); err != nil {
 			return err
 		}
-		inc.h, inc.hKeys, inc.oracle = h, hKeys, oracle
-		bs.OracleBuilt = true
-		inc.stats.OracleRebuilds++
+		s.kept = kept
+		inc.sc = s
+		r.res.Stats.OracleBuilt = true
 	}
-
-	superset, subset := !resumed, !resumed
-	di := 0
-	processed := 0
-	for _, e := range order[p:] {
-		for di < len(deletedKept) && keyLess(keyOf(deletedKept[di]), keyOf(e)) {
-			superset = false // old H had this edge here; new H never will
-			di++
-		}
-		if inc.opts.Progress != nil {
-			if err := inc.opts.Progress(processed, inc.h.NumEdges()); err != nil {
-				k := keyOf(e)
-				inc.pending = &k
-				return err
-			}
-		}
-		processed++
-		isIns := inserted[e.ID]
-		// The pre-walk flag doubles as the old decision (each edge is
-		// visited once, deleted kept edges were already cleared, and fresh
-		// IDs start false), so the membership delta falls out of the walk
-		// without an O(|E|) pre-batch snapshot.
-		prevKept := !isIns && inc.kept[e.ID]
-		var keep bool
-		switch {
-		case !isIns && !prevKept && superset:
-			keep = false
-			bs.ShortcutDrops++
-		case prevKept && subset:
-			keep = true
-			bs.ShortcutKeeps++
-		default:
-			_, found, err := inc.oracle.FindFaultSet(e.U, e.V, inc.opts.Stretch*e.Weight, inc.opts.Faults)
-			if err != nil {
-				k := keyOf(e)
-				inc.pending = &k
-				return fmt.Errorf("core: incremental repair at edge (%d,%d): %w", e.U, e.V, err)
-			}
-			bs.OracleQueries++
-			keep = found
-		}
-		inc.kept[e.ID] = keep
-		if keep {
-			inc.h.MustAddEdge(e.U, e.V, e.Weight)
-			inc.hKeys = append(inc.hKeys, keyOf(e))
-		}
-		if keep && !prevKept {
-			res.KeptAdded = append(res.KeptAdded, e)
-		} else if !keep && prevKept {
-			res.KeptRemoved = append(res.KeptRemoved, e)
-		}
-		switch {
-		case isIns && keep:
-			subset = false // new H gained an edge old H never had
-		case prevKept && !keep:
-			superset = false // old H had it from here on, new H does not
-		case !isIns && !prevKept && keep:
-			subset = false
-		}
+	s.prior = r
+	if err := s.run(order[p:]); err != nil {
+		k := keyOf(order[p+s.pos])
+		inc.pending = &k
+		return err
 	}
-	inc.keptN = inc.h.NumEdges()
+	inc.keptN = len(s.kept)
 	return nil
 }
 
-// rebuild replaces every decision with a from-scratch Greedy run over the
-// materialized current graph.
-func (inc *Incremental) rebuild() error {
-	mat, ids := inc.m.Materialize()
-	res, err := Greedy(mat, Options{
-		Stretch:  inc.opts.Stretch,
-		Faults:   inc.opts.Faults,
-		Mode:     inc.opts.Mode,
-		Oracle:   inc.opts.Oracle,
-		Progress: inc.opts.Progress,
-	})
-	if err != nil {
-		return err
+// repair is a session batch's side of the scan loop: it recalls the previous
+// run's decisions for the monotonicity shortcuts and settles each new
+// decision into the engine's tables and the batch's kept-set delta. The
+// initial build runs with both shortcut flags off.
+type repair struct {
+	inc         *Incremental
+	res         *BatchResult
+	inserted    map[int]bool
+	deletedKept []graph.Edge // in scan order, consumed as the walk passes them
+	// superset and subset compare the new H-prefix to the old run's.
+	superset, subset bool
+	// isIns and prevKept describe the edge being decided.
+	isIns, prevKept bool
+}
+
+// recall returns the old decision for e when a monotonicity flag carries it
+// over, and known=false when e needs the keep test.
+func (r *repair) recall(e graph.Edge) (keep, known bool) {
+	for len(r.deletedKept) > 0 && keyLess(keyOf(r.deletedKept[0]), keyOf(e)) {
+		r.superset = false // old H had this edge here; new H never will
+		r.deletedKept = r.deletedKept[1:]
 	}
-	for i := range inc.kept {
-		inc.kept[i] = false
+	// The engine's flag doubles as the old decision (each edge is visited
+	// once, deleted kept edges were already cleared, and fresh IDs start
+	// false), so the membership delta falls out of the walk without an
+	// O(|E|) pre-batch snapshot.
+	r.isIns = r.inserted[e.ID]
+	r.prevKept = !r.isIns && r.inc.kept[e.ID]
+	switch {
+	case !r.isIns && !r.prevKept && r.superset:
+		r.res.Stats.ShortcutDrops++
+		return false, true
+	case r.prevKept && r.subset:
+		r.res.Stats.ShortcutKeeps++
+		return true, true
 	}
-	for _, matID := range res.Kept {
-		inc.kept[ids[matID]] = true
+	r.res.Stats.OracleQueries++
+	return false, false
+}
+
+// settle records e's decision and updates the flags.
+func (r *repair) settle(e graph.Edge, keep bool) {
+	r.inc.kept[e.ID] = keep
+	if keep && !r.prevKept {
+		r.res.KeptAdded = append(r.res.KeptAdded, e)
+		r.subset = false // new H gained an edge old H never had
+	} else if !keep && r.prevKept {
+		r.res.KeptRemoved = append(r.res.KeptRemoved, e)
+		r.superset = false // old H had it from here on, new H does not
 	}
-	inc.keptN = len(res.Kept)
-	inc.stats.FullRebuilds++
-	return nil
 }
 
 // maybeCompact reclaims tombstones once they dominate the underlying edge
@@ -763,12 +678,12 @@ func (inc *Incremental) maybeCompact() {
 	inc.kept = fresh
 	// Compaction renumbers the underlying IDs (monotonically on survivors,
 	// so relative scan order is unchanged): rewrite the maintained order in
-	// place, and drop the retained repair state — its scan-key watermarks
-	// name the old IDs. The next suffix repair rebuilds it from scratch.
+	// place, and drop the retained scan — its scan-key watermarks name the
+	// old IDs. The next suffix repair rebuilds it from scratch.
 	for i := range inc.order {
 		inc.order[i].ID = remap[inc.order[i].ID]
 	}
-	inc.invalidateRetained()
+	inc.sc = nil
 	inc.stats.Compactions++
 }
 

@@ -323,56 +323,76 @@ func TestIncrementalSuffixScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Stats.FullRebuild {
-		decided := int(res.Stats.OracleQueries) + res.Stats.ShortcutKeeps + res.Stats.ShortcutDrops
-		if decided != res.Stats.SuffixLen {
-			t.Fatalf("decisions %d != suffix length %d", decided, res.Stats.SuffixLen)
-		}
+	decided := int(res.Stats.OracleQueries) + res.Stats.ShortcutKeeps + res.Stats.ShortcutDrops
+	if decided != res.Stats.SuffixLen {
+		t.Fatalf("decisions %d != suffix length %d", decided, res.Stats.SuffixLen)
 	}
 	checkIncrementalDifferential(t, eng, "mixed batch")
 }
 
-// TestIncrementalRebuildFallback pins the threshold semantics: a tiny
-// positive threshold forces full rebuilds, >= 1 forbids them, and digests
-// stay identical either way.
-func TestIncrementalRebuildFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := randomInstance(rng, 8, 8, weightsMixed)
+// TestIncrementalWholeOrderRepair dirties every scan position in one batch:
+// it deletes the lightest kept edge and inserts a new lightest edge. The
+// repair must re-scan the whole order on the rewound kept state without
+// constructing an oracle, and stay digest-identical to a clean-room Greedy
+// and to the DisableStateReuse twin.
+func TestIncrementalWholeOrderRepair(t *testing.T) {
+	for _, mode := range []fault.Mode{fault.Vertices, fault.Edges} {
+		rng := rand.New(rand.NewSource(9))
+		g := randomInstance(rng, 8, 8, weightsMixed)
+		opts := IncrementalOptions{Stretch: 3, Faults: 1, Mode: mode}
+		eng, err := NewIncremental(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twinOpts := opts
+		twinOpts.DisableStateReuse = true
+		twin, err := NewIncremental(g, twinOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	for _, tc := range []struct {
-		name      string
-		threshold float64
-		want      bool
-	}{
-		{"always", -1, true},
-		{"tiny", 1e-9, true},
-		{"never", 1.0, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			eng, err := NewIncremental(g, IncrementalOptions{
-				Stretch: 3, Faults: 1, Mode: fault.Edges, RebuildThreshold: tc.threshold,
-			})
-			if err != nil {
-				t.Fatal(err)
+		mat, kept, err := eng.Current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lightest := mat.Edge(kept[0])
+		u, v := -1, -1
+		for a := 0; a < mat.NumVertices() && u < 0; a++ {
+			for b := a + 1; b < mat.NumVertices(); b++ {
+				if _, ok := eng.Graph().LiveBetween(a, b); !ok {
+					u, v = a, b
+					break
+				}
 			}
-			// Delete a kept edge so the repair has a dirty suffix.
-			mat, kept, err := eng.Current()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(kept) == 0 {
-				t.Fatal("nothing kept")
-			}
-			ke := mat.Edge(kept[0])
-			res, err := eng.ApplyBatch(Batch{Deltas: []Delta{{Op: DeltaDelete, U: ke.U, V: ke.V}}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stats.FullRebuild != tc.want {
-				t.Fatalf("threshold %v: FullRebuild = %v, want %v", tc.threshold, res.Stats.FullRebuild, tc.want)
-			}
-			checkIncrementalDifferential(t, eng, tc.name)
-		})
+		}
+		if u < 0 {
+			t.Fatal("instance is complete; no free pair")
+		}
+		b := Batch{Deltas: []Delta{
+			{Op: DeltaDelete, U: lightest.U, V: lightest.V},
+			{Op: DeltaInsert, U: u, V: v, Weight: lightest.Weight / 2},
+		}}
+
+		c0 := fault.Constructions()
+		res, err := eng.ApplyBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := fault.Constructions() - c0; d != 0 {
+			t.Fatalf("%v: whole-order repair constructed %d oracles, want 0", mode, d)
+		}
+		if res.Stats.SuffixLen != res.LiveEdges {
+			t.Fatalf("%v: SuffixLen = %d, want every live edge (%d)", mode, res.Stats.SuffixLen, res.LiveEdges)
+		}
+		if !res.Stats.OracleReused || res.Stats.OracleBuilt {
+			t.Fatalf("%v: OracleReused=%v OracleBuilt=%v, want true/false",
+				mode, res.Stats.OracleReused, res.Stats.OracleBuilt)
+		}
+		if _, err := twin.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		checkIncrementalDifferential(t, eng, fmt.Sprintf("%v whole-order repair", mode))
+		checkAblationAgree(t, eng, twin, fmt.Sprintf("%v whole-order repair", mode))
 	}
 }
 
@@ -486,7 +506,6 @@ func TestIncrementalAbortAndRepair(t *testing.T) {
 	calls, armed := 0, false
 	opts := IncrementalOptions{
 		Stretch: 2, Faults: 1, Mode: fault.Vertices,
-		RebuildThreshold: 1, // force the suffix path so Progress fires per edge
 		Progress: func(scanned, kept int) error {
 			if !armed {
 				return nil // initial build runs the hook too
@@ -537,10 +556,10 @@ func TestIncrementalAbortAndRepair(t *testing.T) {
 	checkIncrementalDifferential(t, eng, "after repair")
 }
 
-// TestIncrementalNoOpBatchReuse is the PR 10 regression lock: a batch that
-// changes no decision (deleting a dropped edge) must construct zero oracles
-// and run zero oracle queries, and a batch that does repair a suffix must
-// rewind the retained oracle instead of constructing a fresh one.
+// TestIncrementalNoOpBatchReuse is the state-reuse regression lock: a batch
+// that changes no decision (deleting a dropped edge) must construct zero
+// oracles and run zero oracle queries, and a batch that does repair a suffix
+// must rewind the retained oracle instead of constructing a fresh one.
 func TestIncrementalNoOpBatchReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	g := randomInstance(rng, 10, 14, weightsMixed)
@@ -549,7 +568,8 @@ func TestIncrementalNoOpBatchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First repair establishes the retained state (one construction allowed).
+	// The initial build retains its state, so even the first repair
+	// rewinds it.
 	mat, kept, err := eng.Current()
 	if err != nil {
 		t.Fatal(err)
@@ -558,16 +578,17 @@ func TestIncrementalNoOpBatchReuse(t *testing.T) {
 		t.Skip("everything kept; no dropped edge to exercise")
 	}
 	ke := mat.Edge(kept[len(kept)-1])
+	c0 := fault.Constructions()
 	res, err := eng.ApplyBatch(Batch{Deltas: []Delta{{Op: DeltaDelete, U: ke.U, V: ke.V}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.FullRebuild {
-		t.Fatalf("kept-edge delete fell back to a full rebuild (dirty %v)", res.Stats.DirtyFraction)
+	if d := fault.Constructions() - c0; d != 0 {
+		t.Fatalf("first repair constructed %d oracles, want 0", d)
 	}
-	if !res.Stats.OracleBuilt || res.Stats.OracleReused {
-		t.Fatalf("first repair: OracleBuilt=%v OracleReused=%v, want true/false",
-			res.Stats.OracleBuilt, res.Stats.OracleReused)
+	if !res.Stats.OracleReused || res.Stats.OracleBuilt {
+		t.Fatalf("first repair: OracleReused=%v OracleBuilt=%v, want true/false",
+			res.Stats.OracleReused, res.Stats.OracleBuilt)
 	}
 
 	// No-op batch: delete a dropped edge. Zero constructions, zero queries,
@@ -591,7 +612,7 @@ func TestIncrementalNoOpBatchReuse(t *testing.T) {
 	if dropped.ID < 0 {
 		t.Skip("no dropped edge left")
 	}
-	c0 := fault.Constructions()
+	c0 = fault.Constructions()
 	res, err = eng.ApplyBatch(Batch{Deltas: []Delta{{Op: DeltaDelete, U: dropped.U, V: dropped.V}}})
 	if err != nil {
 		t.Fatal(err)
@@ -625,14 +646,11 @@ func TestIncrementalNoOpBatchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.FullRebuild {
-		t.Skipf("insert fell back to a full rebuild (dirty %v)", res.Stats.DirtyFraction)
-	}
 	if d := fault.Constructions() - c0; d != 0 {
-		t.Fatalf("non-fallback repair constructed %d oracles, want 0", d)
+		t.Fatalf("repair constructed %d oracles, want 0", d)
 	}
 	if !res.Stats.OracleReused || res.Stats.OracleBuilt {
-		t.Fatalf("non-fallback repair: OracleReused=%v OracleBuilt=%v, want true/false",
+		t.Fatalf("repair: OracleReused=%v OracleBuilt=%v, want true/false",
 			res.Stats.OracleReused, res.Stats.OracleBuilt)
 	}
 	if eng.Stats().OracleReuses == 0 {
@@ -692,7 +710,7 @@ func TestIncrementalRewindAcrossCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkIncrementalDifferential(t, eng, "post-compact batch")
-		if res.Stats.SuffixLen > 0 && !res.Stats.FullRebuild {
+		if res.Stats.SuffixLen > 0 {
 			firstAfter = res
 		}
 	}
@@ -708,8 +726,8 @@ func TestIncrementalRewindAcrossCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkIncrementalDifferential(t, eng, "post-compact reuse batch")
-		if res.Stats.FullRebuild || eng.Stats().Compactions > 1 {
-			t.Skip("another fallback before a reuse batch; covered elsewhere")
+		if eng.Stats().Compactions > 1 {
+			t.Skip("another compaction before a reuse batch; covered elsewhere")
 		}
 		if res.Stats.SuffixLen == 0 {
 			continue

@@ -3,14 +3,12 @@
 // The greedy scans edges by increasing weight and asks the fault oracle one
 // exact question per edge against the spanner H built so far. The scan looks
 // inherently sequential — each answer may change H for the next question —
-// but speculation makes most of it parallel, resting on one monotonicity
-// fact (the "monotone lift"): adding edges to H only shrinks the set of
-// valid fault sets, because any F that stretches (u,v) in H' ⊇ H also does
-// so in H — forbid F ∩ H and the H-distance can only be larger. Hence an
-// oracle answer computed against an EARLIER H stays exact in one direction:
-// "no fault set then" implies "none now". Only "found witness" answers need
-// re-checking, and exhibiting the witness against the current H (one
-// bounded Dijkstra via Oracle.ValidateWitness) is a complete re-check.
+// but the package's monotonicity lemma (see the package doc) makes most of
+// it parallel: an oracle answer computed against an EARLIER H stays exact in
+// one direction, "no fault set then" implies "none now". Only "found
+// witness" answers need re-checking, and exhibiting the witness against the
+// current H (one bounded Dijkstra via Oracle.ValidateWitness) is a complete
+// re-check.
 //
 // The engine is one blocking loop over maximal same-weight runs:
 //
@@ -19,7 +17,7 @@
 //     H. The scan goroutine waits, so H does not change while the workers
 //     read it (graph.Graph permits concurrent reads).
 //  2. Commit: the scan goroutine walks the answers in scan order. Drops are
-//     exact (the lift). A "found" answer commits as-is while H has not
+//     exact (the lemma). A "found" answer commits as-is while H has not
 //     grown since the answers were computed, and otherwise only if its
 //     witness survives ValidateWitness against the current H. An edge whose
 //     witness is refuted — and every later "found" edge, since resolving an
@@ -32,7 +30,7 @@
 //     by one live hinted re-query (Stats.SpecRequeries) instead.
 //
 // Shorter runs (in particular the all-distinct-weight regime) are decided
-// inline against the live oracle, exactly like the sequential scan.
+// inline by the scan loop, exactly like the sequential scan.
 //
 // Together these reproduce, for every edge, exactly the sequential
 // algorithm's decision state: when edge e is decided, H equals the
@@ -82,75 +80,41 @@ type specResult struct {
 	err     error
 }
 
-// scanParallel is the Parallelism > 1 edge scan.
-func (b *builder) scanParallel(edges []graph.Edge) error {
-	for len(b.workers) < b.opts.Parallelism {
-		o, err := fault.NewOracle(b.h, b.opts.Mode, b.oracleOpts)
-		if err != nil {
-			return err
-		}
-		b.workers = append(b.workers, o)
-	}
-	for start := 0; start < len(edges); {
-		end := start + 1
-		for end < len(edges) && edges[end].Weight == edges[start].Weight {
-			end++
-		}
-		batch := edges[start:end]
-		start = end
-		if len(batch) >= minSpeculativeBatch {
-			if err := b.speculateBatch(batch); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, e := range batch {
-			if err := b.step(); err != nil {
-				return err
-			}
-			if err := b.scanOne(e); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // speculateBatch decides one same-weight batch: a speculative pass over
 // every edge, then re-speculation rounds over the chunked head of whatever
 // the pass deferred, until nothing is pending.
-func (b *builder) speculateBatch(batch []graph.Edge) error {
-	ordinal := int(b.res.Stats.SpecBatches)
-	b.res.Stats.SpecBatches++
-	b.emitPhase(PhaseInfo{
+func (s *scan) speculateBatch(batch []graph.Edge) error {
+	ordinal := int(s.stats.SpecBatches)
+	s.stats.SpecBatches++
+	s.emitPhase(PhaseInfo{
 		Phase:       PhaseBatchSpeculate,
 		Batch:       ordinal,
 		Edges:       len(batch),
-		Kept:        len(b.res.Kept),
-		WitnessHits: b.live.WitnessHits(),
+		Kept:        len(s.kept),
+		WitnessHits: s.live.WitnessHits(),
 	})
-	if cap(b.results) < len(batch) {
-		b.results = make([]specResult, len(batch))
+	if cap(s.results) < len(batch) {
+		s.results = make([]specResult, len(batch))
 	}
-	results := b.results[:len(batch)]
+	results := s.results[:len(batch)]
 	clear(results)
-	b.pending = b.pending[:0]
+	s.pending = s.pending[:0]
 	for i := range batch {
-		b.pending = append(b.pending, i)
+		s.pending = append(s.pending, i)
 	}
 
-	pending, err := b.specPass(batch, results, b.pending, len(batch), true)
+	pending, err := s.specPass(batch, results, s.pending, len(batch), true)
 	for err == nil && len(pending) > 1 {
-		b.res.Stats.SpecRounds++
-		head := min(len(pending), respecChunkPerWorker*b.opts.Parallelism)
-		if pending, err = b.specPass(batch, results, pending, head, false); err == nil {
-			b.emitPhase(PhaseInfo{
+		s.stats.SpecRounds++
+		head := min(len(pending), respecChunkPerWorker*s.opts.Parallelism)
+		if pending, err = s.specPass(batch, results, pending, head, false); err == nil {
+			s.emitPhase(PhaseInfo{
 				Phase:       PhaseRespecRound,
 				Batch:       ordinal,
 				Edges:       head,
-				Kept:        len(b.res.Kept),
+				Kept:        len(s.kept),
 				Pending:     len(pending),
-				WitnessHits: b.live.WitnessHits(),
+				WitnessHits: s.live.WitnessHits(),
 			})
 		}
 	}
@@ -160,23 +124,17 @@ func (b *builder) speculateBatch(batch []graph.Edge) error {
 	if len(pending) == 1 {
 		// A lone straggler: one (hinted) live re-query beats a worker
 		// dispatch.
-		b.res.Stats.SpecRequeries++
-		e := batch[pending[0]]
-		wit, found, err := b.live.FindFaultSetHinted(
-			e.U, e.V, b.opts.Stretch*e.Weight, b.opts.Faults, results[pending[0]].witness)
-		if err != nil {
-			return fmt.Errorf("core: edge %d: %w", e.ID, err)
-		}
-		if found {
-			b.commit(e, wit)
+		s.stats.SpecRequeries++
+		if err := s.decide(batch[pending[0]], results[pending[0]].witness); err != nil {
+			return err
 		}
 	}
-	b.emitPhase(PhaseInfo{
+	s.emitPhase(PhaseInfo{
 		Phase:       PhaseBatchCommit,
 		Batch:       ordinal,
 		Edges:       len(batch),
-		Kept:        len(b.res.Kept),
-		WitnessHits: b.live.WitnessHits(),
+		Kept:        len(s.kept),
+		WitnessHits: s.live.WitnessHits(),
 	})
 	return nil
 }
@@ -186,16 +144,16 @@ func (b *builder) speculateBatch(batch []graph.Edge) error {
 // rules, and returns the edges still unresolved: this pass's deferrals
 // followed by the unqueried tail. first marks the batch's initial pass,
 // whose walk also fires the per-edge Progress step.
-func (b *builder) specPass(batch []graph.Edge, results []specResult, pending []int, head int, first bool) ([]int, error) {
-	if err := b.query(batch, results, pending[:head], first); err != nil {
+func (s *scan) specPass(batch []graph.Edge, results []specResult, pending []int, head int, first bool) ([]int, error) {
+	if err := s.query(batch, results, pending[:head], first); err != nil {
 		return nil, err
 	}
-	hEdges := b.h.NumEdges()
+	hEdges := s.h.NumEdges()
 	out := pending[:0]
 	for _, i := range pending[:head] {
 		e := batch[i]
 		if first {
-			if err := b.step(); err != nil {
+			if err := s.step(); err != nil {
 				return nil, err
 			}
 		}
@@ -204,31 +162,31 @@ func (b *builder) specPass(batch []graph.Edge, results []specResult, pending []i
 			return nil, fmt.Errorf("core: edge %d: %w", e.ID, r.err)
 		}
 		if !r.found {
-			// Monotone lift: exact whatever was committed since.
-			b.res.Stats.SpecHits++
+			// Exact whatever was committed since, by the lemma.
+			s.stats.SpecHits++
 			continue
 		}
 		if len(out) == 0 {
-			ok := b.h.NumEdges() == hEdges // H unchanged: the witness is exact
+			ok := s.h.NumEdges() == hEdges // H unchanged: the witness is exact
 			if !ok {
 				var err error
-				if ok, err = b.live.ValidateWitness(e.U, e.V, b.opts.Stretch*e.Weight, r.witness); err != nil {
+				if ok, err = s.live.ValidateWitness(e.U, e.V, s.opts.Stretch*e.Weight, r.witness); err != nil {
 					return nil, fmt.Errorf("core: edge %d: %w", e.ID, err)
 				}
 			}
 			if ok {
-				b.res.Stats.SpecHits++
-				b.live.NoteWitness(r.witness)
-				b.commit(e, r.witness)
+				s.stats.SpecHits++
+				s.live.NoteWitness(r.witness)
+				s.commit(e, r.witness)
 				continue
 			}
 			// A witness refuted against the current H stays refuted against
-			// every later H (the lift again): it is useless as a hint.
+			// every later H (the lemma again): it is useless as a hint.
 			results[i].witness = nil
 		}
 		// Invalidated, or unresolvable until the deferred edges before it
 		// are: this answer is spent, its witness rides along as a hint.
-		b.res.Stats.SpecWaste++
+		s.stats.SpecWaste++
 		out = append(out, i)
 	}
 	// In-place filter: out never overtakes the read position, and the
@@ -242,7 +200,7 @@ func (b *builder) specPass(batch []graph.Edge, results []specResult, pending []i
 // the commit walk's reads. A panic inside a worker (the oracle, or the
 // injected Chaos hook) is recovered into a *PanicError and fails the build
 // instead of the process.
-func (b *builder) query(batch []graph.Edge, results []specResult, idx []int, first bool) error {
+func (s *scan) query(batch []graph.Edge, results []specResult, idx []int, first bool) error {
 	site := ChaosSiteRespec
 	if first {
 		site = ChaosSiteWorker
@@ -252,7 +210,7 @@ func (b *builder) query(batch []graph.Edge, results []specResult, idx []int, fir
 		wg       sync.WaitGroup
 		panicked atomic.Pointer[PanicError]
 	)
-	for _, o := range b.workers[:min(len(b.workers), len(idx))] {
+	for _, o := range s.workers[:min(len(s.workers), len(idx))] {
 		wg.Add(1)
 		go func(o *fault.Oracle) {
 			defer wg.Done()
@@ -261,7 +219,7 @@ func (b *builder) query(batch []graph.Edge, results []specResult, idx []int, fir
 					panicked.CompareAndSwap(nil, &PanicError{Site: site, Value: v, Stack: debug.Stack()})
 				}
 			}()
-			b.chaos(site)
+			s.chaos(site)
 			for {
 				j := int(next.Add(1)) - 1
 				if j >= len(idx) {
@@ -270,13 +228,13 @@ func (b *builder) query(batch []graph.Edge, results []specResult, idx []int, fir
 				i := idx[j]
 				e := batch[i]
 				wit, found, err := o.FindFaultSetHinted(
-					e.U, e.V, b.opts.Stretch*e.Weight, b.opts.Faults, results[i].witness)
+					e.U, e.V, s.opts.Stretch*e.Weight, s.opts.Faults, results[i].witness)
 				results[i] = specResult{witness: wit, found: found, err: err}
 			}
 		}(o)
 	}
 	wg.Wait()
-	b.res.Stats.SpecQueries += int64(len(idx))
+	s.stats.SpecQueries += int64(len(idx))
 	if pe := panicked.Load(); pe != nil {
 		return pe
 	}

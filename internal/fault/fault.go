@@ -35,8 +35,8 @@ import (
 )
 
 // constructions counts NewOracle calls process-wide. Incremental-engine
-// tests and benchmarks read it to prove that non-fallback delta batches
-// reuse the retained oracle instead of constructing a fresh one.
+// tests and benchmarks read it to prove that delta batches reuse the
+// retained oracle instead of constructing a fresh one.
 var constructions atomic.Int64
 
 // Constructions returns the process-wide NewOracle call count.

@@ -39,12 +39,11 @@ type metrics struct {
 	sessionsSeeded        atomic.Int64 // sessions whose engine seeded from the result cache
 	sessionDeltaBatches   atomic.Int64 // applied delta batches
 	sessionDeltaOps       atomic.Int64 // individual delta operations applied
-	sessionFullRebuilds   atomic.Int64 // batches resolved by a from-scratch rebuild
 	sessionOracleQueries  atomic.Int64 // live oracle queries during suffix repairs
 	sessionShortcuts      atomic.Int64 // suffix decisions carried over without a query
 	sessionCachePuts      atomic.Int64 // session results published into the cache tiers
 	sessionOracleReuses   atomic.Int64 // suffix repairs that rewound the retained prefix graph + oracle
-	sessionOracleRebuilds atomic.Int64 // suffix repairs that built them from scratch (fallback or first batch)
+	sessionOracleRebuilds atomic.Int64 // suffix repairs that built them from scratch
 
 	// Per-priority-class scheduling counters, indexed by class.
 	dequeued         [numClasses]atomic.Int64 // jobs handed to a worker from this class
@@ -189,20 +188,19 @@ type MetricsSnapshot struct {
 	SessionsEvictedTotal int64 `json:"sessions_evicted_total"`
 	SessionsSeededTotal  int64 `json:"sessions_seeded_total"`
 	// SessionDelta* instrument incremental maintenance: applied batches and
-	// operations, batches that fell back to a full rebuild, live oracle
-	// queries spent in suffix repairs, decisions carried over by the
+	// operations, live oracle queries spent in suffix repairs, decisions carried over by the
 	// monotonicity shortcuts without a query, and results published into
 	// the cache tiers under evolving digests.
 	SessionDeltaBatchesTotal  int64 `json:"session_delta_batches_total"`
 	SessionDeltaOpsTotal      int64 `json:"session_delta_ops_total"`
-	SessionFullRebuildsTotal  int64 `json:"session_full_rebuilds_total"`
 	SessionOracleQueriesTotal int64 `json:"session_oracle_queries_total"`
 	SessionShortcutsTotal     int64 `json:"session_shortcut_decisions_total"`
 	SessionCachePutsTotal     int64 `json:"session_cache_puts_total"`
 	// SessionOracleReuses counts suffix repairs that rewound the engine's
 	// retained prefix graph and oracle to the divergence point;
 	// SessionOracleRebuilds counts repairs that constructed them from
-	// scratch (first batch after create/fallback, or reuse disabled). Their
+	// scratch (a seeded session's first repair, a repair after a compaction
+	// or an aborted batch, or reuse disabled). Their
 	// ratio is the reuse efficacy of the persistent incremental engine.
 	SessionOracleReusesTotal   int64 `json:"session_oracle_reuses_total"`
 	SessionOracleRebuildsTotal int64 `json:"session_oracle_rebuilds_total"`
@@ -258,7 +256,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		SessionsSeededTotal:       s.met.sessionsSeeded.Load(),
 		SessionDeltaBatchesTotal:  s.met.sessionDeltaBatches.Load(),
 		SessionDeltaOpsTotal:      s.met.sessionDeltaOps.Load(),
-		SessionFullRebuildsTotal:  s.met.sessionFullRebuilds.Load(),
 		SessionOracleQueriesTotal: s.met.sessionOracleQueries.Load(),
 		SessionShortcutsTotal:     s.met.sessionShortcuts.Load(),
 		SessionCachePutsTotal:     s.met.sessionCachePuts.Load(),

@@ -61,10 +61,10 @@ type SessionSpec struct {
 	Faults int `json:"faults"`
 	// Mode is "vertex" (default) or "edge".
 	Mode string `json:"mode,omitempty"`
-	// RebuildThreshold is the dirty fraction above which a delta batch is
-	// resolved by a full greedy rebuild instead of the suffix repair
-	// (core.IncrementalOptions.RebuildThreshold): 0 selects the engine
-	// default, >= 1 never rebuilds, negative always rebuilds.
+	// RebuildThreshold is accepted and ignored: every batch runs the suffix
+	// repair. It stays in the wire format with its finite-value check so
+	// that every existing client's request is accepted or rejected exactly
+	// as before.
 	RebuildThreshold float64 `json:"rebuild_threshold,omitempty"`
 	// NoCache opts the session out of the two-tier result cache: no seeding
 	// at create, no publishing after batches, nothing persisted at close.
@@ -128,9 +128,6 @@ type SessionEvent struct {
 	KeptRemoved []SessionEdge `json:"kept_removed,omitempty"`
 	// Digest is the materialized current graph's content digest.
 	Digest string `json:"digest,omitempty"`
-	// FullRebuild marks a batch resolved by a from-scratch rebuild rather
-	// than the suffix repair.
-	FullRebuild bool `json:"full_rebuild,omitempty"`
 	// Reason annotates "closed" events ("deleted", "retention expired").
 	Reason string `json:"reason,omitempty"`
 }
@@ -250,7 +247,6 @@ func (s *Server) incrementalOptions(spec SessionSpec) core.IncrementalOptions {
 		Stretch:           spec.Stretch,
 		Faults:            spec.Faults,
 		Mode:              mode,
-		RebuildThreshold:  spec.RebuildThreshold,
 		DisableStateReuse: spec.DisableStateReuse,
 		Oracle: fault.Options{
 			ObserveQuery: func(d time.Duration) { s.lat.oracleQuery.Record(d) },
@@ -563,10 +559,8 @@ type sessionDeltasResponse struct {
 	OracleQueries int64   `json:"oracle_queries"`
 	ShortcutKeeps int     `json:"shortcut_keeps"`
 	ShortcutDrops int     `json:"shortcut_drops"`
-	FullRebuild   bool    `json:"full_rebuild,omitempty"`
 	OracleReused  bool    `json:"oracle_reused,omitempty"`
 	OracleBuilt   bool    `json:"oracle_built,omitempty"`
-	DirtyFraction float64 `json:"dirty_fraction"`
 	DurationMS    float64 `json:"duration_ms"`
 }
 
@@ -644,7 +638,6 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 		KeptAdded:   sessionEdges(res.KeptAdded),
 		KeptRemoved: sessionEdges(res.KeptRemoved),
 		Digest:      sess.digest,
-		FullRebuild: res.Stats.FullRebuild,
 	}
 	sess.appendEventLocked(ev)
 	resp := sessionDeltasResponse{
@@ -659,10 +652,8 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 		OracleQueries: res.Stats.OracleQueries,
 		ShortcutKeeps: res.Stats.ShortcutKeeps,
 		ShortcutDrops: res.Stats.ShortcutDrops,
-		FullRebuild:   res.Stats.FullRebuild,
 		OracleReused:  res.Stats.OracleReused,
 		OracleBuilt:   res.Stats.OracleBuilt,
-		DirtyFraction: res.Stats.DirtyFraction,
 		DurationMS:    float64(res.Stats.Duration.Microseconds()) / 1000,
 	}
 	sess.mu.Unlock()
@@ -672,9 +663,6 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 	s.met.sessionOracleQueries.Add(res.Stats.OracleQueries)
 	s.met.sessionShortcuts.Add(int64(res.Stats.ShortcutKeeps + res.Stats.ShortcutDrops))
 	s.lat.sessionDelta.Record(res.Stats.Duration)
-	if res.Stats.FullRebuild {
-		s.met.sessionFullRebuilds.Add(1)
-	}
 	if res.Stats.OracleReused {
 		s.met.sessionOracleReuses.Add(1)
 	}

@@ -458,36 +458,30 @@ func TestSessionMetrics(t *testing.T) {
 	if m.SessionCachePutsTotal < 2 { // create + batch
 		t.Fatalf("session_cache_puts_total = %d, want >= 2", m.SessionCachePutsTotal)
 	}
-	// The kept-edge delete dirties the whole suffix: the first batch resolves
-	// by full rebuild, so no retained oracle exists yet. The delta latency
-	// histogram records every batch regardless of path.
-	if m.SessionFullRebuildsTotal != 1 || m.SessionOracleRebuildsTotal != 0 || m.SessionOracleReusesTotal != 0 {
-		t.Fatalf("after full-rebuild batch: full=%d rebuilds=%d reuses=%d, want 1/0/0",
-			m.SessionFullRebuildsTotal, m.SessionOracleRebuildsTotal, m.SessionOracleReusesTotal)
+	// The kept-edge delete dirties the whole suffix, yet the first batch
+	// rewinds the state the initial build kept. The delta latency histogram
+	// records every batch.
+	if m.SessionOracleRebuildsTotal != 0 || m.SessionOracleReusesTotal != 1 {
+		t.Fatalf("after whole-suffix batch: rebuilds=%d reuses=%d, want 0/1",
+			m.SessionOracleRebuildsTotal, m.SessionOracleReusesTotal)
 	}
 	if m.Latency.SessionDelta.Count != 1 {
 		t.Fatalf("session_delta latency count = %d, want 1", m.Latency.SessionDelta.Count)
 	}
 
-	// A small suffix repair after the rebuild constructs the retained state
-	// from scratch; the next one rewinds it.
-	w = postJSON(t, s, "/v1/sessions/"+id+"/deltas", map[string]any{
-		"deltas": []map[string]any{{"op": "insert", "u": 0, "v": 2, "weight": 5}},
-	})
-	dr := decodeBody[sessionDeltasResponse](t, w)
-	if dr.FullRebuild || !dr.OracleBuilt || dr.OracleReused {
-		t.Fatalf("post-rebuild batch: %+v, want a from-scratch suffix repair", dr)
-	}
-	w = postJSON(t, s, "/v1/sessions/"+id+"/deltas", map[string]any{
-		"deltas": []map[string]any{{"op": "insert", "u": 1, "v": 3, "weight": 6}},
-	})
-	dr = decodeBody[sessionDeltasResponse](t, w)
-	if dr.FullRebuild || !dr.OracleReused || dr.OracleBuilt {
-		t.Fatalf("reuse batch: %+v, want a rewound suffix repair", dr)
+	// Small suffix repairs keep rewinding the same retained state.
+	for i, d := range []map[string]any{
+		{"op": "insert", "u": 0, "v": 2, "weight": 5},
+		{"op": "insert", "u": 1, "v": 3, "weight": 6},
+	} {
+		w = postJSON(t, s, "/v1/sessions/"+id+"/deltas", map[string]any{"deltas": []map[string]any{d}})
+		if dr := decodeBody[sessionDeltasResponse](t, w); !dr.OracleReused || dr.OracleBuilt {
+			t.Fatalf("batch %d: %+v, want a rewound suffix repair", i+2, dr)
+		}
 	}
 	m = s.Metrics()
-	if m.SessionOracleReusesTotal != 1 || m.SessionOracleRebuildsTotal != 1 {
-		t.Fatalf("oracle reuse counters: rebuilds=%d reuses=%d, want 1/1",
+	if m.SessionOracleReusesTotal != 3 || m.SessionOracleRebuildsTotal != 0 {
+		t.Fatalf("oracle reuse counters: rebuilds=%d reuses=%d, want 0/3",
 			m.SessionOracleRebuildsTotal, m.SessionOracleReusesTotal)
 	}
 	if m.Latency.SessionDelta.Count != 3 {
@@ -539,10 +533,10 @@ func TestSessionStateReuseAblation(t *testing.T) {
 		if da.OracleReused {
 			t.Fatalf("batch %d: ablated session reused state", i)
 		}
-		if da.SuffixLen > 0 && !da.FullRebuild && !da.OracleBuilt {
+		if da.SuffixLen > 0 && !da.OracleBuilt {
 			t.Fatalf("batch %d: ablated repair did not rebuild the oracle: %+v", i, da)
 		}
-		if i > 0 && dr.SuffixLen > 0 && !dr.FullRebuild && !dr.OracleReused {
+		if dr.SuffixLen > 0 && !dr.OracleReused {
 			t.Fatalf("batch %d: reuse session did not rewind: %+v", i, dr)
 		}
 	}
