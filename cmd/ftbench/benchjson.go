@@ -227,6 +227,12 @@ func runBenchJSON(path string, out io.Writer, parallelism int) error {
 		fmt.Fprintln(out)
 	}
 
+	coldEntry, err := coldMixBench(out)
+	if err != nil {
+		return err
+	}
+	report.Benchmarks = append(report.Benchmarks, coldEntry)
+
 	sessionEntries, err := sessionBenchEntries(out)
 	if err != nil {
 		return err

@@ -15,7 +15,12 @@
 //
 //   - pruning: if more than f pairwise internally-disjoint short paths
 //     survive, no budget-f fault set can hit them all, so the branch fails
-//     without recursing (greedy path packing gives the disjoint paths);
+//     without recursing (greedy path packing gives the disjoint paths). The
+//     packing runs the bidirectional bounded search like every other test
+//     in the exact search: any disjoint set of within-bound paths refutes
+//     the branch, so which paths it finds does not matter. The conservative
+//     greedy's CountDisjointShortPaths stays unidirectional, because there
+//     the count itself is the decision;
 //   - memoization: fault sets are hashed order-independently so
 //     permutations of one set are explored once per query;
 //   - witness reuse: the greedy scans edges in weight order, so fault sets
@@ -75,11 +80,15 @@ type Options struct {
 	// DisableWitnessReuse turns off revalidation of recently found witness
 	// fault sets across queries.
 	DisableWitnessReuse bool
-	// DisableBidi makes the refuting reachability tests use the
-	// unidirectional bounded Dijkstra instead of the meet-in-the-middle
-	// search (sssp.RunReachBidi). Path packing always stays unidirectional:
-	// its counts feed the conservative greedy's decisions, which must not
-	// depend on which within-bound paths the engine happens to return.
+	// DisableBidi makes the exact search's bounded reachability tests —
+	// the branching path, the pruning packing and witness revalidation —
+	// use the unidirectional bounded Dijkstra instead of the
+	// meet-in-the-middle search (sssp.RunReachBidi); the search's decisions
+	// are the same either way. CountDisjointShortPaths is unidirectional
+	// regardless: how many paths a greedy packing finds depends on which
+	// paths the engine returns, and that count is the conservative greedy's
+	// keep decision, so the conservative output must not move with this
+	// ablation flag.
 	DisableBidi bool
 	// BlindWitnessCache reverts the witness cache to its original blind
 	// behavior — pure recency order, no hit scoring, no structural seeding —
@@ -461,10 +470,12 @@ func (o *Oracle) search(u, v int, bound float64, budget int, top bool) bool {
 	}
 
 	// The packing bound refutes the branch outright when more than budget
-	// pairwise disjoint short detours survive. The path just extracted is
-	// the packing's first member (the solver is deterministic, so an
-	// unseeded packing would recompute exactly it), saving one Dijkstra.
-	if !o.opts.DisablePruning && o.packPaths(u, v, bound, budget+1, candidates) > budget {
+	// pairwise disjoint short detours survive, whichever detours the
+	// packing happened to find, so it may use the bidirectional search. The
+	// path just extracted is the packing's first member (the solver is
+	// deterministic, so an unseeded packing would recompute exactly it),
+	// saving one Dijkstra.
+	if !o.opts.DisablePruning && o.packPaths(u, v, bound, budget+1, candidates, !o.opts.DisableBidi) > budget {
 		return false
 	}
 
@@ -698,15 +709,17 @@ func (o *Oracle) CountDisjointShortPaths(u, v int, bound float64, limit int) (in
 	}
 	o.forbiddenV.Clear()
 	o.forbiddenE.Clear()
-	return o.packPaths(u, v, bound, limit, nil), nil
+	return o.packPaths(u, v, bound, limit, nil, false), nil
 }
 
 // packPaths packs disjoint short paths starting from the current forbidden
 // sets, returning the packing size capped at limit. A non-nil seed counts as
 // the packing's first path: its elements (internal vertices in Vertices
 // mode, edge IDs in Edges mode) are blocked up front, exactly as if the
-// first Dijkstra had just found that path.
-func (o *Oracle) packPaths(u, v int, bound float64, limit int, seed []int) int {
+// first Dijkstra had just found that path. With bidi each path comes from
+// the meet-in-the-middle search (its spliced path is simple and within
+// bound, which is all a packing member needs), otherwise from RunReach.
+func (o *Oracle) packPaths(u, v int, bound float64, limit int, seed []int, bidi bool) int {
 	o.packV.CopyFrom(o.forbiddenV)
 	o.packE.CopyFrom(o.forbiddenE)
 	count := 0
@@ -720,13 +733,15 @@ func (o *Oracle) packPaths(u, v int, bound float64, limit int, seed []int) int {
 			}
 		}
 	}
+	opts := sssp.Options{ForbiddenVertices: o.packV, ForbiddenEdges: o.packE, Bound: bound}
 	for count < limit {
 		o.dijkstras++
-		err := o.solver.RunReach(o.g, u, v, sssp.Options{
-			ForbiddenVertices: o.packV,
-			ForbiddenEdges:    o.packE,
-			Bound:             bound,
-		})
+		var err error
+		if bidi {
+			err = o.solver.RunReachBidi(o.g, u, v, opts)
+		} else {
+			err = o.solver.RunReach(o.g, u, v, opts)
+		}
 		if err != nil {
 			panic(err) // unreachable: endpoints validated, never forbidden
 		}

@@ -134,12 +134,12 @@ func prioritySpec(seed int64, p Priority) JobSpec {
 	return spec
 }
 
-// blockerSpec is a build heavy enough (seconds) to hold the lone worker
-// while a test submits its whole queue — slowSpec is too quick once ~20
-// HTTP submissions contend for the same CPU.
+// blockerSpec is a build heavy enough (over a second on a 2-CPU x86-64
+// box) to hold the lone worker while a test submits its whole queue —
+// slowSpec is too quick once ~20 HTTP submissions contend for the same CPU.
 func blockerSpec() JobSpec {
 	return JobSpec{
-		Generator: &GeneratorSpec{Name: "random", N: 450, M: 27000, Seed: 999},
+		Generator: &GeneratorSpec{Name: "random", N: 800, M: 100000, Seed: 999},
 		Stretch:   3,
 		Faults:    3,
 	}
@@ -159,7 +159,7 @@ func submitBlocked(t *testing.T, cfg Config) (*Server, *httptest.Server, submitR
 
 // assertBlockerHeld fails the test if the blocker finished before the
 // queued submissions were all in — the scheduling observation would be
-// meaningless. slowSpec runs hundreds of milliseconds against ~1ms of
+// meaningless. blockerSpec runs over a second against ~1ms of
 // submissions, so tripping this means the workload model broke.
 func assertBlockerHeld(t *testing.T, ts *httptest.Server, blockerID string) {
 	t.Helper()

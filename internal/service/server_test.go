@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ftspanner/ftspanner/internal/core"
 	"github.com/ftspanner/ftspanner/internal/gen"
 	"github.com/ftspanner/ftspanner/internal/graph"
 )
@@ -82,7 +83,7 @@ func submitJob(t *testing.T, ts *httptest.Server, spec JobSpec) submitResponse {
 // terminal state or timeout).
 func waitState(t *testing.T, ts *httptest.Server, id string, want State) statusResponse {
 	t.Helper()
-	// Generous: eight ~500ms builds timeshared on one core under -race can
+	// Generous: second-long builds timeshared on one core under -race can
 	// near a minute of wall clock.
 	deadline := time.Now().Add(120 * time.Second)
 	for {
@@ -122,12 +123,12 @@ func smallSpec(seed int64) JobSpec {
 	}
 }
 
-// slowSpec is a build long enough (hundreds of milliseconds) to observe and
-// cancel mid-run. Sized up after the PR-2 oracle overhaul made the previous
-// workload finish in tens of milliseconds.
+// slowSpec is a build long enough (about 300ms on a 2-CPU x86-64 box) to
+// observe and cancel mid-run. Each speed-up of the keep test has shrunk it,
+// so it is re-measured when the search gets cheaper.
 func slowSpec(seed int64) JobSpec {
 	return JobSpec{
-		Generator: &GeneratorSpec{Name: "random", N: 300, M: 12000, Seed: seed},
+		Generator: &GeneratorSpec{Name: "random", N: 500, M: 30000, Seed: seed},
 		Stretch:   3,
 		Faults:    3,
 	}
@@ -236,21 +237,29 @@ func TestEightConcurrentBuilds(t *testing.T) {
 		t.Skip("multi-second concurrency soak skipped in -short mode")
 	}
 	const n = 8
-	_, ts := newTestServer(t, Config{Workers: n})
+	// Every build holds at its first oracle query until all eight are in
+	// flight, so the overlap does not depend on how long a build takes.
+	release := make(chan struct{})
+	_, ts := newTestServer(t, Config{Workers: n, Chaos: func(site string) {
+		if site == core.ChaosSiteOracle {
+			<-release
+		}
+	}})
 
-	// Distinct seeds make distinct graphs, so no dedup or caching. Each
-	// build costs ~500ms of CPU: even on one core, the first job cannot
-	// finish before the last is submitted and dequeued, so all eight must
-	// overlap regardless of scheduling.
+	// Distinct seeds make distinct graphs, so no dedup or caching.
 	ids := make([]string, n)
 	for i := range ids {
-		sub := submitJob(t, ts, JobSpec{
-			Generator: &GeneratorSpec{Name: "random", N: 300, M: 12000, Seed: int64(100 + i)},
-			Stretch:   3,
-			Faults:    3,
-		})
-		ids[i] = sub.ID
+		ids[i] = submitJob(t, ts, smallSpec(int64(100+i))).ID
 	}
+	deadline := time.Now().Add(60 * time.Second)
+	for getMetrics(t, ts).BuildsInFlight != n {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("builds_in_flight never reached %d", n)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(release)
 	for _, id := range ids {
 		waitState(t, ts, id, StateDone)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/ftspanner/ftspanner/internal/graph"
-	"github.com/ftspanner/ftspanner/internal/pq"
 )
 
 // bidi holds the Solver's backward-search state, allocated on first use of
@@ -15,7 +14,7 @@ import (
 // bidirectional run (the winning path is spliced into the forward parent
 // chain).
 type bidi struct {
-	heap    *pq.Heap
+	queue   radixQueue
 	dist    []float64
 	parent  []int
 	settled []bool
@@ -26,7 +25,6 @@ func (s *Solver) ensureBidi() {
 	n := len(s.dist)
 	if s.b == nil {
 		s.b = &bidi{
-			heap:    pq.New(n),
 			dist:    make([]float64, n),
 			parent:  make([]int, n),
 			settled: make([]bool, n),
@@ -53,7 +51,6 @@ func (s *Solver) ensureBidi() {
 	copy(parent, s.b.parent)
 	copy(settled, s.b.settled)
 	s.b.dist, s.b.parent, s.b.settled = dist, parent, settled
-	s.b.heap.Grow(n)
 }
 
 func (b *bidi) reset() {
@@ -63,7 +60,7 @@ func (b *bidi) reset() {
 		b.settled[v] = false
 	}
 	b.touched = b.touched[:0]
-	b.heap.Reset()
+	b.queue.reset()
 }
 
 // RunReachBidi answers the same bounded reachability question as RunReach —
@@ -120,8 +117,8 @@ func (s *Solver) RunReachBidi(g *graph.Graph, src, target int, opts Options) err
 	distB, parentB, settledB := b.dist, b.parent, b.settled
 	distB[target] = 0
 	b.touched = append(b.touched, target)
-	s.heap.Push(src, 0)
-	b.heap.Push(target, 0)
+	s.queue.push(src, 0)
+	b.queue.push(target, 0)
 
 	fvw := opts.ForbiddenVertices.Words()
 	few := opts.ForbiddenEdges.Words()
@@ -140,14 +137,10 @@ func (s *Solver) RunReachBidi(g *graph.Graph, src, target int, opts Options) err
 	meet := -1
 
 	for meet < 0 || mu > bound {
-		topF, topB := math.Inf(1), math.Inf(1)
-		if s.heap.Len() > 0 {
-			_, topF = s.heap.PeekMin()
-		}
-		if b.heap.Len() > 0 {
-			_, topB = b.heap.PeekMin()
-		}
-		if s.heap.Len() == 0 && b.heap.Len() == 0 {
+		// Each frontier's next key is its first live queue entry (+Inf
+		// once its half of the ball is exhausted).
+		topF, topB := s.queue.minLive(distF), b.queue.minLive(distB)
+		if math.IsInf(topF, 1) && math.IsInf(topB, 1) {
 			return nil // both balls exhausted: unreached within bound
 		}
 		if topF+topB > bound {
@@ -160,7 +153,7 @@ func (s *Solver) RunReachBidi(g *graph.Graph, src, target int, opts Options) err
 		}
 		if topF <= topB {
 			// Expand forward.
-			u, d := s.heap.PopMin()
+			u, d, _ := s.queue.popLive(distF)
 			settledF[u] = true
 			if !math.IsInf(distB[u], 1) {
 				if c := d + distB[u]; c < mu {
@@ -194,12 +187,12 @@ func (s *Solver) RunReachBidi(g *graph.Graph, src, target int, opts Options) err
 						mu, meet = c, v
 					}
 				}
-				s.heap.Push(v, nd)
+				s.queue.push(v, nd)
 			}
 		} else {
 			// Expand backward (the graph is undirected, so the same arcs
 			// serve both directions).
-			u, d := b.heap.PopMin()
+			u, d, _ := b.queue.popLive(distB)
 			settledB[u] = true
 			if !math.IsInf(distF[u], 1) {
 				if c := d + distF[u]; c < mu {
@@ -233,7 +226,7 @@ func (s *Solver) RunReachBidi(g *graph.Graph, src, target int, opts Options) err
 						mu, meet = c, v
 					}
 				}
-				b.heap.Push(v, nd)
+				b.queue.push(v, nd)
 			}
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // FuzzReachBidiDifferential derives a random bounded-reachability query from
 // the fuzzed parameters and cross-checks RunReachBidi against RunReach,
 // including full validation of the bidirectional path (simplicity, masks,
-// bound). Seed corpus lives in testdata/fuzz/FuzzReachBidiDifferential;
+// bound), then holds every engine to the BellmanFord reference. Seed corpus lives in testdata/fuzz/FuzzReachBidiDifferential;
 // `go test` replays it on every run, and
 // `go test -fuzz=FuzzReachBidiDifferential ./internal/sssp` explores further.
 func FuzzReachBidiDifferential(f *testing.F) {
@@ -45,5 +45,6 @@ func FuzzReachBidiDifferential(f *testing.F) {
 		// boundRaw 0 means unbounded; otherwise spread over (0, ~13].
 		bound := float64(boundRaw%1024) / 80
 		checkBidiAgainstReach(t, g, u, v, fv, fe, bound)
+		checkReachAgainstReference(t, g, u, v, Options{ForbiddenVertices: fv, ForbiddenEdges: fe, Bound: bound}, false)
 	})
 }

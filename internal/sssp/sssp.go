@@ -3,6 +3,14 @@
 // needs: forbidden-vertex and forbidden-edge masks (so callers never
 // materialize G \ F), distance bounds with early exit, and a reusable Solver
 // that performs no per-query allocation.
+//
+// Every search runs on one monotone radix queue (queue.go) keyed on the
+// IEEE-754 bits of the non-negative distances, with lazy deletion instead of
+// decrease-key: Dijkstra never inserts below the last extracted key, so no
+// comparison heap is needed, and on unit weights the queue reduces to BFS
+// layers. Ties settle in the queue's order, so which of several equally
+// short paths a search returns is an implementation detail; every caller's
+// contract is stated in terms of path weight, never of which path.
 package sssp
 
 import (
@@ -12,7 +20,6 @@ import (
 
 	"github.com/ftspanner/ftspanner/internal/bitset"
 	"github.com/ftspanner/ftspanner/internal/graph"
-	"github.com/ftspanner/ftspanner/internal/pq"
 )
 
 // Options configures a shortest-path run. The zero value means: no forbidden
@@ -44,7 +51,7 @@ type Options struct {
 // reusing all internal state between runs. It is not safe for concurrent
 // use; create one Solver per goroutine.
 type Solver struct {
-	heap       *pq.Heap
+	queue      radixQueue
 	dist       []float64
 	parentEdge []int
 	settled    []bool
@@ -58,7 +65,6 @@ type Solver struct {
 // NewSolver returns a Solver for graphs with up to n vertices.
 func NewSolver(n int) *Solver {
 	s := &Solver{
-		heap:       pq.New(n),
 		dist:       make([]float64, n),
 		parentEdge: make([]int, n),
 		settled:    make([]bool, n),
@@ -94,7 +100,6 @@ func (s *Solver) Ensure(n int) {
 	copy(parentEdge, s.parentEdge)
 	copy(settled, s.settled)
 	s.dist, s.parentEdge, s.settled = dist, parentEdge, settled
-	s.heap.Grow(n)
 	if s.b != nil {
 		s.ensureBidi()
 	}
@@ -164,11 +169,11 @@ func (s *Solver) run(g *graph.Graph, src, target int, reach bool, opts Options) 
 	dist, settled, parentEdge := s.dist, s.settled, s.parentEdge
 	dist[src] = 0
 	s.touched = append(s.touched, src)
-	s.heap.Push(src, 0)
+	s.queue.push(src, 0)
 
-	for s.heap.Len() > 0 {
-		u, d := s.heap.PopMin()
-		if d > bound {
+	for {
+		u, d, ok := s.queue.popLive(dist)
+		if !ok {
 			break
 		}
 		settled[u] = true
@@ -206,7 +211,7 @@ func (s *Solver) run(g *graph.Graph, src, target int, reach bool, opts Options) 
 					settled[v] = true
 					return nil
 				}
-				s.heap.Push(v, nd)
+				s.queue.push(v, nd)
 			}
 		}
 	}
@@ -296,7 +301,7 @@ func (s *Solver) reset() {
 		s.settled[v] = false
 	}
 	s.touched = s.touched[:0]
-	s.heap.Reset()
+	s.queue.reset()
 }
 
 func reverse(a []int) {
@@ -306,9 +311,9 @@ func reverse(a []int) {
 }
 
 // solverPool recycles Solvers for the convenience wrappers below. The
-// wrappers used to construct a fresh Solver (four slices and a heap) per
-// call, which made them quadratic-ish in hot loops — e.g. a verifier
-// calling AllDists once per source. Pooled solvers grow monotonically via
+// wrappers used to construct a fresh Solver (four slices and a priority
+// queue) per call, which made them quadratic-ish in hot loops — e.g. a
+// verifier calling AllDists once per source. Pooled solvers grow monotonically via
 // Ensure, so a pool hit for a smaller graph reuses the bigger allocation.
 var solverPool = sync.Pool{New: func() any { return NewSolver(0) }}
 
