@@ -8,7 +8,7 @@
 //
 //	ftserve [-addr :8437] [-workers 4] [-queue 64] [-queue-caps high=32,normal=48,low=16]
 //	        [-cache 128] [-store-dir DIR] [-store-max-bytes 268435456]
-//	        [-max-body 8388608] [-retention 15m] [-trace-retention 0]
+//	        [-max-body 8388608] [-retention 15m]
 //	        [-session-retention 30m] [-max-sessions 64]
 //	        [-wait-budget 0] [-drain-timeout 30s] [-pprof addr]
 //	        [-peers host:port,...] [-self host:port] [-cluster-poll 1s] [-sync-interval 30s]
@@ -122,8 +122,6 @@ func parseArgs(args []string) (options, error) {
 	fs.Int64Var(&opts.cfg.MaxBodyBytes, "max-body", 8<<20, "request body size limit in bytes")
 	fs.DurationVar(&opts.cfg.JobRetention, "retention", 15*time.Minute,
 		"how long finished jobs stay addressable before eviction (0 for the default, negative to keep forever)")
-	fs.DurationVar(&opts.cfg.TraceRetention, "trace-retention", 0,
-		"how long finished jobs' lifecycle traces stay readable at /v1/jobs/{id}/trace (0 matches -retention, negative never drops early)")
 	fs.DurationVar(&opts.cfg.SessionRetention, "session-retention", 0,
 		"how long an idle live session stays open before eviction (0 for the 30m default, negative to keep forever)")
 	fs.IntVar(&opts.cfg.MaxSessions, "max-sessions", 0,
@@ -333,8 +331,11 @@ func run(opts options) int {
 		log.Printf("ftserve: drained cleanly")
 	}
 
-	// Every job is terminal now, so open responses flush quickly; cut any
-	// connection that lingers past the grace rather than wait forever.
+	// Every job is terminal now, and closing the service ends each live
+	// session with a "server closed" event, so every open event stream has
+	// its terminal event and flushes quickly; cut any connection that
+	// lingers past the grace rather than wait forever.
+	svc.Close()
 	shutCtx, cancelShut := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancelShut()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {

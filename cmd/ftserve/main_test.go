@@ -19,7 +19,7 @@ func TestParseArgsDefaults(t *testing.T) {
 	if opts.cfg.Workers != 4 || opts.cfg.QueueDepth != 64 || opts.cfg.CacheEntries != 128 || opts.cfg.MaxBodyBytes != 8<<20 {
 		t.Errorf("default config %+v", opts.cfg)
 	}
-	if opts.cfg.TraceRetention != 0 || opts.cfg.WaitBudget != 0 {
+	if opts.cfg.WaitBudget != 0 {
 		t.Errorf("default observability config %+v", opts.cfg)
 	}
 	if opts.drainTimeout != 30*time.Second {
@@ -32,12 +32,12 @@ func TestParseArgsDefaults(t *testing.T) {
 
 func TestParseArgsObservabilityFlags(t *testing.T) {
 	opts, err := parseArgs([]string{
-		"-trace-retention", "5m", "-wait-budget", "250ms", "-drain-timeout", "90s",
+		"-wait-budget", "250ms", "-drain-timeout", "90s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.cfg.TraceRetention != 5*time.Minute || opts.cfg.WaitBudget != 250*time.Millisecond {
+	if opts.cfg.WaitBudget != 250*time.Millisecond {
 		t.Errorf("parsed observability config %+v", opts.cfg)
 	}
 	if opts.drainTimeout != 90*time.Second {

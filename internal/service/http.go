@@ -249,40 +249,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	from := 0
-	shutdown := s.ctx.Done()
-	for {
-		evs, updated, terminal := job.eventsSince(from)
-		for _, e := range evs {
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-		}
-		from += len(evs)
-		if fl != nil {
-			fl.Flush()
-		}
-		if terminal {
-			return
-		}
-		select {
-		case <-updated:
-		case <-r.Context().Done():
-			return
-		case <-shutdown:
-			// Close cancels s.ctx before the running build records its
-			// terminal event, but it always records one (cancelled, or
-			// done if the build won the race), and queued jobs are
-			// cancelled too. Keep following the job until that event so a
-			// streaming client never loses it to the shutdown; the client
-			// hanging up still ends the stream.
-			shutdown = nil
-		}
-	}
+	follow(w, r, &job.log)
 }
 
 // cancelResponse answers DELETE /v1/jobs/{id}.
@@ -387,20 +354,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace answers GET /v1/jobs/{id}/trace with the job's lifecycle span
-// tree. A job whose trace aged out (TraceRetention < JobRetention) answers
-// 404 while its status endpoint still works.
+// tree, readable exactly as long as the job.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.job(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
-	snap := job.traceSnapshot()
-	if snap == nil {
-		writeError(w, http.StatusNotFound, "no trace for job %q (expired)", job.id)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
+	writeJSON(w, http.StatusOK, job.trace.Snapshot())
 }
 
 // healthResponse answers GET /healthz.

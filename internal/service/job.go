@@ -145,24 +145,26 @@ type Job struct {
 	// scanned edges.
 	progressEvery int
 
-	mu      sync.Mutex
-	state   State
-	events  []Event
-	updated chan struct{} // closed and replaced on every event append
-	cancel  context.CancelFunc
-	result  *buildResult
-	err     error
-	cached  bool
+	// log is the job's event stream; retention is set when the job turns
+	// terminal and starts the job's retention window.
+	log       eventLog[Event]
+	retention retentionClock
+
+	mu     sync.Mutex
+	state  State
+	cancel context.CancelFunc
+	result *buildResult
+	err    error
+	cached bool
 	// fromStore marks a cache hit served from the durable disk tier rather
 	// than the in-memory LRU.
 	fromStore bool
-	doneAt    time.Time     // when the job entered a terminal state; GC clock
 	done      chan struct{} // closed on entering a terminal state
 
 	// trace is the job's lifecycle trace (submit → queue-wait → build →
-	// persist). Nil after the janitor drops it (trace retention can be
-	// shorter than job retention) — handlers must tolerate that. The Trace
-	// has its own lock; the span handles below are written under j.mu.
+	// persist). It is set before the job is published and lives exactly as
+	// long as the job. The Trace has its own lock; the span handles below
+	// are written under j.mu.
 	trace     *obs.Trace
 	queueSpan obs.Span
 	buildSpan obs.Span
@@ -192,27 +194,6 @@ func (j *Job) startTrace(cached, fromStore bool) {
 	root.End()
 }
 
-// traceSnapshot returns the job's trace, or nil when it was never started or
-// already dropped by the janitor.
-func (j *Job) traceSnapshot() *obs.TraceSnapshot {
-	j.mu.Lock()
-	tr := j.trace
-	j.mu.Unlock()
-	if tr == nil {
-		return nil
-	}
-	snap := tr.Snapshot()
-	return &snap
-}
-
-// dropTrace releases the job's trace (retention sweep).
-func (j *Job) dropTrace() {
-	j.mu.Lock()
-	j.trace = nil
-	j.queueSpan, j.buildSpan = obs.Span{}, obs.Span{}
-	j.mu.Unlock()
-}
-
 func newJob(id string, key CacheKey, spec JobSpec, g *graph.Graph) *Job {
 	every := 1
 	if g != nil {
@@ -229,23 +210,13 @@ func newJob(id string, key CacheKey, spec JobSpec, g *graph.Graph) *Job {
 		enqueuedAt:    time.Now(),
 		progressEvery: every,
 		state:         StateQueued,
-		updated:       make(chan struct{}),
 		done:          make(chan struct{}),
 	}
 	if spec.DeadlineMs > 0 {
 		j.deadline = j.enqueuedAt.Add(time.Duration(spec.DeadlineMs) * time.Millisecond)
 	}
-	j.appendEventLocked(Event{State: StateQueued})
+	j.log.append(Event{State: StateQueued}, false)
 	return j
-}
-
-// appendEventLocked stamps and appends e and wakes event streamers. The
-// caller holds j.mu (or, in newJob, exclusive ownership).
-func (j *Job) appendEventLocked(e Event) {
-	e.Seq = len(j.events)
-	j.events = append(j.events, e)
-	close(j.updated)
-	j.updated = make(chan struct{})
 }
 
 // setStateLocked transitions the job and records the transition as an
@@ -253,11 +224,21 @@ func (j *Job) appendEventLocked(e Event) {
 func (j *Job) setStateLocked(s State, e Event) {
 	j.state = s
 	e.State = s
-	j.appendEventLocked(e)
+	j.log.append(e, s.Terminal())
 	if s.Terminal() {
-		j.doneAt = time.Now()
+		j.retention.touch()
 		close(j.done)
 	}
+}
+
+// cancelQueuedLocked ends a job that no worker has picked up as cancelled,
+// with reason as the event's error. The caller holds j.mu.
+func (j *Job) cancelQueuedLocked(reason string) {
+	j.setStateLocked(StateCancelled, Event{Error: reason})
+	j.queueSpan.End()
+	root := j.trace.Root()
+	root.SetAttr("cancelled", 1)
+	root.End()
 }
 
 // progress records a throttled running-state event; it is the core.Options
@@ -269,18 +250,7 @@ func (j *Job) progress(scanned, kept int) {
 	}
 	j.mu.Lock()
 	if j.state == StateRunning {
-		j.appendEventLocked(Event{State: StateRunning, Scanned: scanned, Kept: kept})
+		j.log.append(Event{State: StateRunning, Scanned: scanned, Kept: kept}, false)
 	}
 	j.mu.Unlock()
-}
-
-// eventsSince returns a copy of the events from index from on, a channel
-// that is closed when more arrive, and whether the job is terminal.
-func (j *Job) eventsSince(from int) (evs []Event, updated <-chan struct{}, terminal bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if from < len(j.events) {
-		evs = append([]Event(nil), j.events[from:]...)
-	}
-	return evs, j.updated, j.state.Terminal()
 }

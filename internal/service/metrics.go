@@ -34,7 +34,7 @@ type metrics struct {
 
 	// Graph-session counters (session.go).
 	sessionsCreated       atomic.Int64 // sessions created
-	sessionsClosed        atomic.Int64 // sessions closed by DELETE
+	sessionsClosed        atomic.Int64 // sessions closed by DELETE or server Close
 	sessionsEvicted       atomic.Int64 // idle sessions closed by the retention janitor
 	sessionsSeeded        atomic.Int64 // sessions whose engine seeded from the result cache
 	sessionDeltaBatches   atomic.Int64 // applied delta batches

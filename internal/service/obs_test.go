@@ -148,31 +148,32 @@ func TestTraceCachedJob(t *testing.T) {
 	}
 }
 
-// TestTraceRetention checks traces age out independently of their jobs: with
-// TraceRetention far below JobRetention, a sweep drops the trace (404) while
-// the job status stays addressable.
-func TestTraceRetention(t *testing.T) {
-	srv, ts := newTestServer(t, Config{
-		Workers:        1,
-		JobRetention:   24 * time.Hour,
-		TraceRetention: time.Millisecond,
-	})
+// TestTraceLivesWithJob checks a job's trace is readable exactly as long
+// as the job: a sweep that spares the job spares its trace, and the sweep
+// that evicts the job takes the trace with it.
+func TestTraceLivesWithJob(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, JobRetention: time.Hour})
 	sub := submitJob(t, ts, smallSpec(41))
 	waitState(t, ts, sub.ID, StateDone)
-	if _, code := getTrace(t, ts, sub.ID); code != http.StatusOK {
-		t.Fatalf("fresh trace returned %d", code)
-	}
 
-	// One hour from now: trace retention (1ms) has lapsed, job retention
-	// (24h) has not.
-	if n := srv.sweepExpired(time.Now().Add(time.Hour)); n != 0 {
-		t.Fatalf("sweep evicted %d jobs, want 0", n)
+	if n := srv.sweepExpired(time.Now().Add(time.Minute)); n != 0 {
+		t.Fatalf("sweep inside retention evicted %d jobs, want 0", n)
 	}
-	if _, code := getTrace(t, ts, sub.ID); code != http.StatusNotFound {
-		t.Fatalf("trace after retention returned %d, want 404", code)
+	if _, code := getTrace(t, ts, sub.ID); code != http.StatusOK {
+		t.Fatalf("trace of a retained job returned %d, want 200", code)
 	}
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+sub.ID, nil, nil); code != http.StatusOK {
-		t.Fatalf("job status after trace drop returned %d, want 200", code)
+		t.Fatalf("status of a retained job returned %d, want 200", code)
+	}
+
+	if n := srv.sweepExpired(time.Now().Add(2 * time.Hour)); n != 1 {
+		t.Fatalf("sweep past retention evicted %d jobs, want 1", n)
+	}
+	if _, code := getTrace(t, ts, sub.ID); code != http.StatusNotFound {
+		t.Fatalf("trace of an evicted job returned %d, want 404", code)
+	}
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+sub.ID, nil, nil); code != http.StatusNotFound {
+		t.Fatalf("status of an evicted job returned %d, want 404", code)
 	}
 }
 

@@ -124,7 +124,7 @@ func doneAtOf(t *testing.T, srv *Server, id string) time.Time {
 	if !job.state.Terminal() {
 		t.Fatalf("job %s is %s, not terminal", id, job.state)
 	}
-	return job.doneAt
+	return time.Unix(0, job.retention.ns.Load())
 }
 
 // prioritySpec is smallSpec with a distinct seed and a priority class.

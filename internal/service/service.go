@@ -12,6 +12,7 @@
 //	GET    /v1/jobs/{id}          job status and instrumentation
 //	GET    /v1/jobs/{id}/spanner  the built spanner and kept-edge IDs
 //	GET    /v1/jobs/{id}/events   NDJSON progress stream
+//	GET    /v1/jobs/{id}/trace    the job's lifecycle span tree
 //	DELETE /v1/jobs/{id}          cancel a queued or running job
 //	POST   /v1/verify             random-fault check of a completed job
 //	POST   /v1/sessions           create a live graph session
@@ -21,10 +22,13 @@
 //	GET    /v1/sessions/{id}/events  NDJSON kept-edge delta stream
 //	DELETE /v1/sessions/{id}         close a session
 //	GET    /metrics               queue, cache, store, and build counters
+//	GET    /healthz               liveness and readiness probe
+//	GET    /v1/cluster/summary        the replica's load as the fleet router sees it
+//	GET    /v1/cluster/records        the store's record listing, for anti-entropy
+//	GET    /v1/cluster/records/{name} one raw store record
 //
-// The package is the architectural seam for scaling the repository into a
-// serving system: sharding, batching, and alternative backends all plug in
-// behind the same job API.
+// Both event streams end on their entity's terminal event, also at server
+// shutdown, and both logs keep the last 256 events.
 package service
 
 import (
@@ -79,14 +83,6 @@ type Config struct {
 	// result cache, so an evicted job's spanner is still one resubmission
 	// away.
 	JobRetention time.Duration
-	// TraceRetention bounds how long a terminal job's lifecycle trace stays
-	// readable at GET /v1/jobs/{id}/trace. Traces are the largest per-job
-	// in-memory artifact, so they may be dropped before the job itself: the
-	// janitor frees traces past this age while the job (status, stats)
-	// remains addressable until JobRetention lapses. Zero selects
-	// JobRetention (trace lives exactly as long as its job); negative
-	// disables early dropping.
-	TraceRetention time.Duration
 	// WaitBudget enables latency-based load shedding: when a priority
 	// class's recent p90 queue wait — or its current head-of-line age —
 	// exceeds this budget, new submissions to the class are refused with
@@ -146,9 +142,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.StoreMaxBytes == 0 {
 		c.StoreMaxBytes = defaultStoreMaxBytes
-	}
-	if c.TraceRetention == 0 {
-		c.TraceRetention = c.JobRetention
 	}
 	if c.SessionRetention == 0 {
 		c.SessionRetention = defaultSessionRetention
@@ -254,86 +247,19 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if cfg.JobRetention > 0 || cfg.TraceRetention > 0 || cfg.SessionRetention > 0 {
+	if cfg.JobRetention > 0 || cfg.SessionRetention > 0 {
 		s.wg.Add(1)
 		go s.janitor()
 	}
 	return s, nil
 }
 
-// janitor periodically evicts terminal jobs older than JobRetention, drops
-// traces older than TraceRetention, and closes graph sessions idle past
-// SessionRetention.
-func (s *Server) janitor() {
-	defer s.wg.Done()
-	ret := s.cfg.JobRetention
-	if s.cfg.TraceRetention > 0 && (ret <= 0 || s.cfg.TraceRetention < ret) {
-		ret = s.cfg.TraceRetention
-	}
-	if s.cfg.SessionRetention > 0 && (ret <= 0 || s.cfg.SessionRetention < ret) {
-		ret = s.cfg.SessionRetention
-	}
-	interval := ret / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	if interval > time.Minute {
-		interval = time.Minute
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-t.C:
-			now := time.Now()
-			s.sweepExpired(now)
-			s.sweepSessions(now)
-		}
-	}
-}
-
-// sweepExpired removes terminal jobs whose retention lapsed before now and
-// returns how many were evicted. Queued and running jobs are never touched.
-// Traces age out separately: a terminal job older than TraceRetention loses
-// its trace (the bulkiest per-job artifact) while the job itself stays
-// addressable until JobRetention lapses.
-func (s *Server) sweepExpired(now time.Time) int {
-	cutoff := now.Add(-s.cfg.JobRetention)
-	traceCutoff := now.Add(-s.cfg.TraceRetention)
-	evicted := 0
-	var dropTraces []*Job
-	s.mu.Lock()
-	for id, j := range s.jobs {
-		j.mu.Lock()
-		terminal := j.state.Terminal() && !j.doneAt.IsZero()
-		expired := s.cfg.JobRetention > 0 && terminal && j.doneAt.Before(cutoff)
-		stale := s.cfg.TraceRetention > 0 && terminal && j.trace != nil && j.doneAt.Before(traceCutoff)
-		j.mu.Unlock()
-		if expired {
-			delete(s.jobs, id)
-			evicted++
-		} else if stale {
-			dropTraces = append(dropTraces, j)
-		}
-	}
-	s.mu.Unlock()
-	for _, j := range dropTraces {
-		j.dropTrace()
-	}
-	if evicted > 0 {
-		s.met.jobsEvicted.Add(int64(evicted))
-	}
-	return evicted
-}
-
-// Close cancels every in-flight build, waits for the workers to exit, writes
-// each live session's final result to the durable store, and releases the
-// store. Persisted results stay on disk for the next Server over the same
-// directory. Close is idempotent, and safe against
-// concurrent submissions: admissions stop first, then the pool drains, then
-// any job that slipped into the queue is cancelled so no client waits on it
+// Close cancels every in-flight build, waits for the workers to exit, closes
+// each live session (writing its final result to the durable store), and
+// releases the store. Persisted results stay on disk for the next Server
+// over the same directory. Close is idempotent, and safe against concurrent
+// submissions: admissions stop first, then the pool drains, then any job
+// that slipped into the queue is cancelled so no client waits on it
 // forever.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
@@ -341,8 +267,8 @@ func (s *Server) Close() {
 		s.cancel()
 		s.wg.Wait()
 		s.cancelQueued("server closed")
+		s.closeSessions("server closed", func(*Session) bool { return true })
 		if s.store != nil {
-			s.persistSessions()
 			s.store.Close()
 		}
 	})
@@ -379,15 +305,8 @@ func (s *Server) cancelQueued(reason string) {
 			job.mu.Unlock()
 			continue
 		}
-		job.setStateLocked(StateCancelled, Event{Error: reason})
-		job.queueSpan.End()
-		tr := job.trace
+		job.cancelQueuedLocked(reason)
 		job.mu.Unlock()
-		if tr != nil {
-			root := tr.Root()
-			root.SetAttr("cancelled", 1)
-			root.End()
-		}
 		s.dropActive(job)
 		s.met.jobsCancelled.Add(1)
 	}
@@ -542,7 +461,6 @@ func (s *Server) finish(job *Job, res *buildResult, err error) {
 		return
 	}
 	job.buildSpan.End()
-	tr := job.trace
 	var buildDur time.Duration
 	if !job.startedAt.IsZero() {
 		buildDur = time.Since(job.startedAt)
@@ -591,7 +509,7 @@ func (s *Server) finish(job *Job, res *buildResult, err error) {
 		s.lat.build.Record(buildDur)
 		s.cache.Put(job.key, res)
 		pstart := time.Now()
-		ps := tr.Root().StartSpan("persist")
+		ps := job.trace.Root().StartSpan("persist")
 		s.storePut(job.key, res)
 		ps.End()
 		if s.store != nil {
@@ -609,14 +527,12 @@ func (s *Server) finish(job *Job, res *buildResult, err error) {
 		s.met.jobsFailed.Add(1)
 		if pe != nil {
 			s.met.panics.Add(1)
-			if tr != nil {
-				// Attr values are int64-only, so the panic text rides in the
-				// event name.
-				tr.Root().Event(pe.Error())
-			}
+			// Attr values are int64-only, so the panic text rides in the
+			// event name.
+			job.trace.Root().Event(pe.Error())
 		}
 	}
-	tr.Root().End()
+	job.trace.Root().End()
 	s.dropActive(job)
 }
 
@@ -863,15 +779,8 @@ func (s *Server) cancelJob(job *Job) State {
 	job.mu.Lock()
 	switch job.state {
 	case StateQueued:
-		job.setStateLocked(StateCancelled, Event{})
-		job.queueSpan.End()
-		tr := job.trace
+		job.cancelQueuedLocked("")
 		job.mu.Unlock()
-		if tr != nil {
-			root := tr.Root()
-			root.SetAttr("cancelled", 1)
-			root.End()
-		}
 		s.unqueue(job)
 		s.dropActive(job)
 		s.met.jobsCancelled.Add(1)

@@ -37,11 +37,6 @@ import (
 // maxSessionDeltaOps bounds one delta request's operation count.
 const maxSessionDeltaOps = 4096
 
-// maxSessionEvents bounds the in-memory per-session event log; older events
-// are trimmed and a streamer that fell that far behind resumes from the
-// oldest retained event.
-const maxSessionEvents = 256
-
 const (
 	defaultSessionRetention = 30 * time.Minute
 	defaultMaxSessions      = 64
@@ -128,9 +123,13 @@ type SessionEvent struct {
 	KeptRemoved []SessionEdge `json:"kept_removed,omitempty"`
 	// Digest is the materialized current graph's content digest.
 	Digest string `json:"digest,omitempty"`
-	// Reason annotates "closed" events ("deleted", "retention expired").
+	// Reason annotates "closed" events ("deleted", "retention expired",
+	// "server closed").
 	Reason string `json:"reason,omitempty"`
 }
+
+// reasonExpired closes a session the retention sweep found idle.
+const reasonExpired = "retention expired"
 
 // Session is one live graph session.
 type Session struct {
@@ -138,67 +137,20 @@ type Session struct {
 	spec      SessionSpec
 	createdAt time.Time
 
+	// log is the session's event stream; retention is touched on every use
+	// and closes the session once it has been idle too long.
+	log       eventLog[SessionEvent]
+	retention retentionClock
+
 	mu      sync.Mutex
 	eng     *core.Incremental
 	batches int
 	digest  string // materialized digest after the last successful batch
 	// result is the current graph's greedy result as last published (the
-	// spanner endpoint serves it); persisted marks it written to the store.
-	result    *buildResult
-	persisted bool
-	seeded    bool // engine seeded from the result cache at create
-	closed    bool
-	// events is the bounded event log; baseSeq is events[0]'s sequence
-	// number once trimming starts.
-	events  []SessionEvent
-	baseSeq int
-	updated chan struct{} // closed and replaced on every append
-	// lastUsed is the session GC clock, touched by every handler.
-	lastUsed time.Time
-}
-
-// appendEventLocked stamps and appends e, trims the log to its bound, and
-// wakes streamers. Caller holds s.mu.
-func (s *Session) appendEventLocked(e SessionEvent) {
-	e.Seq = s.baseSeq + len(s.events)
-	s.events = append(s.events, e)
-	if over := len(s.events) - maxSessionEvents; over > 0 {
-		s.events = append(s.events[:0:0], s.events[over:]...)
-		s.baseSeq += over
-	}
-	close(s.updated)
-	s.updated = make(chan struct{})
-}
-
-// eventsSince returns a copy of the events with sequence >= from (clamped to
-// the oldest retained event), a channel closed on the next append, and
-// whether the session is closed.
-func (s *Session) eventsSince(from int) (evs []SessionEvent, updated <-chan struct{}, closed bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if from < s.baseSeq {
-		from = s.baseSeq
-	}
-	if i := from - s.baseSeq; i < len(s.events) {
-		evs = append([]SessionEvent(nil), s.events[i:]...)
-	}
-	return evs, s.updated, s.closed
-}
-
-// closeLocked marks the session closed and emits the terminal event. Caller
-// holds s.mu.
-func (s *Session) closeLocked(reason string) {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.appendEventLocked(SessionEvent{
-		Type:      "closed",
-		LiveEdges: s.eng.NumLiveEdges(),
-		Kept:      s.eng.KeptCount(),
-		Digest:    s.digest,
-		Reason:    reason,
-	})
+	// spanner endpoint serves it, and closeSession persists it).
+	result *buildResult
+	seeded bool // engine seeded from the result cache at create
+	closed bool
 }
 
 // sessionEdges converts engine edges to the response shape.
@@ -269,8 +221,8 @@ func sessionCacheKey(spec SessionSpec, digest string) CacheKey {
 }
 
 // publishSession makes the engine's current result the session's published
-// one: it is what the spanner endpoint serves and what persistSession
-// writes, and unless the session is NoCache it goes into the memory cache
+// one: it is what the spanner endpoint serves and what closeSession
+// persists, and unless the session is NoCache it goes into the memory cache
 // tier under its evolving digest. Caller holds sess.mu.
 func (s *Server) publishSession(sess *Session) error {
 	mat, kept, err := sess.eng.Current()
@@ -284,7 +236,7 @@ func (s *Server) publishSession(sess *Session) error {
 	}
 	res := &buildResult{input: mat, spanner: spanner, kept: kept}
 	res.stats.EdgesScanned = mat.NumEdges()
-	sess.digest, sess.result, sess.persisted = mat.Digest(), res, false
+	sess.digest, sess.result = mat.Digest(), res
 	if !sess.spec.NoCache {
 		s.cache.Put(sessionCacheKey(sess.spec, sess.digest), res)
 		s.met.sessionCachePuts.Add(1)
@@ -292,25 +244,17 @@ func (s *Server) publishSession(sess *Session) error {
 	return nil
 }
 
-// persistSession writes the session's published result to the disk tier,
-// once per result. It runs when a session leaves service (delete, eviction,
-// server close), without sess.mu held: the write is disk I/O.
-func (s *Server) persistSession(sess *Session) {
-	if s.store == nil || sess.spec.NoCache {
-		return
-	}
-	sess.mu.Lock()
-	res, digest, done := sess.result, sess.digest, sess.persisted
-	sess.persisted = true
-	sess.mu.Unlock()
-	if res != nil && !done {
-		s.storePut(sessionCacheKey(sess.spec, digest), res)
-	}
-}
-
 // createSession builds the engine (seeding from the result cache when the
 // initial graph's greedy result is already known) and registers the session.
 func (s *Server) createSession(spec SessionSpec) (*Session, error) {
+	// A full server refuses before paying for the decode and the build; the
+	// insert below checks again.
+	s.sessMu.Lock()
+	err := s.sessionCapErrorLocked()
+	s.sessMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	var initial *graph.Graph
 	if spec.Graph != "" {
 		g, err := graph.DecodeString(spec.Graph, maxGeneratedSize)
@@ -351,40 +295,47 @@ func (s *Server) createSession(spec SessionSpec) (*Session, error) {
 		}
 	}
 
-	sess := &Session{
-		spec:      spec,
-		createdAt: time.Now(),
-		eng:       eng,
-		seeded:    seeded,
-		updated:   make(chan struct{}),
-		lastUsed:  time.Now(),
-	}
+	// Until the insert below nothing else can see sess, so it needs no lock.
+	sess := &Session{spec: spec, createdAt: time.Now(), eng: eng, seeded: seeded}
+	sess.retention.touch()
+	_ = s.publishSession(sess) // a fresh engine needs no repair
+	sess.log.append(SessionEvent{
+		Type:      "created",
+		LiveEdges: sess.eng.NumLiveEdges(),
+		Kept:      sess.eng.KeptCount(),
+		Digest:    sess.digest,
+	}, false)
 
 	s.sessMu.Lock()
-	if max := s.maxSessions(); max > 0 && len(s.sessions) >= max {
+	// Close sets draining before it closes the live sessions under sessMu,
+	// so a session inserted here is one that Close will close.
+	if s.draining.Load() {
 		s.sessMu.Unlock()
-		return nil, &submitError{
-			status:     http.StatusTooManyRequests,
-			msg:        fmt.Sprintf("session limit reached (%d active, cap %d)", max, max),
-			retryAfter: 1,
-		}
+		return nil, s.drainError()
+	}
+	if err := s.sessionCapErrorLocked(); err != nil {
+		s.sessMu.Unlock()
+		return nil, err
 	}
 	s.nextSess++
 	sess.id = fmt.Sprintf("s%d", s.nextSess)
 	s.sessions[sess.id] = sess
 	s.met.sessionsCreated.Add(1)
 	s.sessMu.Unlock()
-
-	sess.mu.Lock()
-	_ = s.publishSession(sess) // a fresh engine needs no repair
-	sess.appendEventLocked(SessionEvent{
-		Type:      "created",
-		LiveEdges: sess.eng.NumLiveEdges(),
-		Kept:      sess.eng.KeptCount(),
-		Digest:    sess.digest,
-	})
-	sess.mu.Unlock()
 	return sess, nil
+}
+
+// sessionCapErrorLocked returns the 429 a create gets when MaxSessions
+// sessions are live, or nil. Caller holds sessMu.
+func (s *Server) sessionCapErrorLocked() error {
+	if max := s.maxSessions(); max > 0 && len(s.sessions) >= max {
+		return &submitError{
+			status:     http.StatusTooManyRequests,
+			msg:        fmt.Sprintf("session limit reached (%d active, cap %d)", max, max),
+			retryAfter: 1,
+		}
+	}
+	return nil
 }
 
 // maxSessions resolves the configured session cap (<= -1 unlimited).
@@ -398,63 +349,75 @@ func (s *Server) maxSessions() int {
 	return s.cfg.MaxSessions
 }
 
-// session looks a session up by ID and touches its GC clock.
+// session looks a session up by ID and touches its retention clock.
 func (s *Server) session(id string) (*Session, bool) {
 	s.sessMu.Lock()
 	sess, ok := s.sessions[id]
 	s.sessMu.Unlock()
 	if ok {
-		sess.mu.Lock()
-		sess.lastUsed = time.Now()
-		sess.mu.Unlock()
+		sess.retention.touch()
 	}
 	return sess, ok
 }
 
-// sweepSessions evicts sessions idle past SessionRetention, closing their
-// event streams with a "retention expired" terminal event. Returns how many
-// were evicted.
-func (s *Server) sweepSessions(now time.Time) int {
-	if s.cfg.SessionRetention <= 0 {
-		return 0
-	}
-	cutoff := now.Add(-s.cfg.SessionRetention)
-	var expired []*Session
+// closeSessions closes, with reason, the live sessions that match selects
+// and returns how many it closed. It holds sessMu only to pick them and
+// takes no session's lock to do so.
+func (s *Server) closeSessions(reason string, match func(*Session) bool) int {
+	var picked []*Session
 	s.sessMu.Lock()
-	for id, sess := range s.sessions {
-		sess.mu.Lock()
-		idle := sess.lastUsed.Before(cutoff)
-		sess.mu.Unlock()
-		if idle {
-			// Counted before the session leaves the map, so no Metrics
-			// snapshot sees it neither active nor evicted.
-			s.met.sessionsEvicted.Add(1)
-			delete(s.sessions, id)
-			expired = append(expired, sess)
+	for _, sess := range s.sessions {
+		if match(sess) {
+			picked = append(picked, sess)
 		}
 	}
 	s.sessMu.Unlock()
-	for _, sess := range expired {
-		sess.mu.Lock()
-		sess.closeLocked("retention expired")
-		sess.mu.Unlock()
-		s.persistSession(sess)
+	n := 0
+	for _, sess := range picked {
+		if s.closeSession(sess, reason) {
+			n++
+		}
 	}
-	return len(expired)
+	return n
 }
 
-// persistSessions writes every live session's published result to the
-// disk tier; Close calls it before releasing the store.
-func (s *Server) persistSessions() {
+// closeSession is a session's one exit, for DELETE, the retention sweep and
+// Close alike: it takes the session out of the map, ends its event stream
+// with a "closed" event, and writes its final result to the disk tier. Only
+// the first exit of a session does this; it reports whether it was this one.
+func (s *Server) closeSession(sess *Session, reason string) bool {
 	s.sessMu.Lock()
-	live := make([]*Session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
+	live := s.sessions[sess.id] == sess
+	if live {
+		// Counted before the session leaves the map, so no Metrics
+		// snapshot sees it neither active nor closed.
+		if reason == reasonExpired {
+			s.met.sessionsEvicted.Add(1)
+		} else {
+			s.met.sessionsClosed.Add(1)
+		}
+		delete(s.sessions, sess.id)
 	}
 	s.sessMu.Unlock()
-	for _, sess := range live {
-		s.persistSession(sess)
+	if !live {
+		return false
 	}
+	sess.mu.Lock()
+	sess.closed = true
+	sess.log.append(SessionEvent{
+		Type:      "closed",
+		LiveEdges: sess.eng.NumLiveEdges(),
+		Kept:      sess.eng.KeptCount(),
+		Digest:    sess.digest,
+		Reason:    reason,
+	}, true)
+	res, digest := sess.result, sess.digest
+	sess.mu.Unlock()
+	// The write is disk I/O, so it runs without sess.mu.
+	if res != nil && !sess.spec.NoCache {
+		s.storePut(sessionCacheKey(sess.spec, digest), res)
+	}
+	return true
 }
 
 // sessionResponse answers session create/status requests.
@@ -639,7 +602,7 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 		KeptRemoved: sessionEdges(res.KeptRemoved),
 		Digest:      sess.digest,
 	}
-	sess.appendEventLocked(ev)
+	sess.log.append(ev, false)
 	resp := sessionDeltasResponse{
 		ID:            sess.id,
 		Batch:         batchNo,
@@ -724,44 +687,7 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no session %q", r.PathValue("id"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	from := 0
-	for {
-		evs, updated, closed := sess.eventsSince(from)
-		for _, e := range evs {
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-			from = e.Seq + 1
-		}
-		if fl != nil {
-			fl.Flush()
-		}
-		if closed {
-			return
-		}
-		select {
-		case <-updated:
-		case <-r.Context().Done():
-			return
-		case <-s.ctx.Done():
-			// Deliver whatever raced in with the shutdown before closing the
-			// stream, mirroring the job events endpoint.
-			evs, _, _ := sess.eventsSince(from)
-			for _, e := range evs {
-				if err := enc.Encode(e); err != nil {
-					return
-				}
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-			return
-		}
-	}
+	follow(w, r, &sess.log)
 }
 
 // sessionDeleteResponse answers DELETE /v1/sessions/{id}.
@@ -772,20 +698,10 @@ type sessionDeleteResponse struct {
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.sessMu.Lock()
-	sess, ok := s.sessions[id]
-	if ok {
-		s.met.sessionsClosed.Add(1)
-		delete(s.sessions, id)
-	}
-	s.sessMu.Unlock()
-	if !ok {
+	sess, ok := s.session(id)
+	if !ok || !s.closeSession(sess, "deleted") {
 		writeError(w, http.StatusNotFound, "no session %q", id)
 		return
 	}
-	sess.mu.Lock()
-	sess.closeLocked("deleted")
-	sess.mu.Unlock()
-	s.persistSession(sess)
 	writeJSON(w, http.StatusOK, sessionDeleteResponse{ID: id, Closed: true})
 }

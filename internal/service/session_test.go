@@ -402,7 +402,6 @@ func TestSessionLimitAndRetention(t *testing.T) {
 		MaxSessions:      2,
 		SessionRetention: 30 * time.Millisecond,
 		JobRetention:     -1,
-		TraceRetention:   -1,
 	})
 	for i := 0; i < 2; i++ {
 		if w := postJSON(t, s, "/v1/sessions", map[string]any{"stretch": 2}); w.Code != http.StatusCreated {
@@ -664,7 +663,7 @@ func TestSessionEventLogTrim(t *testing.T) {
 	sess, _ := s.session(id)
 
 	// Flood past the bound with alternating insert/delete batches.
-	for i := 0; i < maxSessionEvents+20; i++ {
+	for i := 0; i < maxEvents+20; i++ {
 		var body map[string]any
 		if i%2 == 0 {
 			body = map[string]any{"deltas": []map[string]any{{"op": "insert", "u": 0, "v": 1, "weight": 1}}}
@@ -675,9 +674,9 @@ func TestSessionEventLogTrim(t *testing.T) {
 			t.Fatalf("batch %d = %d: %s", i, w.Code, w.Body.String())
 		}
 	}
-	evs, _, _ := sess.eventsSince(0)
-	if len(evs) != maxSessionEvents {
-		t.Fatalf("retained %d events, want %d", len(evs), maxSessionEvents)
+	evs, _, _, _ := sess.log.since(0)
+	if len(evs) != maxEvents {
+		t.Fatalf("retained %d events, want %d", len(evs), maxEvents)
 	}
 	if evs[0].Seq == 0 {
 		t.Fatal("event log never trimmed")
