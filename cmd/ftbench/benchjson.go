@@ -27,12 +27,9 @@ type componentBench struct {
 	OracleCalls   int64 `json:"oracle_calls,omitempty"`
 	WitnessHits   int64 `json:"witness_hits,omitempty"`
 	WitnessMisses int64 `json:"witness_misses,omitempty"`
-	// WitnessHitRate is hits/(hits+misses); WitnessSeed* break out the
-	// structure-aware cache's seed trials (hits included in WitnessHits).
-	WitnessHitRate   float64 `json:"witness_hit_rate,omitempty"`
-	WitnessSeedTries int64   `json:"witness_seed_tries,omitempty"`
-	WitnessSeedHits  int64   `json:"witness_seed_hits,omitempty"`
-	KeptEdges        int     `json:"kept_edges,omitempty"`
+	// WitnessHitRate is hits/(hits+misses).
+	WitnessHitRate float64 `json:"witness_hit_rate,omitempty"`
+	KeptEdges      int     `json:"kept_edges,omitempty"`
 	// Speculation instrumentation (Parallelism > 1 cases): spec_hits +
 	// spec_waste == spec_queries; rounds/requeries account how invalidated
 	// answers were resolved.
@@ -180,26 +177,24 @@ func runBenchJSON(path string, out io.Writer, parallelism int) error {
 			}
 		})
 		entry := componentBench{
-			Name:             c.name,
-			NsPerOp:          float64(br.NsPerOp()),
-			AllocsPerOp:      br.AllocsPerOp(),
-			BytesPerOp:       br.AllocedBytesPerOp(),
-			Dijkstras:        res.Stats.Dijkstras,
-			OracleCalls:      res.Stats.OracleCalls,
-			WitnessHits:      res.Stats.WitnessHits,
-			WitnessMisses:    res.Stats.WitnessMisses,
-			WitnessHitRate:   res.Stats.WitnessHitRate(),
-			WitnessSeedTries: res.Stats.WitnessSeedTries,
-			WitnessSeedHits:  res.Stats.WitnessSeedHits,
-			KeptEdges:        len(res.Kept),
-			SpecBatches:      res.Stats.SpecBatches,
-			SpecQueries:      res.Stats.SpecQueries,
-			SpecHits:         res.Stats.SpecHits,
-			SpecWaste:        res.Stats.SpecWaste,
-			SpecRounds:       res.Stats.SpecRounds,
-			SpecRequeries:    res.Stats.SpecRequeries,
-			SpecHitRate:      res.Stats.SpecHitRate(),
-			SpannerDigest:    res.Spanner.Digest(),
+			Name:           c.name,
+			NsPerOp:        float64(br.NsPerOp()),
+			AllocsPerOp:    br.AllocsPerOp(),
+			BytesPerOp:     br.AllocedBytesPerOp(),
+			Dijkstras:      res.Stats.Dijkstras,
+			OracleCalls:    res.Stats.OracleCalls,
+			WitnessHits:    res.Stats.WitnessHits,
+			WitnessMisses:  res.Stats.WitnessMisses,
+			WitnessHitRate: res.Stats.WitnessHitRate(),
+			KeptEdges:      len(res.Kept),
+			SpecBatches:    res.Stats.SpecBatches,
+			SpecQueries:    res.Stats.SpecQueries,
+			SpecHits:       res.Stats.SpecHits,
+			SpecWaste:      res.Stats.SpecWaste,
+			SpecRounds:     res.Stats.SpecRounds,
+			SpecRequeries:  res.Stats.SpecRequeries,
+			SpecHitRate:    res.Stats.SpecHitRate(),
+			SpannerDigest:  res.Spanner.Digest(),
 		}
 		if queryHist != nil {
 			s := queryHist.Summarize()

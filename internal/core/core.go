@@ -198,27 +198,18 @@ type Stats struct {
 	// sequential re-query because they were the only straggler left — a
 	// worker dispatch would cost more than the one query.
 	SpecRequeries int64
-	// WitnessSeedTries/WitnessSeedHits count the oracle's structural seed
-	// trials (singleton fault candidates read off the current path's
-	// structure) and the queries they answered; seed hits are a subset of
-	// WitnessHits.
-	WitnessSeedTries int64
-	WitnessSeedHits  int64
 	// Duration is the wall-clock time of the run.
 	Duration time.Duration
 }
 
-// SpecHitRate returns the fraction of speculative-path edges whose final
-// decision came from a speculative answer rather than a live
-// sequential re-query: SpecHits/(SpecHits+SpecRequeries), or 0 when no
-// edges went through the speculative path. Since every speculative-path
-// edge is decided exactly once, this is the parallelizable fraction of the
-// scan — the number that turns into wall-clock speedup on multi-core hosts.
-// Per-QUERY efficiency (answers used vs discarded across re-speculation
-// rounds) is SpecHits/SpecQueries, reconstructible from the counters.
+// SpecHitRate returns the share of speculative queries whose answer
+// decided an edge: SpecHits/SpecQueries, which is 1 − SpecWaste/SpecQueries,
+// or 0 when nothing was speculated. Every query discarded by a
+// re-speculation round counts against it, so the rate shows how much of
+// the speculation workers' effort was wasted.
 func (s Stats) SpecHitRate() float64 {
-	if total := s.SpecHits + s.SpecRequeries; total > 0 {
-		return float64(s.SpecHits) / float64(total)
+	if s.SpecQueries > 0 {
+		return float64(s.SpecHits) / float64(s.SpecQueries)
 	}
 	return 0
 }
@@ -315,8 +306,6 @@ func build(g *graph.Graph, opts Options, conservative bool) (*Result, error) {
 		res.Stats.Dijkstras += o.Dijkstras()
 		res.Stats.WitnessHits += o.WitnessHits()
 		res.Stats.WitnessMisses += o.WitnessMisses()
-		res.Stats.WitnessSeedTries += o.WitnessSeedTries()
-		res.Stats.WitnessSeedHits += o.WitnessSeedHits()
 	}
 	if conservative {
 		res.Stats.OracleCalls = int64(res.Stats.EdgesScanned) // one packing per edge

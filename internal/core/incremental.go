@@ -561,7 +561,7 @@ func (inc *Incremental) mergeOrder(inserted map[int]bool, deleted []graph.Edge) 
 // rewound when it exists: its H's CSR arena is truncated back to the kept
 // watermark at the divergence key (the just-deleted kept edges all sit at
 // keys >= minKey, so the truncation sheds them too) and the oracle is
-// re-aimed with Rewind, keeping its memo and scored witness cache warm.
+// re-aimed with Rewind, keeping its memo and witness cache warm.
 // Otherwise — a seeded engine's first repair, reuse disabled, or the state
 // was invalidated — the scan is built from the kept prefix exactly as a cold
 // engine would, then retained for the next batch.

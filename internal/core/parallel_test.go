@@ -241,13 +241,9 @@ func checkWitnesses(res *Result) error {
 func TestGreedyParallelMatchesAblations(t *testing.T) {
 	rng := rand.New(rand.NewSource(77077))
 	ablations := []fault.Options{
-		{DisablePruning: true, DisableMemo: true, DisableWitnessReuse: true, DisableBidi: true}, // fully naive
+		{DisablePruning: true, DisableMemo: true, DisableWitnessReuse: true}, // fully naive
 		{DisableWitnessReuse: true},
-		{DisableBidi: true},
 		{DisablePruning: true},
-		{BlindWitnessCache: true},                      // PR3-era recency LRU
-		{BlindWitnessCache: true, WitnessCacheSize: 1}, // degenerate capacity
-		{WitnessCacheSize: 16},
 	}
 	instances := 10
 	if testing.Short() {

@@ -11,22 +11,24 @@
 // exactly the "naive implementation is exponential in f" the paper's open
 // question refers to; experiment E7 measures it.
 //
-// Three optional accelerations preserve exactness:
+// Every bounded reachability test of the exact search runs the
+// bidirectional search (sssp.RunReachBidi). Three accelerations, each with
+// a switch in Options, preserve exactness:
 //
 //   - pruning: if more than f pairwise internally-disjoint short paths
 //     survive, no budget-f fault set can hit them all, so the branch fails
-//     without recursing (greedy path packing gives the disjoint paths). The
-//     packing runs the bidirectional bounded search like every other test
-//     in the exact search: any disjoint set of within-bound paths refutes
-//     the branch, so which paths it finds does not matter. The conservative
+//     without recursing (greedy path packing gives the disjoint paths). Any
+//     disjoint set of within-bound paths refutes the branch, so which paths
+//     the bidirectional search finds does not matter. The conservative
 //     greedy's CountDisjointShortPaths stays unidirectional, because there
 //     the count itself is the decision;
 //   - memoization: fault sets are hashed order-independently so
 //     permutations of one set are explored once per query;
 //   - witness reuse: the greedy scans edges in weight order, so fault sets
-//     that witnessed recent kept edges often witness the next one too; each
-//     is re-validated with a single bounded Dijkstra before the exponential
-//     branching is attempted.
+//     that witnessed recent kept edges often witness the next one too. The
+//     last witnessCacheSize distinct witnesses are kept in recency order,
+//     and each is re-validated with a single bounded Dijkstra before the
+//     exponential branching is attempted.
 package fault
 
 import (
@@ -71,35 +73,18 @@ func (m Mode) String() string {
 	}
 }
 
-// Options tunes the oracle. The zero value enables every acceleration.
+// Options tunes the oracle. The zero value enables every acceleration; the
+// three Disable switches are ablations, and none changes a verdict.
 type Options struct {
-	// DisablePruning turns off the disjoint-path packing bound.
+	// DisablePruning turns off the disjoint-path packing bound (experiment
+	// E7 and the ablation benchmarks measure the exponential search
+	// without it).
 	DisablePruning bool
 	// DisableMemo turns off fault-set memoization.
 	DisableMemo bool
-	// DisableWitnessReuse turns off revalidation of recently found witness
-	// fault sets across queries.
+	// DisableWitnessReuse turns off the witness cache. The differential
+	// tests use it as the naive reference oracle.
 	DisableWitnessReuse bool
-	// DisableBidi makes the exact search's bounded reachability tests —
-	// the branching path, the pruning packing and witness revalidation —
-	// use the unidirectional bounded Dijkstra instead of the
-	// meet-in-the-middle search (sssp.RunReachBidi); the search's decisions
-	// are the same either way. CountDisjointShortPaths is unidirectional
-	// regardless: how many paths a greedy packing finds depends on which
-	// paths the engine returns, and that count is the conservative greedy's
-	// keep decision, so the conservative output must not move with this
-	// ablation flag.
-	DisableBidi bool
-	// BlindWitnessCache reverts the witness cache to its original blind
-	// behavior — pure recency order, no hit scoring, no structural seeding —
-	// as the ablation baseline for the structure-aware cache. With
-	// WitnessCacheSize zero it also reverts to the old 4-entry capacity.
-	BlindWitnessCache bool
-	// WitnessCacheSize overrides the witness cache capacity. Zero selects
-	// the default (8 structured, 4 blind); the cache is consulted only when
-	// the exponential branching is imminent, so each extra entry costs at
-	// most one bounded Dijkstra per consulted query.
-	WitnessCacheSize int
 	// EdgeCapacity sizes the edge fault mask. The searched graph may grow
 	// (the greedy adds edges between queries); set this to the maximum edge
 	// ID it will ever hold. Zero means the graph's current edge count.
@@ -126,29 +111,11 @@ type Options struct {
 // FindFaultSet call is timed.
 const querySampleEvery = 8
 
-// Witness cache tuning. The cache is consulted only after the packing bound
-// has failed to refute the query, i.e. exactly when the exponential branching
-// is imminent, and each trial (cached set or structural seed) costs one
+// witnessCacheSize is the witness cache's capacity. The cache is consulted
+// only after the packing bound has failed to refute the query, i.e. exactly
+// when the exponential branching is imminent, and each trial costs one
 // bounded reach-only Dijkstra — cheap insurance against branching.
-const (
-	// witnessCacheSizeBlind is the default capacity under BlindWitnessCache:
-	// the original 4-entry recency LRU.
-	witnessCacheSizeBlind = 4
-	// witnessCacheSizeStructured is the default capacity of the scored
-	// cache. Doubling the blind default is affordable because trials are
-	// ordered by score, so the added tail entries are only reached when the
-	// proven ones already failed.
-	witnessCacheSizeStructured = 8
-	// witnessDecay is the per-consult multiplicative score decay: entries
-	// that stop hitting fade toward eviction while repeat hitters (cut
-	// vertices, bottleneck edges) stay at the front.
-	witnessDecay = 0.9
-	// witnessSeedLimit bounds the structural seed singletons tried per
-	// consulted query: candidate fault elements read off the current short
-	// path's structure (high-degree internal vertices in Vertices mode,
-	// min-endpoint-degree edges in Edges mode).
-	witnessSeedLimit = 2
-)
+const witnessCacheSize = 4
 
 // memoMaxEntries bounds the generation-stamped memo table. The table is
 // never wiped per query (generation stamps invalidate stale entries for
@@ -185,25 +152,13 @@ type Oracle struct {
 	// so the recursion allocates nothing after warm-up.
 	cand [][]int
 
-	// witnesses is the reuse cache. Structured mode (the default) keeps it
-	// sorted by score descending — an exponentially decayed hit count, so
-	// trial order and eviction track which fault sets actually keep
-	// witnessing; BlindWitnessCache keeps it in pure recency order.
-	witnesses []witnessEntry
+	// witnesses is the reuse cache, most recently found or hit first.
+	witnesses [][]int
 
-	calls            int64
-	dijkstras        int64
-	witnessHits      int64
-	witnessMisses    int64
-	witnessSeedTries int64
-	witnessSeedHits  int64
-}
-
-// witnessEntry is one cached witness fault set with its decayed hit score
-// (unused in blind mode, where position encodes recency).
-type witnessEntry struct {
-	set   []int
-	score float64
+	calls         int64
+	dijkstras     int64
+	witnessHits   int64
+	witnessMisses int64
 }
 
 // NewOracle returns an oracle over g in the given mode. The graph may gain
@@ -275,9 +230,8 @@ func (o *Oracle) Calls() int64 { return o.calls }
 // included.
 func (o *Oracle) Dijkstras() int64 { return o.dijkstras }
 
-// WitnessHits returns the number of queries answered by the witness cache
-// machinery — a revalidated cached fault set or a structural seed — instead
-// of branching.
+// WitnessHits returns the number of queries answered by a revalidated
+// cached witness instead of branching.
 func (o *Oracle) WitnessHits() int64 { return o.witnessHits }
 
 // WitnessMisses returns the number of queries where the witness cache was
@@ -285,25 +239,6 @@ func (o *Oracle) WitnessHits() int64 { return o.witnessHits }
 // cache applies (no short path, zero budget, or refuted by the packing
 // bound) count neither as hits nor as misses.
 func (o *Oracle) WitnessMisses() int64 { return o.witnessMisses }
-
-// WitnessSeedTries returns the number of structural seed singletons tested
-// (each one bounded reach-only Dijkstra).
-func (o *Oracle) WitnessSeedTries() int64 { return o.witnessSeedTries }
-
-// WitnessSeedHits returns the number of queries answered by a structural
-// seed — a subset of WitnessHits.
-func (o *Oracle) WitnessSeedHits() int64 { return o.witnessSeedHits }
-
-// witnessCap returns the effective witness cache capacity.
-func (o *Oracle) witnessCap() int {
-	if o.opts.WitnessCacheSize > 0 {
-		return o.opts.WitnessCacheSize
-	}
-	if o.opts.BlindWitnessCache {
-		return witnessCacheSizeBlind
-	}
-	return witnessCacheSizeStructured
-}
 
 // FindFaultSet searches for a fault set F with |F| <= budget such that
 // dist_{g\F}(u, v) > bound. It returns the witness (vertex IDs in Vertices
@@ -407,27 +342,20 @@ func (o *Oracle) ValidateWitness(u, v int, bound float64, w []int) (bool, error)
 }
 
 // NoteWitness offers an externally discovered witness fault set to the
-// reuse LRU (a no-op under DisableWitnessReuse). The parallel greedy feeds
+// witness cache (a no-op under DisableWitnessReuse). The parallel greedy feeds
 // it the witnesses of speculatively committed edges so the live oracle's
 // cache stays as warm as a sequential run's would be. The slice is copied.
 func (o *Oracle) NoteWitness(w []int) { o.remember(w) }
 
-// runReach runs one bounded reachability test against the oracle's graph
-// with the given masks, dispatching to the bidirectional engine unless
-// ablated, and reports whether v is within bound of u. With needPath the
-// solver holds a valid <=bound u-v path for extraction on success; without
-// it the bidirectional engine skips the path splice (sssp.Options.ReachOnly)
-// — the witness revalidation and seed trials only consume the boolean.
+// runReach runs one bidirectional bounded reachability test against the
+// oracle's graph with the given masks and reports whether v is within bound
+// of u. With needPath the solver holds a valid <=bound u-v path for
+// extraction on success; without it the search skips the path splice
+// (sssp.Options.ReachOnly) — witness revalidation only consumes the boolean.
 func (o *Oracle) runReach(u, v int, bound float64, fv, fe *bitset.Set, needPath bool) bool {
 	o.dijkstras++
 	opts := sssp.Options{ForbiddenVertices: fv, ForbiddenEdges: fe, Bound: bound, ReachOnly: !needPath}
-	var err error
-	if o.opts.DisableBidi {
-		err = o.solver.RunReach(o.g, u, v, opts)
-	} else {
-		err = o.solver.RunReachBidi(o.g, u, v, opts)
-	}
-	if err != nil {
+	if err := o.solver.RunReachBidi(o.g, u, v, opts); err != nil {
 		// Unreachable: endpoints are validated and never forbidden.
 		panic(err)
 	}
@@ -471,11 +399,11 @@ func (o *Oracle) search(u, v int, bound float64, budget int, top bool) bool {
 
 	// The packing bound refutes the branch outright when more than budget
 	// pairwise disjoint short detours survive, whichever detours the
-	// packing happened to find, so it may use the bidirectional search. The
+	// packing happened to find, so it uses the bidirectional search. The
 	// path just extracted is the packing's first member (the solver is
 	// deterministic, so an unseeded packing would recompute exactly it),
 	// saving one Dijkstra.
-	if !o.opts.DisablePruning && o.packPaths(u, v, bound, budget+1, candidates, !o.opts.DisableBidi) > budget {
+	if !o.opts.DisablePruning && o.packPaths(u, v, bound, budget+1, candidates, true) > budget {
 		return false
 	}
 
@@ -510,23 +438,12 @@ func (o *Oracle) search(u, v int, bound float64, budget int, top bool) bool {
 }
 
 // tryCachedWitnesses revalidates cached witness fault sets against the
-// current query — by decayed hit score in structured mode, by recency under
-// BlindWitnessCache — and then, in structured mode, falls back to structural
-// seed singletons read off the current short path. On success the winning
-// set is loaded into o.chosen/forbidden state (the same contract as a
-// successful search) and credited in the cache's hit history.
+// current query, most recent first. On success the winning set is loaded
+// into o.chosen/forbidden state (the same contract as a successful search)
+// and moved to the recency front.
 func (o *Oracle) tryCachedWitnesses(u, v int, bound float64, budget int, pathElems []int) bool {
-	structured := !o.opts.BlindWitnessCache
-	if structured {
-		// Uniform decay preserves order, so no re-sort is needed; entries
-		// that stop hitting drift toward the eviction tail.
-		for i := range o.witnesses {
-			o.witnesses[i].score *= witnessDecay
-		}
-	}
-	for i := range o.witnesses {
-		w := o.witnesses[i].set
-		if len(w) == 0 || len(w) > budget {
+	for i, w := range o.witnesses {
+		if len(w) > budget {
 			continue
 		}
 		if o.mode == Vertices && (contains(w, u) || contains(w, v)) {
@@ -536,12 +453,9 @@ func (o *Oracle) tryCachedWitnesses(u, v int, bound float64, budget int, pathEle
 			continue
 		}
 		if o.loadIfWitness(u, v, bound, w) {
-			o.creditEntry(i)
+			o.toFront(i)
 			return true
 		}
-	}
-	if structured && budget > 0 && o.trySeeds(u, v, bound, pathElems) {
-		return true
 	}
 	return false
 }
@@ -571,123 +485,31 @@ func (o *Oracle) loadIfWitness(u, v int, bound float64, w []int) bool {
 	return false
 }
 
-// creditEntry records a hit on cache entry i: blind mode moves it to the
-// recency front, structured mode bumps its score and restores the ordering.
-func (o *Oracle) creditEntry(i int) {
-	if o.opts.BlindWitnessCache {
-		if i != 0 {
-			e := o.witnesses[i]
-			copy(o.witnesses[1:i+1], o.witnesses[:i])
-			o.witnesses[0] = e
-		}
-		return
-	}
-	o.witnesses[i].score++
-	for i > 0 && o.witnesses[i].score > o.witnesses[i-1].score {
-		o.witnesses[i], o.witnesses[i-1] = o.witnesses[i-1], o.witnesses[i]
-		i--
-	}
+// toFront moves cache entry i to the recency front.
+func (o *Oracle) toFront(i int) {
+	w := o.witnesses[i]
+	copy(o.witnesses[1:i+1], o.witnesses[:i])
+	o.witnesses[0] = w
 }
 
-// seedCand is one structural seed candidate with its ranking key (higher
-// tries first; path position breaks ties deterministically).
-type seedCand struct{ x, key int }
-
-// trySeeds tests up to witnessSeedLimit singleton fault sets derived from
-// the current short path's structure: in Vertices mode the internal path
-// vertices of highest degree (the hubs every detour tends to route through
-// — the articulation points of the path neighborhood in the extreme case),
-// in Edges mode the path edges whose endpoints have the lowest minimum
-// degree (bridge-like edges with the fewest alternative routes). Each trial
-// is one bounded reach-only Dijkstra; a hit is loaded exactly like a cached
-// witness and then remembered by the caller, so proven seeds graduate into
-// the scored cache.
-func (o *Oracle) trySeeds(u, v int, bound float64, pathElems []int) bool {
-	if len(pathElems) == 0 {
-		return false
-	}
-	var cands [witnessSeedLimit]seedCand
-	n := 0
-	for _, x := range pathElems {
-		var key int
-		if o.mode == Vertices {
-			key = o.g.Degree(x)
-		} else {
-			e := o.g.Edge(x)
-			du, dv := o.g.Degree(e.U), o.g.Degree(e.V)
-			if dv < du {
-				du = dv
-			}
-			key = -du
-		}
-		pos := n
-		for pos > 0 && key > cands[pos-1].key {
-			pos--
-		}
-		if pos >= witnessSeedLimit {
-			continue
-		}
-		if n < witnessSeedLimit {
-			n++
-		}
-		for j := n - 1; j > pos; j-- {
-			cands[j] = cands[j-1]
-		}
-		cands[pos] = seedCand{x: x, key: key}
-	}
-trial:
-	for _, c := range cands[:n] {
-		// A cached singleton {x} on the path was already revalidated above;
-		// retrying it as a seed would waste the Dijkstra.
-		for i := range o.witnesses {
-			if w := o.witnesses[i].set; len(w) == 1 && w[0] == c.x {
-				continue trial
-			}
-		}
-		o.witnessSeedTries++
-		if o.loadIfWitness(u, v, bound, []int{c.x}) {
-			o.witnessSeedHits++
-			return true
-		}
-	}
-	return false
-}
-
-// remember inserts a found witness into the reuse cache, deduplicating
-// against existing entries: blind mode front-inserts and evicts the recency
-// tail, structured mode inserts by score (fresh entries start at 1, ahead of
-// decayed non-hitters but behind proven repeat hitters) and evicts the
-// lowest-scoring entry.
+// remember puts a found witness at the recency front of the cache: an equal
+// cached set moves there, otherwise a copy is inserted and, at capacity, the
+// least recent entry is evicted.
 func (o *Oracle) remember(w []int) {
 	if o.opts.DisableWitnessReuse || len(w) == 0 {
 		return
 	}
-	for i := range o.witnesses {
-		if equalSets(o.witnesses[i].set, w) {
-			o.creditEntry(i)
+	for i, c := range o.witnesses {
+		if equalSets(c, w) {
+			o.toFront(i)
 			return
 		}
 	}
-	entry := witnessEntry{set: append([]int(nil), w...), score: 1}
-	max := o.witnessCap()
-	if o.opts.BlindWitnessCache {
-		if len(o.witnesses) < max {
-			o.witnesses = append(o.witnesses, witnessEntry{})
-		}
-		copy(o.witnesses[1:], o.witnesses)
-		o.witnesses[0] = entry
-		return
+	if len(o.witnesses) < witnessCacheSize {
+		o.witnesses = append(o.witnesses, nil)
 	}
-	if len(o.witnesses) >= max {
-		o.witnesses = o.witnesses[:max-1]
-	}
-	pos := len(o.witnesses)
-	for pos > 0 && entry.score >= o.witnesses[pos-1].score {
-		pos--
-	}
-	o.witnesses = append(o.witnesses, witnessEntry{})
-	copy(o.witnesses[pos+1:], o.witnesses[pos:])
-	o.witnesses[pos] = entry
+	copy(o.witnesses[1:], o.witnesses)
+	o.witnesses[0] = append([]int(nil), w...)
 }
 
 // CountDisjointShortPaths greedily packs pairwise internally-vertex-disjoint

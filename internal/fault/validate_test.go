@@ -1,55 +1,10 @@
 package fault
 
 import (
-	"math/rand"
 	"testing"
 
 	"github.com/ftspanner/ftspanner/internal/graph"
 )
-
-// TestBidiAblationDifferential cross-checks the oracle with the
-// bidirectional engine (default) against the unidirectional ablation: the
-// two must agree on every query verdict, since both reachability tests are
-// exact.
-func TestBidiAblationDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(555))
-	for inst := 0; inst < 40; inst++ {
-		n := 5 + rng.Intn(12)
-		g := randomConnectedGraph(rng, n, rng.Intn(3*n))
-		mode := Vertices
-		if inst%2 == 1 {
-			mode = Edges
-		}
-		bidi, err := NewOracle(g, mode, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		uni, err := NewOracle(g, mode, Options{DisableBidi: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stretch := 1 + 2*rng.Float64()
-		budget := rng.Intn(3)
-		for _, e := range g.EdgesByWeight() {
-			bound := stretch * e.Weight
-			wb, foundBidi, err := bidi.FindFaultSet(e.U, e.V, bound, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, foundUni, err := uni.FindFaultSet(e.U, e.V, bound, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if foundBidi != foundUni {
-				t.Fatalf("inst %d mode=%v edge (%d,%d) bound=%v budget=%d: bidi=%v uni=%v",
-					inst, mode, e.U, e.V, bound, budget, foundBidi, foundUni)
-			}
-			if foundBidi && !witnessHolds(t, g, mode, e.U, e.V, bound, wb) {
-				t.Fatalf("inst %d: invalid bidi witness %v for (%d,%d)", inst, wb, e.U, e.V)
-			}
-		}
-	}
-}
 
 // TestValidateWitness pins the revalidation semantics the parallel greedy's
 // commit loop relies on.

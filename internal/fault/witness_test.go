@@ -93,9 +93,9 @@ func TestWitnessCacheEntriesAreIsolated(t *testing.T) {
 		}
 		// The cache must still hold only valid edge IDs.
 		for _, cached := range o.witnesses {
-			for _, x := range cached.set {
+			for _, x := range cached {
 				if x < 0 || x >= g.NumEdges() {
-					t.Fatalf("cache entry %v corrupted by caller mutation", cached.set)
+					t.Fatalf("cache entry %v corrupted by caller mutation", cached)
 				}
 			}
 		}

@@ -133,19 +133,17 @@ type statsBody struct {
 	Dijkstras     int64 `json:"dijkstras"`
 	WitnessHits   int64 `json:"witness_hits"`
 	WitnessMisses int64 `json:"witness_misses"`
-	// WitnessHitRate is hits/(hits+misses) for this build's oracles; seed
-	// hits (witness_seed_hits) are included in witness_hits.
-	WitnessHitRate   float64 `json:"witness_hit_rate"`
-	WitnessSeedTries int64   `json:"witness_seed_tries,omitempty"`
-	WitnessSeedHits  int64   `json:"witness_seed_hits,omitempty"`
-	SpecBatches      int64   `json:"spec_batches,omitempty"`
-	SpecQueries      int64   `json:"spec_queries,omitempty"`
-	SpecHits         int64   `json:"spec_hits,omitempty"`
-	SpecWaste        int64   `json:"spec_waste,omitempty"`
-	SpecRounds       int64   `json:"spec_rounds,omitempty"`
-	SpecRequeries    int64   `json:"spec_requeries,omitempty"`
-	SpecHitRate      float64 `json:"spec_hit_rate,omitempty"`
-	DurationMS       float64 `json:"duration_ms"`
+	// WitnessHitRate is hits/(hits+misses) for this build's oracles.
+	WitnessHitRate float64 `json:"witness_hit_rate"`
+	SpecBatches    int64   `json:"spec_batches,omitempty"`
+	SpecQueries    int64   `json:"spec_queries,omitempty"`
+	SpecHits       int64   `json:"spec_hits,omitempty"`
+	SpecWaste      int64   `json:"spec_waste,omitempty"`
+	SpecRounds     int64   `json:"spec_rounds,omitempty"`
+	SpecRequeries  int64   `json:"spec_requeries,omitempty"`
+	// SpecHitRate is spec_hits / spec_queries: 1 − spec_waste / spec_queries.
+	SpecHitRate float64 `json:"spec_hit_rate,omitempty"`
+	DurationMS  float64 `json:"duration_ms"`
 	// QueueMS/BuildMS/PersistMS are this job's lifecycle-phase durations as
 	// this server observed them: submission-to-worker wait, worker
 	// wall-clock, and the durable-store write. All zero for cache hits
@@ -184,25 +182,23 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		resp.SpannerEdges = &m
 		st := job.result.stats
 		resp.Stats = &statsBody{
-			EdgesScanned:     st.EdgesScanned,
-			OracleCalls:      st.OracleCalls,
-			Dijkstras:        st.Dijkstras,
-			WitnessHits:      st.WitnessHits,
-			WitnessMisses:    st.WitnessMisses,
-			WitnessHitRate:   st.WitnessHitRate(),
-			WitnessSeedTries: st.WitnessSeedTries,
-			WitnessSeedHits:  st.WitnessSeedHits,
-			SpecBatches:      st.SpecBatches,
-			SpecQueries:      st.SpecQueries,
-			SpecHits:         st.SpecHits,
-			SpecWaste:        st.SpecWaste,
-			SpecRounds:       st.SpecRounds,
-			SpecRequeries:    st.SpecRequeries,
-			SpecHitRate:      st.SpecHitRate(),
-			DurationMS:       float64(st.Duration.Microseconds()) / 1000,
-			QueueMS:          float64(job.queueWait.Microseconds()) / 1000,
-			BuildMS:          float64(job.buildDur.Microseconds()) / 1000,
-			PersistMS:        float64(job.persistDur.Microseconds()) / 1000,
+			EdgesScanned:   st.EdgesScanned,
+			OracleCalls:    st.OracleCalls,
+			Dijkstras:      st.Dijkstras,
+			WitnessHits:    st.WitnessHits,
+			WitnessMisses:  st.WitnessMisses,
+			WitnessHitRate: st.WitnessHitRate(),
+			SpecBatches:    st.SpecBatches,
+			SpecQueries:    st.SpecQueries,
+			SpecHits:       st.SpecHits,
+			SpecWaste:      st.SpecWaste,
+			SpecRounds:     st.SpecRounds,
+			SpecRequeries:  st.SpecRequeries,
+			SpecHitRate:    st.SpecHitRate(),
+			DurationMS:     float64(st.Duration.Microseconds()) / 1000,
+			QueueMS:        float64(job.queueWait.Microseconds()) / 1000,
+			BuildMS:        float64(job.buildDur.Microseconds()) / 1000,
+			PersistMS:      float64(job.persistDur.Microseconds()) / 1000,
 		}
 	}
 	job.mu.Unlock()

@@ -26,8 +26,6 @@ type metrics struct {
 	specWaste     atomic.Int64 // speculative answers invalidated and re-speculated
 	specRounds    atomic.Int64 // parallel re-speculation rounds over invalidated edges
 	specRequeries atomic.Int64 // invalidated edges resolved by a single live re-query
-	witnessSeeds  atomic.Int64 // structural witness seed trials across completed builds
-	witnessSeedOK atomic.Int64 // seed trials that answered their query
 	jobsEvicted   atomic.Int64 // terminal jobs removed by the retention janitor
 	panics        atomic.Int64 // build panics recovered into failed jobs
 	jobsDeadline  atomic.Int64 // jobs that missed their DeadlineMs
@@ -157,18 +155,14 @@ type MetricsSnapshot struct {
 	WitnessCacheHits     int64   `json:"witness_cache_hits"`
 	WitnessCacheMisses   int64   `json:"witness_cache_misses"`
 	WitnessCacheHitRatio float64 `json:"witness_cache_hit_ratio"`
-	// WitnessSeedTries/Hits count the structure-aware cache's seed trials
-	// (singleton fault candidates read off path structure) and the queries
-	// they answered; seed hits are included in witness_cache_hits.
-	WitnessSeedTries int64 `json:"witness_seed_tries"`
-	WitnessSeedHits  int64 `json:"witness_seed_hits"`
 	// Spec* aggregate the speculative parallel greedy's counters
 	// across completed builds: batches speculated, speculative queries
 	// issued (initial batches plus re-speculation rounds), answers
 	// committed straight from speculation, answers invalidated by an
 	// earlier commit (spec_hits + spec_waste == spec_queries), parallel
 	// re-speculation rounds run, and invalidated edges resolved by a single
-	// live re-query.
+	// live re-query. spec_hit_ratio is spec_hits / spec_queries, so every
+	// wasted speculative query lowers it.
 	SpecBatches   int64   `json:"spec_batches"`
 	SpecQueries   int64   `json:"spec_queries"`
 	SpecHits      int64   `json:"spec_hits"`
@@ -242,8 +236,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 
 		WitnessCacheHits:   s.met.witnessHits.Load(),
 		WitnessCacheMisses: s.met.witnessMisses.Load(),
-		WitnessSeedTries:   s.met.witnessSeeds.Load(),
-		WitnessSeedHits:    s.met.witnessSeedOK.Load(),
 
 		SpecBatches:   s.met.specBatches.Load(),
 		SpecQueries:   s.met.specQueries.Load(),
@@ -275,10 +267,10 @@ func (s *Server) Metrics() MetricsSnapshot {
 	if total := snap.WitnessCacheHits + snap.WitnessCacheMisses; total > 0 {
 		snap.WitnessCacheHitRatio = float64(snap.WitnessCacheHits) / float64(total)
 	}
-	// Like core.Stats.SpecHitRate: the fraction of speculative-path edges
-	// decided from a speculative answer rather than a live re-query.
-	if total := snap.SpecHits + snap.SpecRequeries; total > 0 {
-		snap.SpecHitRatio = float64(snap.SpecHits) / float64(total)
+	// Like core.Stats.SpecHitRate: the share of speculative queries whose
+	// answer decided an edge.
+	if snap.SpecQueries > 0 {
+		snap.SpecHitRatio = float64(snap.SpecHits) / float64(snap.SpecQueries)
 	}
 	if s.store != nil {
 		st := s.store.Snapshot()

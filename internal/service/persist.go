@@ -29,20 +29,18 @@ func recordFor(key CacheKey, res *buildResult) *store.Record {
 		SpannerDigest: res.spanner.Digest(),
 		Kept:          res.kept,
 		Stats: store.Stats{
-			EdgesScanned:     int64(st.EdgesScanned),
-			OracleCalls:      st.OracleCalls,
-			Dijkstras:        st.Dijkstras,
-			WitnessHits:      st.WitnessHits,
-			WitnessMisses:    st.WitnessMisses,
-			SpecBatches:      st.SpecBatches,
-			SpecQueries:      st.SpecQueries,
-			SpecHits:         st.SpecHits,
-			SpecWaste:        st.SpecWaste,
-			SpecRounds:       st.SpecRounds,
-			SpecRequeries:    st.SpecRequeries,
-			WitnessSeedTries: st.WitnessSeedTries,
-			WitnessSeedHits:  st.WitnessSeedHits,
-			DurationNS:       int64(st.Duration),
+			EdgesScanned:  int64(st.EdgesScanned),
+			OracleCalls:   st.OracleCalls,
+			Dijkstras:     st.Dijkstras,
+			WitnessHits:   st.WitnessHits,
+			WitnessMisses: st.WitnessMisses,
+			SpecBatches:   st.SpecBatches,
+			SpecQueries:   st.SpecQueries,
+			SpecHits:      st.SpecHits,
+			SpecWaste:     st.SpecWaste,
+			SpecRounds:    st.SpecRounds,
+			SpecRequeries: st.SpecRequeries,
+			DurationNS:    int64(st.Duration),
 		},
 	}
 }
@@ -77,20 +75,18 @@ func resultFromRecord(g *graph.Graph, rec *store.Record) (*buildResult, error) {
 		spanner: sp,
 		kept:    append([]int(nil), rec.Kept...),
 		stats: core.Stats{
-			EdgesScanned:     int(st.EdgesScanned),
-			OracleCalls:      st.OracleCalls,
-			Dijkstras:        st.Dijkstras,
-			WitnessHits:      st.WitnessHits,
-			WitnessMisses:    st.WitnessMisses,
-			SpecBatches:      st.SpecBatches,
-			SpecQueries:      st.SpecQueries,
-			SpecHits:         st.SpecHits,
-			SpecWaste:        st.SpecWaste,
-			SpecRounds:       st.SpecRounds,
-			SpecRequeries:    st.SpecRequeries,
-			WitnessSeedTries: st.WitnessSeedTries,
-			WitnessSeedHits:  st.WitnessSeedHits,
-			Duration:         time.Duration(st.DurationNS),
+			EdgesScanned:  int(st.EdgesScanned),
+			OracleCalls:   st.OracleCalls,
+			Dijkstras:     st.Dijkstras,
+			WitnessHits:   st.WitnessHits,
+			WitnessMisses: st.WitnessMisses,
+			SpecBatches:   st.SpecBatches,
+			SpecQueries:   st.SpecQueries,
+			SpecHits:      st.SpecHits,
+			SpecWaste:     st.SpecWaste,
+			SpecRounds:    st.SpecRounds,
+			SpecRequeries: st.SpecRequeries,
+			Duration:      time.Duration(st.DurationNS),
 		},
 	}, nil
 }

@@ -498,8 +498,6 @@ func (s *Server) finish(job *Job, res *buildResult, err error) {
 		s.met.dijkstras.Add(res.stats.Dijkstras)
 		s.met.witnessHits.Add(res.stats.WitnessHits)
 		s.met.witnessMisses.Add(res.stats.WitnessMisses)
-		s.met.witnessSeeds.Add(res.stats.WitnessSeedTries)
-		s.met.witnessSeedOK.Add(res.stats.WitnessSeedHits)
 		s.met.specBatches.Add(res.stats.SpecBatches)
 		s.met.specQueries.Add(res.stats.SpecQueries)
 		s.met.specHits.Add(res.stats.SpecHits)

@@ -64,11 +64,10 @@ type SessionSpec struct {
 	// NoCache opts the session out of the two-tier result cache: no seeding
 	// at create, no publishing after batches, nothing persisted at close.
 	NoCache bool `json:"no_cache,omitempty"`
-	// DisableStateReuse turns off carrying the engine's prefix graph and
-	// fault oracle across delta batches
-	// (core.IncrementalOptions.DisableStateReuse): every suffix repair then
-	// rebuilds both from scratch. Ablation/measurement knob — results are
-	// digest-identical either way, batches are just slower.
+	// DisableStateReuse is accepted and ignored, like RebuildThreshold:
+	// every session carries its engine's prefix graph and fault oracle
+	// across delta batches. It stays in the wire format so that every
+	// existing client's request is still accepted.
 	DisableStateReuse bool `json:"disable_state_reuse,omitempty"`
 }
 
@@ -196,10 +195,9 @@ func validateSessionSpec(spec *SessionSpec) error {
 func (s *Server) incrementalOptions(spec SessionSpec) core.IncrementalOptions {
 	mode, _ := parseMode(spec.Mode) // validated already
 	return core.IncrementalOptions{
-		Stretch:           spec.Stretch,
-		Faults:            spec.Faults,
-		Mode:              mode,
-		DisableStateReuse: spec.DisableStateReuse,
+		Stretch: spec.Stretch,
+		Faults:  spec.Faults,
+		Mode:    mode,
 		Oracle: fault.Options{
 			ObserveQuery: func(d time.Duration) { s.lat.oracleQuery.Record(d) },
 		},

@@ -497,8 +497,9 @@ func TestSessionMetrics(t *testing.T) {
 }
 
 // TestSessionStateReuseAblation drives the same delta stream through a
-// default session and a disable_state_reuse one: digests must stay identical
-// while the ablated engine reports oracle_built on every repairing batch.
+// default session and one created with the retired disable_state_reuse
+// field: the field is accepted and ignored, so both sessions report the same
+// digests and both rewind their retained oracle on every repairing batch.
 func TestSessionStateReuseAblation(t *testing.T) {
 	s := sessionTestServer(t, Config{})
 	mk := func(disable bool) string {
@@ -511,7 +512,7 @@ func TestSessionStateReuseAblation(t *testing.T) {
 		}
 		return decodeBody[sessionResponse](t, w).ID
 	}
-	reuse, ablated := mk(false), mk(true)
+	reuse, ignored := mk(false), mk(true)
 	batches := [][]map[string]any{
 		{{"op": "insert", "u": 5, "v": 0, "weight": 2}},
 		{{"op": "insert", "u": 0, "v": 3, "weight": 3}},
@@ -519,24 +520,21 @@ func TestSessionStateReuseAblation(t *testing.T) {
 	}
 	for i, deltas := range batches {
 		wr := postJSON(t, s, "/v1/sessions/"+reuse+"/deltas", map[string]any{"deltas": deltas})
-		wa := postJSON(t, s, "/v1/sessions/"+ablated+"/deltas", map[string]any{"deltas": deltas})
-		if wr.Code != http.StatusOK || wa.Code != http.StatusOK {
-			t.Fatalf("batch %d: reuse=%d ablated=%d", i, wr.Code, wa.Code)
+		wi := postJSON(t, s, "/v1/sessions/"+ignored+"/deltas", map[string]any{"deltas": deltas})
+		if wr.Code != http.StatusOK || wi.Code != http.StatusOK {
+			t.Fatalf("batch %d: reuse=%d ignored=%d", i, wr.Code, wi.Code)
 		}
 		dr := decodeBody[sessionDeltasResponse](t, wr)
-		da := decodeBody[sessionDeltasResponse](t, wa)
-		if dr.Digest != da.Digest || dr.Kept != da.Kept {
-			t.Fatalf("batch %d: ablation diverged: reuse %s/%d vs ablated %s/%d",
-				i, dr.Digest, dr.Kept, da.Digest, da.Kept)
-		}
-		if da.OracleReused {
-			t.Fatalf("batch %d: ablated session reused state", i)
-		}
-		if da.SuffixLen > 0 && !da.OracleBuilt {
-			t.Fatalf("batch %d: ablated repair did not rebuild the oracle: %+v", i, da)
+		di := decodeBody[sessionDeltasResponse](t, wi)
+		if dr.Digest != di.Digest || dr.Kept != di.Kept {
+			t.Fatalf("batch %d: sessions diverged: default %s/%d vs disable_state_reuse %s/%d",
+				i, dr.Digest, dr.Kept, di.Digest, di.Kept)
 		}
 		if dr.SuffixLen > 0 && !dr.OracleReused {
 			t.Fatalf("batch %d: reuse session did not rewind: %+v", i, dr)
+		}
+		if di.SuffixLen > 0 && (!di.OracleReused || di.OracleBuilt) {
+			t.Fatalf("batch %d: disable_state_reuse was not ignored: %+v", i, di)
 		}
 	}
 }

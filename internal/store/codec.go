@@ -35,10 +35,11 @@ import (
 //	key, numVertices, inputEdges, spannerDigest,
 //	len(kept), kept[0..], then the fifteen Stats counter slots.
 //
-// Slot 11 once held a speculative pipeline depth. It is reserved: writers
-// put 0 there and readers skip it, so records written before and after the
-// pipeline's removal decode alike, including those pulled from peers of
-// either version during anti-entropy.
+// Slot 11 once held a speculative pipeline depth, and slots 12 and 13 the
+// witness cache's structural seed trials and hits. They are reserved:
+// writers put 0 there and readers skip them, so records written before and
+// after those counters' removal decode alike, including those pulled from
+// peers of either build during anti-entropy.
 //
 // Version 1 carried ten counters; readers reject it like any other unknown
 // version, so pre-existing records are quarantined and rebuilt once (the
@@ -72,20 +73,18 @@ func corruptf(format string, args ...any) error {
 // alongside a result (core.Stats, flattened to fixed integer fields so the
 // codec does not depend on the core package).
 type Stats struct {
-	EdgesScanned     int64
-	OracleCalls      int64
-	Dijkstras        int64
-	WitnessHits      int64
-	WitnessMisses    int64
-	SpecBatches      int64
-	SpecQueries      int64
-	SpecHits         int64
-	SpecWaste        int64
-	SpecRounds       int64
-	SpecRequeries    int64
-	WitnessSeedTries int64
-	WitnessSeedHits  int64
-	DurationNS       int64
+	EdgesScanned  int64
+	OracleCalls   int64
+	Dijkstras     int64
+	WitnessHits   int64
+	WitnessMisses int64
+	SpecBatches   int64
+	SpecQueries   int64
+	SpecHits      int64
+	SpecWaste     int64
+	SpecRounds    int64
+	SpecRequeries int64
+	DurationNS    int64
 }
 
 // Record is one persisted build result. Key is the caller's canonical build
@@ -124,26 +123,25 @@ func Encode(rec *Record) []byte {
 	return append(buf, payload...)
 }
 
-// counters lists the stats fields in codec order, with the reserved slot 11
-// written as 0.
+// counters lists the stats fields in codec order, with the reserved slots
+// 11–13 written as 0.
 func (s *Stats) counters() [15]int64 {
 	return [15]int64{
 		s.EdgesScanned, s.OracleCalls, s.Dijkstras,
 		s.WitnessHits, s.WitnessMisses,
 		s.SpecBatches, s.SpecQueries, s.SpecHits, s.SpecWaste,
-		s.SpecRounds, s.SpecRequeries, 0,
-		s.WitnessSeedTries, s.WitnessSeedHits,
+		s.SpecRounds, s.SpecRequeries, 0, 0, 0,
 		s.DurationNS,
 	}
 }
 
-// setCounters is the inverse of counters; the reserved slot 11 is skipped.
+// setCounters is the inverse of counters; the reserved slots 11–13 are
+// skipped.
 func (s *Stats) setCounters(c [15]int64) {
 	s.EdgesScanned, s.OracleCalls, s.Dijkstras = c[0], c[1], c[2]
 	s.WitnessHits, s.WitnessMisses = c[3], c[4]
 	s.SpecBatches, s.SpecQueries, s.SpecHits, s.SpecWaste = c[5], c[6], c[7], c[8]
 	s.SpecRounds, s.SpecRequeries = c[9], c[10]
-	s.WitnessSeedTries, s.WitnessSeedHits = c[12], c[13]
 	s.DurationNS = c[14]
 }
 

@@ -18,20 +18,18 @@ func sampleRecord() *Record {
 		SpannerDigest: "deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef",
 		Kept:          []int{0, 5, 3, 149, 7, 7},
 		Stats: Stats{
-			EdgesScanned:     150,
-			OracleCalls:      150,
-			Dijkstras:        4321,
-			WitnessHits:      10,
-			WitnessMisses:    90,
-			SpecBatches:      3,
-			SpecQueries:      12,
-			SpecHits:         11,
-			SpecWaste:        1,
-			SpecRounds:       2,
-			SpecRequeries:    1,
-			WitnessSeedTries: 8,
-			WitnessSeedHits:  5,
-			DurationNS:       1_234_567_890,
+			EdgesScanned:  150,
+			OracleCalls:   150,
+			Dijkstras:     4321,
+			WitnessHits:   10,
+			WitnessMisses: 90,
+			SpecBatches:   3,
+			SpecQueries:   12,
+			SpecHits:      11,
+			SpecWaste:     1,
+			SpecRounds:    2,
+			SpecRequeries: 1,
+			DurationNS:    1_234_567_890,
 		},
 	}
 }
@@ -57,20 +55,18 @@ func randomRecord(rng *rand.Rand) *Record {
 		SpannerDigest: letters(65),
 		Kept:          kept,
 		Stats: Stats{
-			EdgesScanned:     int64(rng.Intn(1 << 20)),
-			OracleCalls:      rng.Int63n(1 << 40),
-			Dijkstras:        rng.Int63n(1 << 40),
-			WitnessHits:      rng.Int63n(1 << 30),
-			WitnessMisses:    rng.Int63n(1 << 30),
-			SpecBatches:      rng.Int63n(1 << 30),
-			SpecQueries:      rng.Int63n(1 << 30),
-			SpecHits:         rng.Int63n(1 << 30),
-			SpecWaste:        rng.Int63n(1 << 30),
-			SpecRounds:       rng.Int63n(1 << 30),
-			SpecRequeries:    rng.Int63n(1 << 30),
-			WitnessSeedTries: rng.Int63n(1 << 30),
-			WitnessSeedHits:  rng.Int63n(1 << 30),
-			DurationNS:       rng.Int63n(1 << 50),
+			EdgesScanned:  int64(rng.Intn(1 << 20)),
+			OracleCalls:   rng.Int63n(1 << 40),
+			Dijkstras:     rng.Int63n(1 << 40),
+			WitnessHits:   rng.Int63n(1 << 30),
+			WitnessMisses: rng.Int63n(1 << 30),
+			SpecBatches:   rng.Int63n(1 << 30),
+			SpecQueries:   rng.Int63n(1 << 30),
+			SpecHits:      rng.Int63n(1 << 30),
+			SpecWaste:     rng.Int63n(1 << 30),
+			SpecRounds:    rng.Int63n(1 << 30),
+			SpecRequeries: rng.Int63n(1 << 30),
+			DurationNS:    rng.Int63n(1 << 50),
 		},
 	}
 }
@@ -200,8 +196,9 @@ func TestCodecHostileCounts(t *testing.T) {
 }
 
 // goldenV2Reserved is a version-2 record as written while counter slot 11
-// still held a pipeline depth (4 here). Slot 11 is now reserved: it must
-// decode with no error to the same kept list and digest, be skipped, and be
+// still held a pipeline depth (4 here) and slots 12–13 the witness seed
+// tries and hits (8 and 5). Slots 11–13 are now reserved: they must decode
+// with no error to the same kept list and digest, be skipped, and be
 // written back as 0.
 const goldenV2Reserved = "465453520200000082000000bda5a9c51f76317c30313233616263647c337c327c76" +
 	"65727465787c6772656564797c301e9601406465616462656566646561646265656664" +
@@ -224,7 +221,6 @@ func TestCodecReservedSlotGolden(t *testing.T) {
 			WitnessHits: 10, WitnessMisses: 90,
 			SpecBatches: 3, SpecQueries: 12, SpecHits: 11, SpecWaste: 1,
 			SpecRounds: 2, SpecRequeries: 1,
-			WitnessSeedTries: 8, WitnessSeedHits: 5,
 			DurationNS: 1_234_567_890,
 		},
 	}
@@ -236,8 +232,9 @@ func TestCodecReservedSlotGolden(t *testing.T) {
 		t.Fatalf("golden decode mismatch:\n want %+v\n got  %+v", want, got)
 	}
 
-	// Re-encoding keeps the layout byte for byte except slot 11, now 0: the
-	// payload differs in exactly that one varint byte (and so in the CRC).
+	// Re-encoding keeps the layout byte for byte except slots 11–13, now 0:
+	// the payload differs in exactly those three one-byte varints (and so in
+	// the CRC).
 	re := Encode(got)
 	if len(re) != len(data) {
 		t.Fatalf("re-encoded length %d, golden %d", len(re), len(data))
@@ -248,8 +245,14 @@ func TestCodecReservedSlotGolden(t *testing.T) {
 			diff = append(diff, i)
 		}
 	}
-	if len(diff) != 1 || data[diff[0]] != 0x08 || re[diff[0]] != 0x00 {
-		t.Fatalf("re-encoded payload differs at %v, want only the reserved slot (varint 4 -> 0)", diff)
+	reserved := []byte{0x08, 0x10, 0x0a} // zigzag varints of 4, 8 and 5
+	if len(diff) != len(reserved) || diff[2]-diff[0] != 2 {
+		t.Fatalf("re-encoded payload differs at %v, want only the three adjacent reserved slots", diff)
+	}
+	for i, at := range diff {
+		if data[at] != reserved[i] || re[at] != 0x00 {
+			t.Fatalf("reserved slot %d: golden %#x re-encoded %#x, want %#x -> 0", 11+i, data[at], re[at], reserved[i])
+		}
 	}
 
 	// A peer's record pulled during anti-entropy goes through the same
