@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"testing"
@@ -19,12 +21,15 @@ import (
 // applied delta batch: SessionSmallDelta alternates inserting and deleting a
 // single top-weight edge (a minimal dirty suffix), SessionChurn cycles a
 // four-edge batch across the top three weight levels (a wider suffix with
-// mixed decisions).
+// mixed decisions). SessionPublish is SessionSmallDelta plus what a
+// session does after every batch: one op is ApplyBatch and then Snapshot,
+// the published state with its digest.
 type sessionCase struct {
 	name     string
 	scratch  bool // run with DisableStateReuse (the from-scratch baseline)
 	baseline string
 	churn    bool // 4-edge mixed-weight batches instead of a single edge
+	publish  bool // take a Snapshot after every batch
 }
 
 var sessionCases = []sessionCase{
@@ -32,6 +37,7 @@ var sessionCases = []sessionCase{
 	{name: "SessionSmallDelta", baseline: "SessionSmallDeltaScratch"},
 	{name: "SessionChurnScratch", scratch: true, churn: true},
 	{name: "SessionChurn", baseline: "SessionChurnScratch", churn: true},
+	{name: "SessionPublish", publish: true},
 }
 
 // sessionFixture builds the delta-stream substrate: the Large quantized
@@ -166,6 +172,17 @@ func sessionBenchEntries(out io.Writer) ([]componentBench, error) {
 				return nil, fmt.Errorf("benchjson: %s batch %d: reuse/scratch spanner digests diverge (%s vs %s)",
 					c.name, i, dEng, dTwin)
 			}
+			if c.publish {
+				snap, err := eng.Snapshot()
+				if err != nil {
+					return nil, err
+				}
+				sum := sha256.Sum256(snap.AppendSpanner(nil))
+				if d := hex.EncodeToString(sum[:]); d != dEng {
+					return nil, fmt.Errorf("benchjson: %s batch %d: snapshot spanner digest %s, materialized %s",
+						c.name, i, d, dEng)
+				}
+			}
 		}
 		digest, kept, err := sessionSpanner(eng)
 		if err != nil {
@@ -184,6 +201,11 @@ func sessionBenchEntries(out io.Writer) ([]componentBench, error) {
 			for i := 0; i < b.N; i++ {
 				if _, err := bench.ApplyBatch(sessionBatch(i, c.churn, pairs, maxW)); err != nil {
 					b.Fatal(err)
+				}
+				if c.publish {
+					if _, err := bench.Snapshot(); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

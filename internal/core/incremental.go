@@ -318,24 +318,94 @@ func (inc *Incremental) NeedsRepair() bool { return inc.pending != nil }
 // all mutations go through ApplyBatch so the kept set stays maintained.
 func (inc *Incremental) Graph() *graph.Mutable { return inc.m }
 
+// Snapshot is an immutable view of an engine's state after one batch: the
+// current graph's digest, sizes and kept edges, plus what it takes to
+// materialize the graph later. Later batches, compactions included, do not
+// change it, and it is safe for concurrent use.
+type Snapshot struct {
+	// Digest is the materialized current graph's content digest.
+	Digest string
+	// NumVertices and LiveEdges size the current graph.
+	NumVertices int
+	LiveEdges   int
+	// Kept lists the kept edges in scan order. Their IDs are underlying IDs
+	// of the snapshot's own view, meaningful only to this Snapshot.
+	Kept []graph.Edge
+	g    *graph.Frozen
+}
+
+// Snapshot returns the engine's current state as an immutable Snapshot. Its
+// cost is one SHA-256 over the cached canonical lines of the live edges,
+// copies of the tombstone bits and the kept list, and nothing that
+// materializes the graph or formats a weight. It fails while NeedsRepair.
+func (inc *Incremental) Snapshot() (*Snapshot, error) {
+	snap, err := inc.freeze()
+	if err != nil {
+		return nil, err
+	}
+	snap.Digest = snap.g.Digest()
+	return snap, nil
+}
+
+// freeze is Snapshot without the digest.
+func (inc *Incremental) freeze() (*Snapshot, error) {
+	if inc.pending != nil {
+		return nil, fmt.Errorf("core: incremental state needs repair after an aborted batch; call Repair")
+	}
+	var kept []graph.Edge
+	if inc.sc != nil {
+		// The retained scan's kept list is the kept set in scan order.
+		kept = append(make([]graph.Edge, 0, len(inc.sc.kept)), inc.sc.kept...)
+	} else {
+		// No retained scan (a seeded engine before its first repair, or just
+		// after a compaction): read the kept set off the scan order.
+		kept = make([]graph.Edge, 0, inc.keptN)
+		for _, e := range inc.order {
+			if inc.kept[e.ID] {
+				kept = append(kept, e)
+			}
+		}
+	}
+	return &Snapshot{
+		NumVertices: inc.m.NumVertices(),
+		LiveEdges:   inc.m.NumLiveEdges(),
+		Kept:        kept,
+		g:           inc.m.Freeze(),
+	}, nil
+}
+
+// Materialize returns the snapshot's graph and its kept edges as
+// materialized edge IDs in scan order — exactly Result.Input and Result.Kept
+// of a from-scratch Greedy run over that graph.
+func (s *Snapshot) Materialize() (*graph.Graph, []int) {
+	mat, ids := s.g.Materialize()
+	matID := make([]int, s.g.NumEdges())
+	for i, id := range ids {
+		matID[id] = i
+	}
+	kept := make([]int, len(s.Kept))
+	for i, e := range s.Kept {
+		kept[i] = matID[e.ID]
+	}
+	return mat, kept
+}
+
+// AppendSpanner appends the spanner in the Graph.Encode text form — the
+// header, then the kept edges' cached lines in scan order — byte-identical
+// to encoding the spanner a Greedy run over the snapshot's graph builds.
+func (s *Snapshot) AppendSpanner(buf []byte) []byte {
+	return s.g.AppendSubgraph(buf, s.Kept)
+}
+
 // Current returns the materialized current graph and the kept edge list as
 // materialized edge IDs in scan order — exactly Result.Input and Result.Kept
 // of a from-scratch Greedy run. It fails while NeedsRepair.
 func (inc *Incremental) Current() (*graph.Graph, []int, error) {
-	if inc.pending != nil {
-		return nil, nil, fmt.Errorf("core: incremental state needs repair after an aborted batch; call Repair")
+	snap, err := inc.freeze()
+	if err != nil {
+		return nil, nil, err
 	}
-	mat, ids := inc.m.Materialize()
-	kept := make([]int, 0, inc.keptN)
-	for matID, underID := range ids {
-		if inc.kept[underID] {
-			kept = append(kept, matID)
-		}
-	}
-	sort.Slice(kept, func(i, j int) bool {
-		ei, ej := mat.Edge(kept[i]), mat.Edge(kept[j])
-		return keyLess(scanKey{ei.Weight, ei.ID}, scanKey{ej.Weight, ej.ID})
-	})
+	mat, kept := snap.Materialize()
 	return mat, kept, nil
 }
 

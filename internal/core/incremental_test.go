@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -47,6 +48,42 @@ func checkIncrementalDifferential(t *testing.T, eng *Incremental, label string) 
 	}
 	if eng.KeptCount() != len(ref.Kept) {
 		t.Fatalf("%s: KeptCount = %d, want %d", label, eng.KeptCount(), len(ref.Kept))
+	}
+	snap, err := eng.Snapshot()
+	if err != nil {
+		t.Fatalf("%s: Snapshot: %v", label, err)
+	}
+	checkSnapshot(t, snap, mat, ref, label)
+}
+
+// checkSnapshot requires snap to describe input and its greedy result ref
+// exactly: the same digest and sizes, the same kept edges in the same
+// order, and spanner text byte-identical to ref.Spanner's encoding.
+func checkSnapshot(t *testing.T, snap *Snapshot, input *graph.Graph, ref *Result, label string) {
+	t.Helper()
+	if snap.Digest != input.Digest() || snap.NumVertices != input.NumVertices() || snap.LiveEdges != input.NumEdges() {
+		t.Fatalf("%s: snapshot %s (%dv/%de), current graph %s (%dv/%de)", label,
+			snap.Digest, snap.NumVertices, snap.LiveEdges, input.Digest(), input.NumVertices(), input.NumEdges())
+	}
+	var enc bytes.Buffer
+	if err := ref.Spanner.Encode(&enc); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.AppendSpanner(nil); !bytes.Equal(got, enc.Bytes()) {
+		t.Fatalf("%s: snapshot spanner text\n%s\nrebuild encodes\n%s", label, got, enc.Bytes())
+	}
+	mat, kept := snap.Materialize()
+	if mat.Digest() != snap.Digest || len(kept) != len(ref.Kept) {
+		t.Fatalf("%s: snapshot materializes to %s with %d kept, want %s with %d",
+			label, mat.Digest(), len(kept), snap.Digest, len(ref.Kept))
+	}
+	for i := range kept {
+		if kept[i] != ref.Kept[i] {
+			t.Fatalf("%s: snapshot kept[%d] = %d, rebuild %d", label, i, kept[i], ref.Kept[i])
+		}
+		if e := mat.Edge(kept[i]); e.U != snap.Kept[i].U || e.V != snap.Kept[i].V || e.Weight != snap.Kept[i].Weight {
+			t.Fatalf("%s: snapshot kept edge %d is %+v, materialized %+v", label, i, snap.Kept[i], e)
+		}
 	}
 }
 
@@ -785,6 +822,47 @@ func TestIncrementalCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkIncrementalDifferential(t, eng, fmt.Sprintf("post-compact batch %d", i))
+	}
+}
+
+// TestIncrementalSnapshotOutlivesBatches takes a Snapshot after every batch
+// of a delete-heavy stream that compacts more than once, and then checks
+// every snapshot against the clean-room greedy of the graph it was taken
+// over: later batches, truncated kept lists and rebuilt line arenas must
+// leave each one as it was.
+func TestIncrementalSnapshotOutlivesBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	g := randomInstance(rng, 12, 60, weightsMixed)
+	opts := IncrementalOptions{Stretch: 2, Faults: 1, Mode: fault.Vertices}
+	eng, err := NewIncremental(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type taken struct {
+		snap  *Snapshot
+		input *graph.Graph
+	}
+	var snaps []taken
+	for batch := 0; batch < 40; batch++ {
+		if _, err := eng.ApplyBatch(randomBatch(rng, eng, 8)); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		snap, err := eng.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		input, _ := eng.Graph().Materialize()
+		snaps = append(snaps, taken{snap, input})
+	}
+	if eng.Stats().Compactions < 2 {
+		t.Fatalf("stream compacted %d times, want at least 2", eng.Stats().Compactions)
+	}
+	for i, s := range snaps {
+		ref, err := Greedy(s.input, opts.options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSnapshot(t, s.snap, s.input, ref, fmt.Sprintf("snapshot %d", i))
 	}
 }
 

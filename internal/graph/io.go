@@ -42,19 +42,9 @@ var encodeBufs = sync.Pool{New: func() any {
 func (g *Graph) Encode(w io.Writer) error {
 	bp := encodeBufs.Get().(*[]byte)
 	defer encodeBufs.Put(bp)
-	buf := append((*bp)[:0], 'p', ' ')
-	buf = strconv.AppendInt(buf, int64(g.NumVertices()), 10)
-	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, int64(g.NumEdges()), 10)
-	buf = append(buf, '\n')
+	buf := appendHeader((*bp)[:0], g.NumVertices(), g.NumEdges())
 	for _, e := range g.edges {
-		buf = append(buf, 'e', ' ')
-		buf = strconv.AppendInt(buf, int64(e.U), 10)
-		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, int64(e.V), 10)
-		buf = append(buf, ' ')
-		buf = strconv.AppendFloat(buf, e.Weight, 'g', -1, 64)
-		buf = append(buf, '\n')
+		buf = appendEdgeLine(buf, e.U, e.V, e.Weight)
 		if len(buf) >= encodeChunk {
 			if _, err := w.Write(buf); err != nil {
 				return err
@@ -64,6 +54,28 @@ func (g *Graph) Encode(w io.Writer) error {
 	}
 	_, err := w.Write(buf)
 	return err
+}
+
+// appendHeader appends the canonical header line, "p n m\n".
+func appendHeader(buf []byte, n, m int) []byte {
+	buf = append(buf, 'p', ' ')
+	buf = strconv.AppendInt(buf, int64(n), 10)
+	buf = append(buf, ' ')
+	buf = strconv.AppendInt(buf, int64(m), 10)
+	return append(buf, '\n')
+}
+
+// appendEdgeLine appends the canonical line of edge (u, v) with weight w,
+// "e u v w\n". It is the one definition of the line: Encode writes it,
+// Digest hashes it, and Mutable caches it per edge.
+func appendEdgeLine(buf []byte, u, v int, w float64) []byte {
+	buf = append(buf, 'e', ' ')
+	buf = strconv.AppendInt(buf, int64(u), 10)
+	buf = append(buf, ' ')
+	buf = strconv.AppendInt(buf, int64(v), 10)
+	buf = append(buf, ' ')
+	buf = strconv.AppendFloat(buf, w, 'g', -1, 64)
+	return append(buf, '\n')
 }
 
 // maxLine bounds one input line, its newline excluded: Decode has always

@@ -169,8 +169,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Faults:      job.spec.Faults,
 		Priority:    job.spec.Priority,
 		GraphDigest: job.key.Digest,
-		Vertices:    job.graph.NumVertices(),
-		InputEdges:  job.graph.NumEdges(),
+		Vertices:    job.vertices,
+		InputEdges:  job.inputEdges,
 		Cached:      job.cached,
 		FromStore:   job.fromStore,
 	}
@@ -178,7 +178,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		resp.Error = job.err.Error()
 	}
 	if job.result != nil {
-		m := job.result.spanner.NumEdges()
+		m := job.result.NumKept()
 		resp.SpannerEdges = &m
 		st := job.result.stats
 		resp.Stats = &statsBody{
@@ -228,11 +228,11 @@ func (s *Server) handleSpanner(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sb strings.Builder
-	if err := res.spanner.Encode(&sb); err != nil {
+	if err := res.Spanner().Encode(&sb); err != nil {
 		writeError(w, http.StatusInternalServerError, "encode: %v", err)
 		return
 	}
-	kept := res.kept
+	kept := res.Kept()
 	if kept == nil {
 		kept = []int{}
 	}
@@ -326,7 +326,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	inst, err := verify.NewInstance(res.input, res.spanner, res.kept)
+	inst, err := verify.NewInstance(res.Input(), res.Spanner(), res.Kept())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "verifier: %v", err)
 		return

@@ -114,20 +114,65 @@ type Event struct {
 
 // buildResult is the normalized output of any algorithm: enough to encode
 // the spanner, report instrumentation, and re-verify the result later.
+//
+// A session publishes its result as a core.Snapshot, and the input graph,
+// spanner and kept IDs are then materialized from it once, on first use
+// (a job's spanner read, /verify, seeding a session, the persist at close).
+// Read them through Input, Spanner and Kept; NumKept needs none of them.
 type buildResult struct {
+	stats core.Stats
+	snap  *core.Snapshot // nil for a built or stored result
+
+	once    sync.Once
 	input   *graph.Graph
 	spanner *graph.Graph
 	kept    []int
-	stats   core.Stats
+}
+
+// materialized fills input, spanner and kept from the snapshot on first use.
+func (r *buildResult) materialized() *buildResult {
+	r.once.Do(func() {
+		if r.snap == nil {
+			return
+		}
+		r.input, r.kept = r.snap.Materialize()
+		r.spanner = graph.New(r.input.NumVertices())
+		for _, id := range r.kept {
+			e := r.input.Edge(id)
+			r.spanner.MustAddEdge(e.U, e.V, e.Weight)
+		}
+	})
+	return r
+}
+
+// Input returns the input graph.
+func (r *buildResult) Input() *graph.Graph { return r.materialized().input }
+
+// Spanner returns the built spanner.
+func (r *buildResult) Spanner() *graph.Graph { return r.materialized().spanner }
+
+// Kept returns the input edge IDs the spanner keeps, in spanner edge-ID
+// order.
+func (r *buildResult) Kept() []int { return r.materialized().kept }
+
+// NumKept returns the spanner's edge count without materializing anything.
+func (r *buildResult) NumKept() int {
+	if r.snap != nil {
+		return len(r.snap.Kept)
+	}
+	return len(r.kept)
 }
 
 // Job is one submitted build with its full lifecycle: queue position,
 // cancellation handle, event log for streaming, and final result.
 type Job struct {
-	id    string
-	key   CacheKey
-	spec  JobSpec
-	graph *graph.Graph
+	id   string
+	key  CacheKey
+	spec JobSpec
+	// graph is the input the build runs on; a job born done never builds
+	// and holds none. vertices and inputEdges size the input either way.
+	graph                *graph.Graph
+	vertices, inputEdges int
 	// class is the scheduling class derived from spec.Priority; enqueuedAt
 	// feeds the per-class queue-age gauge.
 	class      class
@@ -195,9 +240,10 @@ func (j *Job) startTrace(cached, fromStore bool) {
 }
 
 func newJob(id string, key CacheKey, spec JobSpec, g *graph.Graph) *Job {
-	every := 1
+	every, n, m := 1, 0, 0
 	if g != nil {
-		if every = g.NumEdges() / 16; every < 1 {
+		n, m = g.NumVertices(), g.NumEdges()
+		if every = m / 16; every < 1 {
 			every = 1
 		}
 	}
@@ -206,6 +252,8 @@ func newJob(id string, key CacheKey, spec JobSpec, g *graph.Graph) *Job {
 		key:           key,
 		spec:          spec,
 		graph:         g,
+		vertices:      n,
+		inputEdges:    m,
 		class:         classOf(spec.Priority),
 		enqueuedAt:    time.Now(),
 		progressEvery: every,

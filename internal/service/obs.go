@@ -13,23 +13,25 @@ import (
 // operations (oracle fault-set queries, store reads/writes) run. All are
 // safe for concurrent recording and summarized in GET /metrics.
 type latencies struct {
-	queueWait    [numClasses]*obs.Histogram
-	build        *obs.Histogram
-	persist      *obs.Histogram
-	storeGet     *obs.Histogram
-	storePut     *obs.Histogram
-	oracleQuery  *obs.Histogram
-	sessionDelta *obs.Histogram
+	queueWait      [numClasses]*obs.Histogram
+	build          *obs.Histogram
+	persist        *obs.Histogram
+	storeGet       *obs.Histogram
+	storePut       *obs.Histogram
+	oracleQuery    *obs.Histogram
+	sessionDelta   *obs.Histogram
+	sessionPublish *obs.Histogram
 }
 
 func newLatencies() *latencies {
 	l := &latencies{
-		build:        obs.NewHistogram(),
-		persist:      obs.NewHistogram(),
-		storeGet:     obs.NewHistogram(),
-		storePut:     obs.NewHistogram(),
-		oracleQuery:  obs.NewHistogram(),
-		sessionDelta: obs.NewHistogram(),
+		build:          obs.NewHistogram(),
+		persist:        obs.NewHistogram(),
+		storeGet:       obs.NewHistogram(),
+		storePut:       obs.NewHistogram(),
+		oracleQuery:    obs.NewHistogram(),
+		sessionDelta:   obs.NewHistogram(),
+		sessionPublish: obs.NewHistogram(),
 	}
 	for c := range l.queueWait {
 		l.queueWait[c] = obs.NewHistogram()
@@ -67,20 +69,25 @@ type LatencySnapshot struct {
 	// builds (1 in 8 queries is timed to keep overhead negligible).
 	OracleQuery obs.Summary `json:"oracle_query"`
 	// SessionDelta is the per-batch wall-clock duration of session delta
-	// applications (the incremental engine's suffix repair, or its full
-	// rebuild fallback).
+	// applications: the incremental engine's validation, mutation and
+	// suffix repair.
 	SessionDelta obs.Summary `json:"session_delta"`
+	// SessionPublish is the duration of publishing a session's state after
+	// a batch (and at create): the snapshot with its one digest hash, and
+	// the memory-cache insert.
+	SessionPublish obs.Summary `json:"session_publish"`
 }
 
 func (l *latencies) snapshot() LatencySnapshot {
 	s := LatencySnapshot{
-		QueueWait:    make(map[Priority]obs.Summary, numClasses),
-		Build:        l.build.Summarize(),
-		Persist:      l.persist.Summarize(),
-		StoreGet:     l.storeGet.Summarize(),
-		StorePut:     l.storePut.Summarize(),
-		OracleQuery:  l.oracleQuery.Summarize(),
-		SessionDelta: l.sessionDelta.Summarize(),
+		QueueWait:      make(map[Priority]obs.Summary, numClasses),
+		Build:          l.build.Summarize(),
+		Persist:        l.persist.Summarize(),
+		StoreGet:       l.storeGet.Summarize(),
+		StorePut:       l.storePut.Summarize(),
+		OracleQuery:    l.oracleQuery.Summarize(),
+		SessionDelta:   l.sessionDelta.Summarize(),
+		SessionPublish: l.sessionPublish.Summarize(),
 	}
 	for c := class(0); c < numClasses; c++ {
 		s.QueueWait[c.Priority()] = l.queueWait[c].Summarize()

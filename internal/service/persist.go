@@ -24,10 +24,10 @@ func recordFor(key CacheKey, res *buildResult) *store.Record {
 	st := res.stats
 	return &store.Record{
 		Key:           storeKeyFor(key),
-		NumVertices:   res.input.NumVertices(),
-		InputEdges:    res.input.NumEdges(),
-		SpannerDigest: res.spanner.Digest(),
-		Kept:          res.kept,
+		NumVertices:   res.Input().NumVertices(),
+		InputEdges:    res.Input().NumEdges(),
+		SpannerDigest: res.Spanner().Digest(),
+		Kept:          res.Kept(),
 		Stats: store.Stats{
 			EdgesScanned:  int64(st.EdgesScanned),
 			OracleCalls:   st.OracleCalls,

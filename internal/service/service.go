@@ -470,7 +470,7 @@ func (s *Server) finish(job *Job, res *buildResult, err error) {
 	switch {
 	case err == nil:
 		job.result = res
-		job.setStateLocked(StateDone, Event{Scanned: res.stats.EdgesScanned, Kept: len(res.kept)})
+		job.setStateLocked(StateDone, Event{Scanned: res.stats.EdgesScanned, Kept: res.NumKept()})
 	case errors.Is(err, context.DeadlineExceeded):
 		job.err = fmt.Errorf("deadline of %dms exceeded", job.spec.DeadlineMs)
 		job.setStateLocked(StateDeadline, Event{Error: job.err.Error()})
@@ -609,13 +609,18 @@ func (s *Server) submit(spec JobSpec) (job *Job, dedup bool, err error) {
 	}
 	id := fmt.Sprintf("j%d", s.nextID+1)
 	if hit {
-		job := newJob(id, key, spec, res.input)
+		// The job is sized from the submitter's own graph, which is
+		// digest-equal to the cached result's input: a session-published
+		// result would have to materialize its input to hand it over. A job
+		// born done never builds, so it keeps the sizes, not the graph.
+		job := newJob(id, key, spec, g)
+		job.graph = nil
 		job.startTrace(true, fromStore)
 		job.mu.Lock()
 		job.result = res
 		job.cached = true
 		job.fromStore = fromStore
-		job.setStateLocked(StateDone, Event{Scanned: res.stats.EdgesScanned, Kept: len(res.kept)})
+		job.setStateLocked(StateDone, Event{Scanned: res.stats.EdgesScanned, Kept: res.NumKept()})
 		job.mu.Unlock()
 		s.nextID++
 		s.jobs[id] = job

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -33,6 +32,14 @@ import (
 // result, written once when the session is deleted, evicted or the server
 // closes, so a future session or job over that graph seeds instantly even
 // after a restart, while a delta batch costs no durable write.
+//
+// A publish is one core.Snapshot: the digest, hashed over edge lines the
+// mutable graph formatted when each edge entered, plus O(kept) copying. The
+// session's spanner read is answered from the snapshot without the session
+// lock. The cached result's input graph, spanner and kept IDs materialize
+// from the snapshot once, and only when something needs them: a job's
+// spanner read or /verify, a session seeded from the entry, or the persist
+// at close. A cross-job that hits the cache needs none of them.
 
 // maxSessionDeltaOps bounds one delta request's operation count.
 const maxSessionDeltaOps = 4096
@@ -144,9 +151,9 @@ type Session struct {
 	mu      sync.Mutex
 	eng     *core.Incremental
 	batches int
-	digest  string // materialized digest after the last successful batch
-	// result is the current graph's greedy result as last published (the
-	// spanner endpoint serves it, and closeSession persists it).
+	// result is the cache entry for the engine's state as last published,
+	// which closeSession persists. Its snapshot's digest, sizes and kept
+	// edges answer the session's reads.
 	result *buildResult
 	seeded bool // engine seeded from the result cache at create
 	closed bool
@@ -221,24 +228,24 @@ func sessionCacheKey(spec SessionSpec, digest string) CacheKey {
 // publishSession makes the engine's current result the session's published
 // one: it is what the spanner endpoint serves and what closeSession
 // persists, and unless the session is NoCache it goes into the memory cache
-// tier under its evolving digest. Caller holds sess.mu.
+// tier under its evolving digest. It costs one Snapshot — one hash over the
+// cached lines plus O(kept) copying; the result's input graph, spanner and
+// kept IDs materialize only if a job or the persist asks for them. Caller
+// holds sess.mu.
 func (s *Server) publishSession(sess *Session) error {
-	mat, kept, err := sess.eng.Current()
+	start := time.Now()
+	snap, err := sess.eng.Snapshot()
 	if err != nil {
 		return err
 	}
-	spanner := graph.New(mat.NumVertices())
-	for _, id := range kept {
-		e := mat.Edge(id)
-		spanner.MustAddEdge(e.U, e.V, e.Weight)
-	}
-	res := &buildResult{input: mat, spanner: spanner, kept: kept}
-	res.stats.EdgesScanned = mat.NumEdges()
-	sess.digest, sess.result = mat.Digest(), res
+	res := &buildResult{snap: snap}
+	res.stats.EdgesScanned = snap.LiveEdges
+	sess.result = res
 	if !sess.spec.NoCache {
-		s.cache.Put(sessionCacheKey(sess.spec, sess.digest), res)
+		s.cache.Put(sessionCacheKey(sess.spec, snap.Digest), res)
 		s.met.sessionCachePuts.Add(1)
 	}
+	s.lat.sessionPublish.Record(time.Since(start))
 	return nil
 }
 
@@ -277,7 +284,7 @@ func (s *Server) createSession(spec SessionSpec) (*Session, error) {
 			}
 		}
 		if hit {
-			if e, err := core.NewIncrementalSeeded(initial, res.kept, opts); err == nil {
+			if e, err := core.NewIncrementalSeeded(initial, res.Kept(), opts); err == nil {
 				eng, seeded = e, true
 				s.met.sessionsSeeded.Add(1)
 			}
@@ -301,7 +308,7 @@ func (s *Server) createSession(spec SessionSpec) (*Session, error) {
 		Type:      "created",
 		LiveEdges: sess.eng.NumLiveEdges(),
 		Kept:      sess.eng.KeptCount(),
-		Digest:    sess.digest,
+		Digest:    sess.result.snap.Digest,
 	}, false)
 
 	s.sessMu.Lock()
@@ -406,14 +413,14 @@ func (s *Server) closeSession(sess *Session, reason string) bool {
 		Type:      "closed",
 		LiveEdges: sess.eng.NumLiveEdges(),
 		Kept:      sess.eng.KeptCount(),
-		Digest:    sess.digest,
+		Digest:    sess.result.snap.Digest,
 		Reason:    reason,
 	}, true)
-	res, digest := sess.result, sess.digest
+	res := sess.result
 	sess.mu.Unlock()
 	// The write is disk I/O, so it runs without sess.mu.
 	if res != nil && !sess.spec.NoCache {
-		s.storePut(sessionCacheKey(sess.spec, digest), res)
+		s.storePut(sessionCacheKey(sess.spec, res.snap.Digest), res)
 	}
 	return true
 }
@@ -449,7 +456,7 @@ func (s *Server) sessionResponseLocked(sess *Session) sessionResponse {
 		Vertices:    sess.eng.NumVertices(),
 		LiveEdges:   sess.eng.NumLiveEdges(),
 		Kept:        sess.eng.KeptCount(),
-		Digest:      sess.digest,
+		Digest:      sess.result.snap.Digest,
 		Seeded:      sess.seeded,
 		Batches:     sess.batches,
 		NeedsRepair: sess.eng.NeedsRepair(),
@@ -598,7 +605,7 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 		Kept:        res.Kept,
 		KeptAdded:   sessionEdges(res.KeptAdded),
 		KeptRemoved: sessionEdges(res.KeptRemoved),
-		Digest:      sess.digest,
+		Digest:      sess.result.snap.Digest,
 	}
 	sess.log.append(ev, false)
 	resp := sessionDeltasResponse{
@@ -608,7 +615,7 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 		Kept:          res.Kept,
 		KeptAdded:     ev.KeptAdded,
 		KeptRemoved:   ev.KeptRemoved,
-		Digest:        sess.digest,
+		Digest:        sess.result.snap.Digest,
 		SuffixLen:     res.Stats.SuffixLen,
 		OracleQueries: res.Stats.OracleQueries,
 		ShortcutKeeps: res.Stats.ShortcutKeeps,
@@ -650,32 +657,29 @@ func (s *Server) handleSessionSpanner(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.mu.Lock()
-	defer sess.mu.Unlock()
 	if sess.eng.NeedsRepair() {
 		// The documented recovery path: finish the aborted re-scan, and
 		// publish its result, before answering reads.
-		if err := sess.eng.Repair(); err != nil {
+		err := sess.eng.Repair()
+		if err == nil {
+			err = s.publishSession(sess)
+		}
+		if err != nil {
+			sess.mu.Unlock()
 			writeError(w, http.StatusInternalServerError, "repair: %v", err)
 			return
 		}
-		if err := s.publishSession(sess); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
 	}
-	res := sess.result
-	edges := make([]SessionEdge, 0, len(res.kept))
-	for _, id := range res.kept {
-		e := res.input.Edge(id)
-		edges = append(edges, SessionEdge{U: e.U, V: e.V, Weight: e.Weight})
-	}
-	var sb strings.Builder
-	if err := res.spanner.Encode(&sb); err != nil {
-		writeError(w, http.StatusInternalServerError, "encode: %v", err)
-		return
+	// The snapshot is immutable, so the answer is built and written without
+	// sess.mu: a slow reader never holds up the session's batches.
+	snap := sess.result.snap
+	sess.mu.Unlock()
+	edges := make([]SessionEdge, len(snap.Kept))
+	for i, e := range snap.Kept {
+		edges[i] = SessionEdge{U: e.U, V: e.V, Weight: e.Weight}
 	}
 	writeJSON(w, http.StatusOK, sessionSpannerResponse{
-		ID: sess.id, Digest: sess.digest, Spanner: sb.String(), Kept: edges,
+		ID: sess.id, Digest: snap.Digest, Spanner: string(snap.AppendSpanner(nil)), Kept: edges,
 	})
 }
 
