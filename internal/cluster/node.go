@@ -2,11 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,10 +46,9 @@ type Config struct {
 	// the ring is a function of the peer set.
 	Peers []string
 	// Local is the in-process service this node fronts; nil for a pure
-	// router with no local build capacity.
+	// router with no local build capacity. A worker node makes it mint
+	// job IDs scoped to its ring index.
 	Local *service.Server
-	// VNodes is the virtual-node count per peer (DefaultVNodes when <= 0).
-	VNodes int
 	// PollInterval is the peer health/queue summary poll cadence (default
 	// 1s). The poll is what makes backpressure and drain routing
 	// fleet-aware without per-request fan-out.
@@ -59,13 +58,6 @@ type Config struct {
 	SyncInterval time.Duration
 	// MaxBodyBytes bounds submit/verify request bodies (default 8 MiB).
 	MaxBodyBytes int64
-	// Client overrides the HTTP client for proxied API calls and polls;
-	// nil selects a client with a 15s overall timeout.
-	Client *http.Client
-	// StreamClient overrides the HTTP client for proxied event streams;
-	// nil selects a client with header-only timeouts (streams are
-	// long-lived by design, an overall timeout would sever them).
-	StreamClient *http.Client
 }
 
 // Node is the fleet-facing HTTP handler: it owns a ring, routes job
@@ -76,8 +68,10 @@ type Node struct {
 	ring    *Ring
 	selfIdx int // index into ring.Peers(), -1 for a pure router
 	mux     *http.ServeMux
-	api     *http.Client
-	stream  *http.Client
+	api     *http.Client // proxied API calls and polls: 15s overall timeout
+	// stream proxies event streams with a header-only timeout: streams are
+	// long-lived by design, an overall timeout would sever them.
+	stream *http.Client
 
 	sumMu sync.Mutex
 	sums  map[int]peerStatus
@@ -119,21 +113,18 @@ func New(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		cfg:    cfg,
-		ring:   NewRing(cfg.Peers, cfg.VNodes),
-		api:    cfg.Client,
-		stream: cfg.StreamClient,
+		ring:   NewRing(cfg.Peers, DefaultVNodes),
+		api:    &http.Client{Timeout: 15 * time.Second},
+		stream: &http.Client{Transport: &http.Transport{ResponseHeaderTimeout: 15 * time.Second}},
 		sums:   make(map[int]peerStatus),
 		done:   make(chan struct{}),
 	}
 	n.selfIdx = n.ring.Index(cfg.Self)
-	if n.selfIdx >= 0 && cfg.Local == nil {
-		return nil, fmt.Errorf("cluster: self %q is in the peer list but no local service is attached", cfg.Self)
-	}
-	if n.api == nil {
-		n.api = &http.Client{Timeout: 15 * time.Second}
-	}
-	if n.stream == nil {
-		n.stream = &http.Client{Transport: &http.Transport{ResponseHeaderTimeout: 15 * time.Second}}
+	if n.selfIdx >= 0 {
+		if cfg.Local == nil {
+			return nil, fmt.Errorf("cluster: self %q is in the peer list but no local service is attached", cfg.Self)
+		}
+		cfg.Local.SetJobIDPrefix(prefixID(n.selfIdx, ""))
 	}
 	n.routes()
 	n.wg.Add(1)
@@ -198,14 +189,14 @@ func (n *Node) local(w http.ResponseWriter, r *http.Request) {
 	n.cfg.Local.ServeHTTP(w, r)
 }
 
-// ---- job ID prefixing ------------------------------------------------
+// ---- job IDs --------------------------------------------------------
 
-// Fleet job IDs have the form p<ringIndex>~<localID>. The prefix makes any
-// job readable through any node: the ring index says which replica holds
-// it, no lookup table needed.
+// Fleet job IDs have the form p<ringIndex>~j<n>: each worker node's service
+// mints them with its own ring index, so any node reads the owner off the
+// ID and relays the answer byte for byte, no lookup table needed.
 
-// parseID splits a fleet job ID into its ring index and the replica-local
-// ID; unprefixed IDs map to (-1, id). It accepts what ^p(\d+)~(.+)$ matches.
+// parseID splits a fleet job ID into its ring index and the rest;
+// unprefixed IDs map to (-1, id). It accepts what ^p(\d+)~(.+)$ matches.
 func parseID(id string) (int, string) {
 	head, local, ok := strings.Cut(id, "~")
 	if !ok || len(head) < 2 || head[0] != 'p' || local == "" || strings.ContainsRune(local, '\n') ||
@@ -222,45 +213,85 @@ func parseID(id string) (int, string) {
 // prefixID scopes a replica-local job ID to ring index idx.
 func prefixID(idx int, id string) string { return "p" + strconv.Itoa(idx) + "~" + id }
 
-// rewriteID maps the string value of body's top-level field through fn and
-// splices the new JSON string over the old, so every other byte leaves as
-// the service wrote it. With leading set, only a body whose first key is
-// field is rewritten, reading just its opening tokens (service answers
-// carry their ID first); otherwise the field's last occurrence is, as a
-// JSON decoder reads it. Anything else passes through untouched.
-func rewriteID(body []byte, field string, fn func(string) string, leading bool) []byte {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-		return body
-	}
-	var id json.RawMessage // the field's value as last seen, ending at end
-	end := int64(0)
-	for dec.More() {
-		key, err := dec.Token()
-		var raw json.RawMessage
-		if err != nil || dec.Decode(&raw) != nil {
-			return body
-		}
-		if key == field {
-			id, end = raw, dec.InputOffset()
-		}
-		if leading {
-			break
-		}
-	}
-	var val string
-	if len(id) == 0 || id[0] != '"' || json.Unmarshal(id, &val) != nil {
-		return body
-	}
-	quoted, _ := json.Marshal(fn(val)) // a string always marshals
-	return slices.Concat(body[:end-int64(len(id))], quoted, body[end:])
+// servesHere reports whether a job-scoped request for the ring index idx
+// belongs to this node's own service: unprefixed, own-prefixed, or
+// forwarded by a peer (a forwarded request is never re-proxied, so no
+// routing loop can form).
+func (n *Node) servesHere(r *http.Request, idx int) bool {
+	return idx < 0 || idx == n.selfIdx || r.Header.Get(forwardedHeader) != ""
 }
 
-// ---- local dispatch --------------------------------------------------
+// ---- relaying --------------------------------------------------------
 
-// capture is a buffering ResponseWriter for dispatching into the local
-// service and post-processing the response (job-ID prefixing) before it
-// leaves the node.
+// proxy sends one request to the ring peer at idx, marked as forwarded so
+// the peer serves it itself. The caller closes the response body.
+func (n *Node) proxy(ctx context.Context, client *http.Client, idx int, method, uri string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+n.ring.Peers()[idx]+uri, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	req.Header.Set(forwardedHeader, n.cfg.Self)
+	return client.Do(req)
+}
+
+// relayHeader copies the headers routing clients act on and the status.
+func relayHeader(w http.ResponseWriter, code int, header http.Header) {
+	for _, k := range []string{"Content-Type", "Retry-After"} {
+		if v := header.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
+	}
+	w.WriteHeader(code)
+}
+
+// proxyTo relays r to the ring peer at idx and copies the answer
+// downstream as the peer wrote it. A stream flushes each chunk as it
+// arrives, so NDJSON events reach the client live.
+func (n *Node) proxyTo(w http.ResponseWriter, r *http.Request, idx int, body []byte, stream bool) {
+	client := n.api
+	if stream {
+		client = n.stream
+	}
+	resp, err := n.proxy(r.Context(), client, idx, r.Method, r.URL.RequestURI(), body)
+	if err != nil {
+		n.peerErrors.Add(1)
+		writeErr(w, http.StatusBadGateway, "peer %s: %v", n.ring.Peers()[idx], err)
+		return
+	}
+	defer resp.Body.Close()
+	n.routedRemote.Add(1)
+	relayHeader(w, resp.StatusCode, resp.Header)
+	if !stream {
+		_, _ = io.Copy(w, resp.Body)
+		return
+	}
+	fl, _ := w.(http.Flusher)
+	buf := make([]byte, 32<<10)
+	for {
+		m, err := resp.Body.Read(buf)
+		if m > 0 {
+			if _, werr := w.Write(buf[:m]); werr != nil {
+				return
+			}
+			if fl != nil {
+				fl.Flush()
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// capture buffers a local submit's answer, so a drain 503 can hedge to a
+// peer instead of reaching the client.
 type capture struct {
 	code   int
 	header http.Header
@@ -271,35 +302,6 @@ func (c *capture) Header() http.Header         { return c.header }
 func (c *capture) WriteHeader(code int)        { c.code = code }
 func (c *capture) Write(p []byte) (int, error) { c.body = append(c.body, p...); return len(p), nil }
 
-// serveLocal serves req on the attached service into a buffer; a successful
-// answer leaves with this node's ring prefix on its ID field, if one is named.
-func (n *Node) serveLocal(req *http.Request, idField string) *capture {
-	c := &capture{code: http.StatusOK, header: make(http.Header)}
-	n.cfg.Local.ServeHTTP(c, req)
-	if c.code < 300 && n.selfIdx >= 0 && idField != "" {
-		c.body = rewriteID(c.body, idField, func(id string) string { return prefixID(n.selfIdx, id) }, true)
-	}
-	return c
-}
-
-// dispatchLocal serves req on the attached service and relays the answer.
-func (n *Node) dispatchLocal(w http.ResponseWriter, req *http.Request, idField string) {
-	c := n.serveLocal(req, idField)
-	relay(w, c.code, c.header, c.body)
-}
-
-// relay writes a buffered upstream response downstream, preserving the
-// headers routing clients act on.
-func relay(w http.ResponseWriter, code int, header http.Header, body []byte) {
-	for _, k := range []string{"Content-Type", "Retry-After"} {
-		if v := header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
-	w.WriteHeader(code)
-	_, _ = w.Write(body)
-}
-
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -309,11 +311,6 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 // ---- submit routing --------------------------------------------------
 
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, n.cfg.MaxBodyBytes))
-	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "read body: %v", err)
-		return
-	}
 	// A forwarded submit is served locally, full stop: the sending node
 	// already chose this replica (owner or hedge target), and re-proxying
 	// could loop.
@@ -323,7 +320,12 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		n.routedLocal.Add(1)
-		n.dispatchLocal(w, newLocalRequest(r.Method, "/v1/jobs", body), "id")
+		n.cfg.Local.ServeHTTP(w, r)
+		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, n.cfg.MaxBodyBytes))
+	if err != nil {
+		writeErr(w, http.StatusRequestEntityTooLarge, "read body: %v", err)
 		return
 	}
 	digest, err := service.SpecDigest(body)
@@ -359,39 +361,35 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			n.hedged.Add(1)
 		}
-		if done := n.submitTo(w, target, body); done {
+		if done := n.submitTo(w, r, target, body); done {
 			return
 		}
 	}
 	writeErr(w, http.StatusBadGateway, "no replica available for digest %s", digest)
 }
 
-// submitTo forwards one submit to the ring peer at index target. It
-// reports true when a response was written downstream; false means the
-// peer is unreachable or draining and the caller should hedge.
-func (n *Node) submitTo(w http.ResponseWriter, target int, body []byte) bool {
-	if target == n.selfIdx && n.cfg.Local != nil {
-		c := n.serveLocal(newLocalRequest(http.MethodPost, "/v1/jobs", body), "id")
+// submitTo sends one submit to the ring peer at index target. It reports
+// true when an answer was relayed downstream; false means the peer is
+// unreachable or draining and the caller should hedge.
+func (n *Node) submitTo(w http.ResponseWriter, r *http.Request, target int, body []byte) bool {
+	if target == n.selfIdx {
+		c := &capture{code: http.StatusOK, header: make(http.Header)}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		n.cfg.Local.ServeHTTP(c, r)
 		if c.code == http.StatusServiceUnavailable && isDraining(c.body) {
 			return false // local drain: let the hedge try a peer
 		}
 		n.routedLocal.Add(1)
-		relay(w, c.code, c.header, c.body)
+		relayHeader(w, c.code, c.header)
+		_, _ = w.Write(c.body)
 		return true
 	}
-	peer := n.ring.Peers()[target]
 	for attempt := 0; attempt < submitTries; attempt++ {
 		if attempt > 0 {
 			n.retries.Add(1)
 			time.Sleep(retryPause)
 		}
-		req, err := http.NewRequest(http.MethodPost, "http://"+peer+"/v1/jobs", bytes.NewReader(body))
-		if err != nil {
-			return false
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(forwardedHeader, n.cfg.Self)
-		resp, err := n.api.Do(req)
+		resp, err := n.proxy(r.Context(), n.api, target, http.MethodPost, "/v1/jobs", body)
 		if err != nil {
 			continue
 		}
@@ -401,7 +399,8 @@ func (n *Node) submitTo(w http.ResponseWriter, target int, body []byte) bool {
 			return false // peer is draining: hedge
 		}
 		n.routedRemote.Add(1)
-		relay(w, resp.StatusCode, resp.Header, respBody)
+		relayHeader(w, resp.StatusCode, resp.Header)
+		_, _ = w.Write(respBody)
 		return true
 	}
 	n.peerErrors.Add(1)
@@ -420,86 +419,28 @@ func isDraining(body []byte) bool {
 // ---- reads, cancel, events -------------------------------------------
 
 // byID routes the job-scoped endpoints by the ID's ring prefix. stream
-// selects pass-through proxying (NDJSON event streams must flush as they
-// go and never buffer to completion).
+// marks the NDJSON event stream, which is relayed live and never times out
+// as a whole.
 func (n *Node) byID(stream bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		idx, rawID := parseID(id)
-		localPath := strings.Replace(r.URL.Path, "/v1/jobs/"+id, "/v1/jobs/"+rawID, 1)
-		forwarded := r.Header.Get(forwardedHeader) != ""
-		if idx < 0 || idx == n.selfIdx || forwarded {
-			// Unprefixed, own-prefix, or forwarded: serve locally.
+		idx, _ := parseID(id)
+		if n.servesHere(r, idx) {
 			if n.cfg.Local == nil {
 				writeErr(w, http.StatusNotFound, "no job %q", id)
 				return
 			}
-			r2 := r.Clone(r.Context())
-			r2.URL.Path = localPath
-			if stream {
-				n.cfg.Local.ServeHTTP(w, r2)
-				return
+			if !stream {
+				n.routedLocal.Add(1)
 			}
-			n.routedLocal.Add(1)
-			n.dispatchLocal(w, r2, "id")
+			n.cfg.Local.ServeHTTP(w, r)
 			return
 		}
 		if idx >= len(n.ring.Peers()) {
 			writeErr(w, http.StatusNotFound, "no job %q: ring index %d out of range", id, idx)
 			return
 		}
-		n.proxyByID(w, r, idx, localPath, stream)
-	}
-}
-
-// proxyByID forwards a job-scoped request to the ring peer at idx.
-func (n *Node) proxyByID(w http.ResponseWriter, r *http.Request, idx int, path string, stream bool) {
-	peer := n.ring.Peers()[idx]
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, "http://"+peer+path, nil)
-	if err != nil {
-		writeErr(w, http.StatusBadGateway, "proxy: %v", err)
-		return
-	}
-	req.Header.Set(forwardedHeader, n.cfg.Self)
-	client := n.api
-	if stream {
-		client = n.stream
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		n.peerErrors.Add(1)
-		writeErr(w, http.StatusBadGateway, "peer %s: %v", peer, err)
-		return
-	}
-	defer resp.Body.Close()
-	n.routedRemote.Add(1)
-	if !stream {
-		body, _ := io.ReadAll(resp.Body)
-		relay(w, resp.StatusCode, resp.Header, body)
-		return
-	}
-	// Stream relay: copy chunks as they arrive, flushing each one so the
-	// client sees events live. The peer prefixed nothing (events carry no
-	// job IDs), so bytes pass through untouched.
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	fl, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
-	for {
-		m, err := resp.Body.Read(buf)
-		if m > 0 {
-			if _, werr := w.Write(buf[:m]); werr != nil {
-				return
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		}
-		if err != nil {
-			return
-		}
+		n.proxyTo(w, r, idx, nil, stream)
 	}
 }
 
@@ -514,42 +455,22 @@ func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
 		JobID string `json:"job_id"`
 	}
 	_ = json.Unmarshal(body, &req)
-	idx, rawID := parseID(req.JobID)
-	body = rewriteID(body, "job_id", func(string) string { return rawID }, false)
-	forwarded := r.Header.Get(forwardedHeader) != ""
-	if idx < 0 || idx == n.selfIdx || forwarded {
+	idx, _ := parseID(req.JobID)
+	if n.servesHere(r, idx) {
 		if n.cfg.Local == nil {
 			writeErr(w, http.StatusNotFound, "no job %q", req.JobID)
 			return
 		}
 		n.routedLocal.Add(1)
-		n.dispatchLocal(w, newLocalRequest(http.MethodPost, "/v1/verify", body), "job_id")
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		n.cfg.Local.ServeHTTP(w, r)
 		return
 	}
 	if idx >= len(n.ring.Peers()) {
 		writeErr(w, http.StatusNotFound, "no job %q: ring index %d out of range", req.JobID, idx)
 		return
 	}
-	peer := n.ring.Peers()[idx]
-	preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "http://"+peer+"/v1/verify", bytes.NewReader(body))
-	if err != nil {
-		writeErr(w, http.StatusBadGateway, "proxy: %v", err)
-		return
-	}
-	preq.Header.Set("Content-Type", "application/json")
-	preq.Header.Set(forwardedHeader, n.cfg.Self)
-	resp, err := n.api.Do(preq)
-	if err != nil {
-		n.peerErrors.Add(1)
-		writeErr(w, http.StatusBadGateway, "peer %s: %v", peer, err)
-		return
-	}
-	defer resp.Body.Close()
-	respBody, _ := io.ReadAll(resp.Body)
-	n.routedRemote.Add(1)
-	// The serving node already scoped the response job_id with its own
-	// ring prefix (forwarded requests are served locally there).
-	relay(w, resp.StatusCode, resp.Header, respBody)
+	n.proxyTo(w, r, idx, body, false)
 }
 
 // ---- health and metrics ----------------------------------------------
@@ -621,7 +542,6 @@ func (n *Node) Metrics() ClusterMetrics {
 func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	if n.cfg.Local != nil {
 		_ = enc.Encode(struct {
 			service.MetricsSnapshot
@@ -666,14 +586,10 @@ func (n *Node) PollNow() {
 // fetchSummary reads one peer's /v1/cluster/summary — in process for
 // self, over HTTP otherwise.
 func (n *Node) fetchSummary(idx int) (service.ClusterSummary, error) {
-	var sum service.ClusterSummary
-	if idx == n.selfIdx && n.cfg.Local != nil {
-		c := n.serveLocal(newLocalRequest(http.MethodGet, "/v1/cluster/summary", nil), "")
-		if c.code != http.StatusOK {
-			return sum, fmt.Errorf("local summary: status %d", c.code)
-		}
-		return sum, json.Unmarshal(c.body, &sum)
+	if idx == n.selfIdx {
+		return n.cfg.Local.ClusterSummary(), nil
 	}
+	var sum service.ClusterSummary
 	resp, err := n.api.Get("http://" + n.ring.Peers()[idx] + "/v1/cluster/summary")
 	if err != nil {
 		return sum, err
@@ -694,20 +610,4 @@ func (n *Node) peerSummary(idx int) (service.ClusterSummary, bool) {
 		return service.ClusterSummary{}, false
 	}
 	return st.sum, true
-}
-
-// ---- request plumbing ------------------------------------------------
-
-// newLocalRequest builds a request for in-process dispatch to the
-// attached service.
-func newLocalRequest(method, path string, body []byte) *http.Request {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, _ := http.NewRequest(method, path, rd)
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	return req
 }

@@ -8,11 +8,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/ftspanner/ftspanner/internal/service"
 )
@@ -31,26 +32,6 @@ func parseIDReference(id string) (int, string) {
 		return -1, id
 	}
 	return idx, m[2]
-}
-
-// rewriteIDsReference is the original ID rewrite: a full decode into a map
-// and a compact, key-sorted re-encode. The in-place splice must produce a
-// body that decodes to the same JSON value.
-func rewriteIDsReference(body []byte, fn func(string) string, field string) []byte {
-	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
-		return body
-	}
-	v, ok := m[field].(string)
-	if !ok {
-		return body
-	}
-	m[field] = fn(v)
-	out, err := json.Marshal(m)
-	if err != nil {
-		return body
-	}
-	return out
 }
 
 func TestParseIDMatchesPattern(t *testing.T) {
@@ -95,72 +76,6 @@ func TestParseIDMatchesPattern(t *testing.T) {
 	}
 }
 
-// jsonValue decodes a JSON document for comparison by value.
-func jsonValue(t *testing.T, body []byte) any {
-	t.Helper()
-	var v any
-	if err := json.Unmarshal(body, &v); err != nil {
-		t.Fatalf("decode %q: %v", body, err)
-	}
-	return v
-}
-
-// TestRewriteIDMatchesMapRoundTrip compares the splice with the map round
-// trip it replaced, on service-shaped answers and on awkward JSON.
-func TestRewriteIDMatchesMapRoundTrip(t *testing.T) {
-	prefix := func(id string) string { return prefixID(2, id) }
-	indented, _ := json.MarshalIndent(map[string]any{"id": "j1"}, "", "  ")
-	for _, body := range []string{
-		`{"id":"j1","state":"done","cached":true}`,
-		string(indented),
-		"{\n  \"id\": \"j1\",\n  \"spanner\": \"p 2 1\\ne 0 1 1\\n\",\n  \"kept\": [\n    0\n  ]\n}\n",
-		` { "id" : "j\u00e9\"1\\" , "nested": {"id": "x"}, "list": [{"id": "y"}] } `,
-		`{"id":"<&>"}`,
-		`{"id":""}`,
-	} {
-		got := rewriteID([]byte(body), "id", prefix, true)
-		want := rewriteIDsReference([]byte(body), prefix, "id")
-		if !reflect.DeepEqual(jsonValue(t, got), jsonValue(t, want)) {
-			t.Errorf("rewrite of %q:\n got %s\nwant %s", body, got, want)
-		}
-	}
-
-	// Bodies the answer rewrite leaves byte for byte: errors and anything
-	// whose first key is not the ID, non-string IDs, non-objects.
-	for _, body := range []string{
-		`{"error":"no job \"j1\""}`,
-		`{"state":"done","id":"j1"}`,
-		`{"id":5}`,
-		`{"id":null,"x":"y"}`,
-		`{}`,
-		`[{"id":"j1"}]`,
-		`"j1"`,
-		``,
-		`{"id":`,
-		`not json`,
-	} {
-		if got := rewriteID([]byte(body), "id", prefix, true); string(got) != body {
-			t.Errorf("rewrite of %q changed it to %q", body, got)
-		}
-	}
-
-	// The request rewrite finds the field anywhere at the top level, and
-	// rewrites the occurrence a decoder would read.
-	raw := func(string) string { return "j9" }
-	for _, body := range []string{
-		`{"job_id":"p1~j9","trials":8}`,
-		`{"trials":8,"seed":1,"job_id":"p1~j9"}`,
-		`{"trials":{"job_id":"inner"},"job_id":"p1~j9"}`,
-		`{"job_id":"p0~j1","job_id":"p1~j9"}`,
-	} {
-		got := rewriteID([]byte(body), "job_id", raw, false)
-		want := rewriteIDsReference([]byte(body), raw, "job_id")
-		if !reflect.DeepEqual(jsonValue(t, got), jsonValue(t, want)) {
-			t.Errorf("request rewrite of %q:\n got %s\nwant %s", body, got, want)
-		}
-	}
-}
-
 // fleetAnswer is one client-visible reply.
 type fleetAnswer struct {
 	code int
@@ -192,79 +107,114 @@ func serviceDo(rep *replica, method, path, body string) fleetAnswer {
 	return fleetAnswer{w.Code, w.Body.Bytes()}
 }
 
-// TestFleetAnswersKeepServiceLayout drives submit, status, spanner and
-// verify through the owner (the local path) and through a non-owner (the
-// forwarded submit and the proxied reads). Every answer must be the
-// service's own bytes with only the ID scoped, and must decode to the same
-// value the old map round trip produced from the service's answer.
+// sameAnswer fails unless the fleet's answer is the owning service's own
+// answer, status and bytes.
+func sameAnswer(t *testing.T, name string, got, direct fleetAnswer) {
+	t.Helper()
+	if got.code != direct.code || !bytes.Equal(got.body, direct.body) {
+		t.Fatalf("%s: fleet answered %d %s\nthe owning service answers %d %s", name, got.code, got.body, direct.code, direct.body)
+	}
+}
+
+// TestFleetAnswersKeepServiceLayout drives submit, status, spanner, trace,
+// cancel, verify and a missing-job 404 through the owner (the local path)
+// and through a non-owner (the forwarded submit and the proxied reads).
+// Every answer must be byte-identical to the owning service's own answer
+// for the same fleet ID.
 func TestFleetAnswersKeepServiceLayout(t *testing.T) {
-	f := startFleet(t, 3, service.Config{})
+	// The owner's build parks on the chaos gate, so resubmissions coalesce
+	// onto the running job and answer the same ID every time.
+	gate := make(chan struct{})
+	var block atomic.Bool
+	f := startFleet(t, 3, service.Config{Chaos: func(string) {
+		if block.Load() {
+			<-gate
+		}
+	}})
+	t.Cleanup(func() {
+		if block.Swap(false) {
+			close(gate)
+		}
+	})
 	_, body := seedOwnedBy(t, f.replicas[0].node.Ring(), 0, false)
 	owner, other := f.byRing(0), f.byRing(1)
-	scope := func(id string) string { return prefixID(0, id) }
 
-	// checkScoped compares a fleet answer with the service's direct answer
-	// for the same request.
-	checkScoped := func(name string, got, direct fleetAnswer, field, rawID string) {
-		t.Helper()
-		if got.code != direct.code {
-			t.Fatalf("%s: http %d, service answered %d (%s)", name, got.code, direct.code, got.body)
-		}
-		from := fmt.Sprintf("%q: %q", field, rawID)
-		want := bytes.Replace(direct.body, []byte(from), []byte(fmt.Sprintf("%q: %q", field, scope(rawID))), 1)
-		if !bytes.Equal(got.body, want) {
-			t.Fatalf("%s: answer\n%s\nwant the service's bytes with the ID scoped:\n%s", name, got.body, want)
-		}
-		old := rewriteIDsReference(direct.body, scope, field)
-		if !reflect.DeepEqual(jsonValue(t, got.body), jsonValue(t, old)) {
-			t.Fatalf("%s: answer %s decodes unlike the map round trip's %s", name, got.body, old)
-		}
+	block.Store(true)
+	first := fleetDo(t, other, http.MethodPost, "/v1/jobs", string(body))
+	if first.code != http.StatusAccepted {
+		t.Fatalf("first submit: http %d (%s)", first.code, first.body)
+	}
+	var sub struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(first.body, &sub); err != nil {
+		t.Fatal(err)
+	}
+	if idx, _ := parseID(sub.ID); idx != 0 {
+		t.Fatalf("job id %q is not scoped to the owner's ring index 0", sub.ID)
+	}
+	waitQueueFull(t, owner.svc)
+	direct := serviceDo(owner, http.MethodPost, "/v1/jobs", string(body))
+	for _, entry := range []*replica{owner, other} {
+		sameAnswer(t, "deduplicated submit via "+entry.addr, fleetDo(t, entry, http.MethodPost, "/v1/jobs", string(body)), direct)
 	}
 
-	// Submit: through the owner (local) and through a non-owner
-	// (forwarded to the owner, relayed back).
-	var pid string
-	for _, entry := range []*replica{owner, other} {
-		a := fleetDo(t, entry, http.MethodPost, "/v1/jobs", string(body))
-		if a.code != http.StatusOK && a.code != http.StatusAccepted {
-			t.Fatalf("submit via %s: http %d (%s)", entry.addr, a.code, a.body)
+	block.Store(false)
+	close(gate)
+	waitDone(t, owner, sub.ID)
+	for deadline := time.Now().Add(10 * time.Second); owner.svc.Metrics().BuildsInFlight > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the owner's build never finished")
 		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	missing := prefixID(0, "j999999")
+	verifyReq := fmt.Sprintf(`{"job_id":%q,"trials":4,"seed":3}`, sub.ID)
+	for _, entry := range []*replica{owner, other} {
+		for _, req := range []struct{ method, path, body string }{
+			{http.MethodGet, "/v1/jobs/" + sub.ID, ""},
+			{http.MethodGet, "/v1/jobs/" + sub.ID + "/spanner", ""},
+			{http.MethodGet, "/v1/jobs/" + sub.ID + "/trace", ""},
+			{http.MethodPost, "/v1/verify", verifyReq},
+			{http.MethodDelete, "/v1/jobs/" + sub.ID, ""},
+			{http.MethodGet, "/v1/jobs/" + missing, ""},
+			{http.MethodPost, "/v1/verify", fmt.Sprintf(`{"job_id":%q}`, missing)},
+		} {
+			name := fmt.Sprintf("%s %s %s via %s", req.method, req.path, req.body, entry.addr)
+			sameAnswer(t, name, fleetDo(t, entry, req.method, req.path, req.body), serviceDo(owner, req.method, req.path, req.body))
+		}
+	}
+	if got := fleetDo(t, other, http.MethodGet, "/v1/jobs/"+missing, ""); !bytes.Contains(got.body, []byte(missing)) {
+		t.Fatalf("missing job answer %s does not name the requested ID %s", got.body, missing)
+	}
+}
+
+// TestFleetReadsDirectSubmits submits straight to each replica's service,
+// bypassing its node, and reads every job through every node: the replica
+// minted a fleet-scoped ID, so no node mistakes it for a job of its own.
+func TestFleetReadsDirectSubmits(t *testing.T) {
+	f := startFleet(t, 3, service.Config{})
+	ids := make([]string, len(f.replicas))
+	for i, rep := range f.replicas {
+		a := serviceDo(rep, http.MethodPost, "/v1/jobs", string(specBody(int64(100+i))))
 		var sub struct {
 			ID string `json:"id"`
 		}
-		_ = json.Unmarshal(a.body, &sub)
-		if !bytes.HasPrefix(a.body, []byte("{\n  \"id\": \"p0~")) {
-			t.Fatalf("submit via %s: answer %s does not lead with the scoped id in the service layout", entry.addr, a.body)
+		if err := json.Unmarshal(a.body, &sub); err != nil {
+			t.Fatalf("direct submit to %s: http %d (%s)", rep.addr, a.code, a.body)
 		}
-		old := rewriteIDsReference(bytes.Replace(a.body, []byte("p0~"), nil, 1), scope, "id")
-		if !reflect.DeepEqual(jsonValue(t, a.body), jsonValue(t, old)) {
-			t.Fatalf("submit via %s: answer %s decodes unlike the map round trip's %s", entry.addr, a.body, old)
-		}
-		if pid == "" {
-			pid = sub.ID
-			waitDone(t, owner, pid)
-		}
+		ids[i] = sub.ID
 	}
-	_, rawID := parseID(pid)
-
-	for _, entry := range []*replica{owner, other} {
-		for _, path := range []string{"/v1/jobs/%s", "/v1/jobs/%s/spanner"} {
-			got := fleetDo(t, entry, http.MethodGet, fmt.Sprintf(path, pid), "")
-			direct := serviceDo(owner, http.MethodGet, fmt.Sprintf(path, rawID), "")
-			checkScoped(fmt.Sprintf("GET %s via %s", path, entry.addr), got, direct, "id", rawID)
+	for i, rep := range f.replicas {
+		waitDone(t, rep, ids[i])
+		path := "/v1/jobs/" + ids[i] + "/spanner"
+		for _, entry := range f.replicas {
+			sameAnswer(t, fmt.Sprintf("GET %s via %s", path, entry.addr),
+				fleetDo(t, entry, http.MethodGet, path, ""), serviceDo(rep, http.MethodGet, path, ""))
 		}
-		// Verify, with the job ID leading and trailing in the request.
-		for _, req := range []string{`{"job_id":%q,"trials":4,"seed":3}`, `{"trials":4,"seed":3,"job_id":%q}`} {
-			got := fleetDo(t, entry, http.MethodPost, "/v1/verify", fmt.Sprintf(req, pid))
-			direct := serviceDo(owner, http.MethodPost, "/v1/verify", fmt.Sprintf(req, rawID))
-			checkScoped(fmt.Sprintf("verify %s via %s", req, entry.addr), got, direct, "job_id", rawID)
-		}
-		// An error answer passes through as the service wrote it.
-		missing := "p0~j999999"
-		got := fleetDo(t, entry, http.MethodGet, "/v1/jobs/"+missing, "")
-		direct := serviceDo(owner, http.MethodGet, "/v1/jobs/j999999", "")
-		if got.code != http.StatusNotFound || !bytes.Equal(got.body, direct.body) {
-			t.Fatalf("missing job via %s: http %d %s, want 404 %s", entry.addr, got.code, got.body, direct.body)
+		if idx, _ := parseID(ids[i]); idx != rep.node.Ring().Index(rep.addr) {
+			t.Errorf("replica %s minted %q, not scoped to its ring index", rep.addr, ids[i])
 		}
 	}
 }

@@ -36,7 +36,8 @@ type ClusterSummary struct {
 	Version string `json:"version,omitempty"`
 }
 
-func (s *Server) handleClusterSummary(w http.ResponseWriter, r *http.Request) {
+// ClusterSummary reports the replica's load as a fleet router sees it.
+func (s *Server) ClusterSummary() ClusterSummary {
 	sum := ClusterSummary{
 		Draining: s.draining.Load(),
 		QueueCap: s.cfg.QueueDepth,
@@ -64,7 +65,11 @@ func (s *Server) handleClusterSummary(w http.ResponseWriter, r *http.Request) {
 		}
 		sum.Records = len(s.store.List())
 	}
-	writeJSON(w, http.StatusOK, sum)
+	return sum
+}
+
+func (s *Server) handleClusterSummary(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.ClusterSummary())
 }
 
 // clusterRecordsResponse answers GET /v1/cluster/records.

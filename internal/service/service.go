@@ -183,6 +183,8 @@ type Server struct {
 	jobs   map[string]*Job
 	active map[CacheKey]*Job // queued or running, for in-flight dedup
 	nextID int64
+	// idPrefix scopes minted job IDs to a fleet replica (SetJobIDPrefix).
+	idPrefix string
 
 	// Live graph sessions (session.go). Lock order: sessMu before any
 	// individual session's mu.
@@ -342,6 +344,15 @@ func (s *Server) DrainAndClose(ctx context.Context) error {
 	err := s.Drain(ctx)
 	s.Close()
 	return err
+}
+
+// SetJobIDPrefix makes the server mint job IDs as prefix + "j<n>", so a
+// fleet replica's IDs name the replica that holds the job. Call it before
+// serving; sessions stay unprefixed.
+func (s *Server) SetJobIDPrefix(prefix string) {
+	s.mu.Lock()
+	s.idPrefix = prefix
+	s.mu.Unlock()
 }
 
 // Draining reports whether the server is refusing new submissions while it
@@ -607,7 +618,7 @@ func (s *Server) submit(spec JobSpec) (job *Job, dedup bool, err error) {
 			res, hit, fromStore = stored, true, true
 		}
 	}
-	id := fmt.Sprintf("j%d", s.nextID+1)
+	id := fmt.Sprintf("%sj%d", s.idPrefix, s.nextID+1)
 	if hit {
 		// The job is sized from the submitter's own graph, which is
 		// digest-equal to the cached result's input: a session-published

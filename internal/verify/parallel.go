@@ -19,10 +19,7 @@ func (inst *Instance) ParallelExhaustiveCheck(stretch float64, mode fault.Mode, 
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	universe := inst.G.NumVertices()
-	if mode == fault.Edges {
-		universe = inst.G.NumEdges()
-	}
+	universe := inst.universe(mode)
 
 	type batch struct {
 		start int // global index of the first set in the batch
@@ -110,17 +107,10 @@ func (inst *Instance) ParallelRandomCheck(stretch float64, mode fault.Mode, f, t
 	if workers > trials {
 		workers = trials
 	}
-	universe := inst.G.NumVertices()
-	if mode == fault.Edges {
-		universe = inst.G.NumEdges()
-	}
+	draw := inst.newFaultSampler(mode, f, rng)
 	jobs := make([][]int, trials)
 	for i := range jobs {
-		size := rng.Intn(f + 1)
-		if size > universe {
-			size = universe
-		}
-		jobs[i] = rng.Perm(universe)[:size]
+		jobs[i] = draw.next()
 	}
 
 	var (

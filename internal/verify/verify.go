@@ -224,10 +224,7 @@ func (inst *Instance) WorstEdgeStretch(mode fault.Mode, faults []int) (float64, 
 // edges (Edges mode); feasible only for small instances — C(universe, f)
 // grows fast. It returns nil, or the first *Violation found.
 func (inst *Instance) ExhaustiveCheck(stretch float64, mode fault.Mode, f int) error {
-	universe := inst.G.NumVertices()
-	if mode == fault.Edges {
-		universe = inst.G.NumEdges()
-	}
+	universe := inst.universe(mode)
 	solver := sssp.BorrowSolver(inst.G.NumVertices())
 	defer sssp.ReturnSolver(solver)
 	sc := inst.newMaskScratch()
@@ -247,24 +244,56 @@ func (inst *Instance) ExhaustiveCheck(stretch float64, mode fault.Mode, f int) e
 // RandomCheck verifies the spanner property under `trials` uniformly random
 // fault sets with sizes drawn uniformly from [0, f].
 func (inst *Instance) RandomCheck(stretch float64, mode fault.Mode, f, trials int, rng *rand.Rand) error {
-	universe := inst.G.NumVertices()
-	if mode == fault.Edges {
-		universe = inst.G.NumEdges()
-	}
 	solver := sssp.BorrowSolver(inst.G.NumVertices())
 	defer sssp.ReturnSolver(solver)
 	sc := inst.newMaskScratch()
+	draw := inst.newFaultSampler(mode, f, rng)
 	for t := 0; t < trials; t++ {
-		size := rng.Intn(f + 1)
-		if size > universe {
-			size = universe
-		}
-		faults := rng.Perm(universe)[:size]
-		if err := inst.checkFaultSet(solver, sc, stretch, mode, faults); err != nil {
+		if err := inst.checkFaultSet(solver, sc, stretch, mode, draw.next()); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// universe is the number of elements a fault set draws from: vertices, or G
+// edges in Edges mode.
+func (inst *Instance) universe(mode fault.Mode) int {
+	if mode == fault.Edges {
+		return inst.G.NumEdges()
+	}
+	return inst.G.NumVertices()
+}
+
+// faultSampler draws the random checks' fault sets: a size uniform in
+// [0, f] (capped at the universe), then a uniform subset of that size by
+// Floyd's algorithm, in O(size) memory and RNG draws however large the
+// universe is.
+type faultSampler struct {
+	rng         *rand.Rand
+	universe, f int
+	seen        map[int]struct{}
+}
+
+func (inst *Instance) newFaultSampler(mode fault.Mode, f int, rng *rand.Rand) *faultSampler {
+	return &faultSampler{rng: rng, universe: inst.universe(mode), f: f, seen: make(map[int]struct{})}
+}
+
+// next draws one fault set.
+func (s *faultSampler) next() []int {
+	size := min(s.rng.Intn(s.f+1), s.universe)
+	clear(s.seen)
+	set := make([]int, 0, size)
+	for j := s.universe - size; j < s.universe; j++ {
+		// Every earlier pick is below j, so j itself is always free.
+		t := s.rng.Intn(j + 1)
+		if _, dup := s.seen[t]; dup {
+			t = j
+		}
+		s.seen[t] = struct{}{}
+		set = append(set, t)
+	}
+	return set
 }
 
 // AdversarialCheck tries to break the spanner with a greedy adversary: for
