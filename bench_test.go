@@ -127,6 +127,10 @@ func BenchmarkAblationNoPrune(b *testing.B) {
 func BenchmarkAblationNoMemo(b *testing.B) {
 	benchAblation(b, ftspanner.OracleOptions{DisableMemo: true})
 }
+
+// BenchmarkAblationNaive turns off both accelerations the oracle has, so
+// it measures the plain hitting-set branching with no state kept between
+// queries.
 func BenchmarkAblationNaive(b *testing.B) {
 	benchAblation(b, ftspanner.OracleOptions{DisablePruning: true, DisableMemo: true})
 }

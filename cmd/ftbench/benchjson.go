@@ -23,13 +23,9 @@ type componentBench struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	// Oracle instrumentation from one representative run (not per-op).
-	Dijkstras     int64 `json:"dijkstras,omitempty"`
-	OracleCalls   int64 `json:"oracle_calls,omitempty"`
-	WitnessHits   int64 `json:"witness_hits,omitempty"`
-	WitnessMisses int64 `json:"witness_misses,omitempty"`
-	// WitnessHitRate is hits/(hits+misses).
-	WitnessHitRate float64 `json:"witness_hit_rate,omitempty"`
-	KeptEdges      int     `json:"kept_edges,omitempty"`
+	Dijkstras   int64 `json:"dijkstras,omitempty"`
+	OracleCalls int64 `json:"oracle_calls,omitempty"`
+	KeptEdges   int   `json:"kept_edges,omitempty"`
 	// Speculation instrumentation (Parallelism > 1 cases): spec_hits +
 	// spec_waste == spec_queries; rounds/requeries account how invalidated
 	// answers were resolved.
@@ -162,7 +158,7 @@ func runBenchJSON(path string, out io.Writer, parallelism int) error {
 		}
 
 		// One instrumented run for the counters the testing harness cannot
-		// see (Dijkstras, witness cache traffic, output size)...
+		// see (Dijkstras, oracle calls, output size)...
 		res, err := ftspanner.Build(g, opts)
 		if err != nil {
 			return err
@@ -177,24 +173,21 @@ func runBenchJSON(path string, out io.Writer, parallelism int) error {
 			}
 		})
 		entry := componentBench{
-			Name:           c.name,
-			NsPerOp:        float64(br.NsPerOp()),
-			AllocsPerOp:    br.AllocsPerOp(),
-			BytesPerOp:     br.AllocedBytesPerOp(),
-			Dijkstras:      res.Stats.Dijkstras,
-			OracleCalls:    res.Stats.OracleCalls,
-			WitnessHits:    res.Stats.WitnessHits,
-			WitnessMisses:  res.Stats.WitnessMisses,
-			WitnessHitRate: res.Stats.WitnessHitRate(),
-			KeptEdges:      len(res.Kept),
-			SpecBatches:    res.Stats.SpecBatches,
-			SpecQueries:    res.Stats.SpecQueries,
-			SpecHits:       res.Stats.SpecHits,
-			SpecWaste:      res.Stats.SpecWaste,
-			SpecRounds:     res.Stats.SpecRounds,
-			SpecRequeries:  res.Stats.SpecRequeries,
-			SpecHitRate:    res.Stats.SpecHitRate(),
-			SpannerDigest:  res.Spanner.Digest(),
+			Name:          c.name,
+			NsPerOp:       float64(br.NsPerOp()),
+			AllocsPerOp:   br.AllocsPerOp(),
+			BytesPerOp:    br.AllocedBytesPerOp(),
+			Dijkstras:     res.Stats.Dijkstras,
+			OracleCalls:   res.Stats.OracleCalls,
+			KeptEdges:     len(res.Kept),
+			SpecBatches:   res.Stats.SpecBatches,
+			SpecQueries:   res.Stats.SpecQueries,
+			SpecHits:      res.Stats.SpecHits,
+			SpecWaste:     res.Stats.SpecWaste,
+			SpecRounds:    res.Stats.SpecRounds,
+			SpecRequeries: res.Stats.SpecRequeries,
+			SpecHitRate:   res.Stats.SpecHitRate(),
+			SpannerDigest: res.Spanner.Digest(),
 		}
 		if queryHist != nil {
 			s := queryHist.Summarize()

@@ -142,7 +142,7 @@ func sessionBenchEntries(out io.Writer) ([]componentBench, error) {
 			return nil, err
 		}
 		const streamLen = 8
-		var queries int64
+		var queries, dijkstras int64
 		for i := 0; i < streamLen; i++ {
 			b := sessionBatch(i, c.churn, pairs, maxW)
 			before := fault.Constructions()
@@ -156,6 +156,7 @@ func sessionBenchEntries(out io.Writer) ([]componentBench, error) {
 				return nil, fmt.Errorf("benchjson: %s twin batch %d: %w", c.name, i, err)
 			}
 			queries += res.Stats.OracleQueries
+			dijkstras += res.Stats.Dijkstras
 			if !c.scratch && constructed != 0 {
 				return nil, fmt.Errorf("benchjson: %s batch %d constructed %d oracles on a reuse batch — state reuse violated",
 					c.name, i, constructed)
@@ -214,6 +215,7 @@ func sessionBenchEntries(out io.Writer) ([]componentBench, error) {
 			NsPerOp:       float64(br.NsPerOp()),
 			AllocsPerOp:   br.AllocsPerOp(),
 			BytesPerOp:    br.AllocedBytesPerOp(),
+			Dijkstras:     dijkstras,
 			OracleCalls:   queries,
 			KeptEdges:     kept,
 			SpannerDigest: digest,
@@ -227,8 +229,8 @@ func sessionBenchEntries(out io.Writer) ([]componentBench, error) {
 			}
 		}
 		entries = append(entries, entry)
-		fmt.Fprintf(out, "%-24s %12.0f ns/op %8d allocs/op %10d B/op  queries=%d",
-			c.name, entry.NsPerOp, entry.AllocsPerOp, entry.BytesPerOp, queries)
+		fmt.Fprintf(out, "%-24s %12.0f ns/op %8d allocs/op %10d B/op  dijkstras=%d queries=%d",
+			c.name, entry.NsPerOp, entry.AllocsPerOp, entry.BytesPerOp, dijkstras, queries)
 		if c.baseline != "" {
 			fmt.Fprintf(out, "  speedup=%.2fx vs %s", entry.SpeedupVsBaseline, c.baseline)
 		}

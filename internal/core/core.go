@@ -146,10 +146,6 @@ type PhaseInfo struct {
 	// Pending is the still-unresolved edge count after a re-speculation
 	// round (PhaseRespecRound only).
 	Pending int
-	// WitnessHits is the live oracle's cumulative witness-cache hit count —
-	// the "witness-cache episode" marker: a trace can read cache warmth off
-	// consecutive events' deltas.
-	WitnessHits int64
 }
 
 // Stats captures instrumentation of a run.
@@ -164,14 +160,6 @@ type Stats struct {
 	// Dijkstras is the total number of shortest-path computations inside
 	// the oracle — the honest work unit for runtime experiments (E7).
 	Dijkstras int64
-	// WitnessHits counts oracle queries answered by revalidating a cached
-	// witness fault set instead of running the exponential branching.
-	WitnessHits int64
-	// WitnessMisses counts oracle queries where the witness cache was
-	// consulted but branching still ran. Queries the cache never applies to
-	// (no short detour, zero budget, or refuted by the packing bound) count
-	// neither way, so hits/(hits+misses) is the cache's true success rate.
-	WitnessMisses int64
 	// SpecBatches counts same-weight edge batches that were speculated on
 	// concurrently (Parallelism > 1 only).
 	SpecBatches int64
@@ -210,15 +198,6 @@ type Stats struct {
 func (s Stats) SpecHitRate() float64 {
 	if s.SpecQueries > 0 {
 		return float64(s.SpecHits) / float64(s.SpecQueries)
-	}
-	return 0
-}
-
-// WitnessHitRate returns WitnessHits/(WitnessHits+WitnessMisses), or 0 when
-// the witness cache was never consulted.
-func (s Stats) WitnessHitRate() float64 {
-	if total := s.WitnessHits + s.WitnessMisses; total > 0 {
-		return float64(s.WitnessHits) / float64(total)
 	}
 	return 0
 }
@@ -304,8 +283,6 @@ func build(g *graph.Graph, opts Options, conservative bool) (*Result, error) {
 	for _, o := range append([]*fault.Oracle{s.live}, s.workers...) {
 		res.Stats.OracleCalls += o.Calls()
 		res.Stats.Dijkstras += o.Dijkstras()
-		res.Stats.WitnessHits += o.WitnessHits()
-		res.Stats.WitnessMisses += o.WitnessMisses()
 	}
 	if conservative {
 		res.Stats.OracleCalls = int64(res.Stats.EdgesScanned) // one packing per edge

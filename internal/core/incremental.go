@@ -65,8 +65,7 @@ type IncrementalOptions struct {
 	// DisableStateReuse turns off carrying the kept-prefix graph and fault
 	// oracle across batches: every suffix repair rebuilds both from scratch,
 	// restoring the per-batch O(|E| + oracle build) behavior. This is the
-	// ablation baseline (mirroring fault.Options.DisableWitnessReuse); the
-	// kept set is digest-identical either way.
+	// ablation baseline; the kept set is digest-identical either way.
 	DisableStateReuse bool
 }
 
@@ -133,6 +132,9 @@ type BatchStats struct {
 	OracleQueries int64
 	ShortcutKeeps int
 	ShortcutDrops int
+	// Dijkstras counts the shortest-path computations the live oracle ran
+	// during the repair: its counter's delta across the suffix scan.
+	Dijkstras int64
 	// OracleReused marks a suffix repair that rewound the retained prefix
 	// graph and fault oracle to the divergence point instead of rebuilding
 	// them; OracleBuilt marks a suffix repair that constructed them from
@@ -167,6 +169,7 @@ type IncrementalStats struct {
 	OracleQueries int64
 	ShortcutKeeps int64
 	ShortcutDrops int64
+	Dijkstras     int64
 	Compactions   int
 	// OracleReuses counts suffix repairs that rewound the retained prefix
 	// graph and oracle; OracleRebuilds counts suffix repairs that built them
@@ -216,9 +219,9 @@ type Incremental struct {
 	// sc is the retained scan carried across batches: its H holds the kept
 	// edges appended in scan order (sc.kept is ascending by scan key — the
 	// scan-position → arena-watermark map), and its oracle stays bound to H
-	// with its memo and witness cache warm. A suffix repair at divergence key
-	// k truncates H back to the watermark before k and Rewinds the oracle
-	// instead of rebuilding both, making a small delta cost O(dirty suffix).
+	// with its memo warm. A suffix repair at divergence key k truncates H
+	// back to the watermark before k and Rewinds the oracle instead of
+	// rebuilding both, making a small delta cost O(dirty suffix).
 	// sc is nil after a compaction or an aborted repair, and the next repair
 	// then rebuilds it from the kept prefix (and retains the result).
 	sc *scan
@@ -555,6 +558,7 @@ func (inc *Incremental) finishBatch(res *BatchResult, start time.Time) {
 	inc.stats.OracleQueries += res.Stats.OracleQueries
 	inc.stats.ShortcutKeeps += int64(res.Stats.ShortcutKeeps)
 	inc.stats.ShortcutDrops += int64(res.Stats.ShortcutDrops)
+	inc.stats.Dijkstras += res.Stats.Dijkstras
 	if res.Stats.OracleReused {
 		inc.stats.OracleReuses++
 	}
@@ -631,7 +635,7 @@ func (inc *Incremental) mergeOrder(inserted map[int]bool, deleted []graph.Edge) 
 // rewound when it exists: its H's CSR arena is truncated back to the kept
 // watermark at the divergence key (the just-deleted kept edges all sit at
 // keys >= minKey, so the truncation sheds them too) and the oracle is
-// re-aimed with Rewind, keeping its memo and witness cache warm.
+// re-aimed with Rewind, keeping its memo warm.
 // Otherwise — a seeded engine's first repair, reuse disabled, or the state
 // was invalidated — the scan is built from the kept prefix exactly as a cold
 // engine would, then retained for the next batch.
@@ -647,9 +651,7 @@ func (inc *Incremental) repairSuffix(p int, minKey scanKey, r *repair) error {
 		for s.h.NumVertices() < inc.m.NumVertices() {
 			s.h.AddVertex()
 		}
-		if err := s.live.Rewind(s.h, len(order)); err != nil {
-			return err
-		}
+		s.live.Rewind(s.h, len(order))
 		r.res.Stats.OracleReused = true
 	} else {
 		h := graph.New(inc.m.NumVertices())
@@ -669,7 +671,10 @@ func (inc *Incremental) repairSuffix(p int, minKey scanKey, r *repair) error {
 		r.res.Stats.OracleBuilt = true
 	}
 	s.prior = r
-	if err := s.run(order[p:]); err != nil {
+	before := s.live.Dijkstras()
+	err := s.run(order[p:])
+	r.res.Stats.Dijkstras += s.live.Dijkstras() - before
+	if err != nil {
 		k := keyOf(order[p+s.pos])
 		inc.pending = &k
 		return err

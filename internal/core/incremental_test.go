@@ -301,9 +301,9 @@ func TestIncrementalDeleteDroppedIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.SuffixLen != 0 || res.Stats.OracleQueries != 0 {
-		t.Fatalf("dropped-edge delete re-examined %d edges with %d queries, want 0/0",
-			res.Stats.SuffixLen, res.Stats.OracleQueries)
+	if res.Stats.SuffixLen != 0 || res.Stats.OracleQueries != 0 || res.Stats.Dijkstras != 0 {
+		t.Fatalf("dropped-edge delete re-examined %d edges with %d queries and %d Dijkstras, want 0/0/0",
+			res.Stats.SuffixLen, res.Stats.OracleQueries, res.Stats.Dijkstras)
 	}
 	if len(res.KeptAdded) != 0 || len(res.KeptRemoved) != 0 {
 		t.Fatalf("dropped-edge delete changed membership: +%d -%d",
@@ -313,8 +313,8 @@ func TestIncrementalDeleteDroppedIsFree(t *testing.T) {
 }
 
 // TestIncrementalSuffixScope verifies the repair touches only the weight
-// suffix and that shortcut decisions plus oracle queries account for every
-// re-examined edge.
+// suffix, that shortcut decisions plus oracle queries account for every
+// re-examined edge, and that each query's Dijkstras are counted.
 func TestIncrementalSuffixScope(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomInstance(rng, 10, 12, weightsMixed)
@@ -352,6 +352,11 @@ func TestIncrementalSuffixScope(t *testing.T) {
 		t.Fatalf("heaviest insert: suffix %d, queries %d, want 1/1",
 			res.Stats.SuffixLen, res.Stats.OracleQueries)
 	}
+	// Every query runs at least its first bounded search.
+	if res.Stats.Dijkstras < res.Stats.OracleQueries {
+		t.Fatalf("heaviest insert: %d Dijkstras for %d queries", res.Stats.Dijkstras, res.Stats.OracleQueries)
+	}
+	dijkstras := res.Stats.Dijkstras
 	checkIncrementalDifferential(t, eng, "heaviest insert")
 
 	// A mid-weight mutation: every re-examined edge is decided exactly once,
@@ -363,6 +368,13 @@ func TestIncrementalSuffixScope(t *testing.T) {
 	decided := int(res.Stats.OracleQueries) + res.Stats.ShortcutKeeps + res.Stats.ShortcutDrops
 	if decided != res.Stats.SuffixLen {
 		t.Fatalf("decisions %d != suffix length %d", decided, res.Stats.SuffixLen)
+	}
+	if res.Stats.Dijkstras < res.Stats.OracleQueries {
+		t.Fatalf("mixed batch: %d Dijkstras for %d queries", res.Stats.Dijkstras, res.Stats.OracleQueries)
+	}
+	dijkstras += res.Stats.Dijkstras
+	if got := eng.Stats().Dijkstras; got != dijkstras {
+		t.Fatalf("engine counts %d Dijkstras, its batches %d", got, dijkstras)
 	}
 	checkIncrementalDifferential(t, eng, "mixed batch")
 }

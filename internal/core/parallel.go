@@ -87,11 +87,10 @@ func (s *scan) speculateBatch(batch []graph.Edge) error {
 	ordinal := int(s.stats.SpecBatches)
 	s.stats.SpecBatches++
 	s.emitPhase(PhaseInfo{
-		Phase:       PhaseBatchSpeculate,
-		Batch:       ordinal,
-		Edges:       len(batch),
-		Kept:        len(s.kept),
-		WitnessHits: s.live.WitnessHits(),
+		Phase: PhaseBatchSpeculate,
+		Batch: ordinal,
+		Edges: len(batch),
+		Kept:  len(s.kept),
 	})
 	if cap(s.results) < len(batch) {
 		s.results = make([]specResult, len(batch))
@@ -109,12 +108,11 @@ func (s *scan) speculateBatch(batch []graph.Edge) error {
 		head := min(len(pending), respecChunkPerWorker*s.opts.Parallelism)
 		if pending, err = s.specPass(batch, results, pending, head, false); err == nil {
 			s.emitPhase(PhaseInfo{
-				Phase:       PhaseRespecRound,
-				Batch:       ordinal,
-				Edges:       head,
-				Kept:        len(s.kept),
-				Pending:     len(pending),
-				WitnessHits: s.live.WitnessHits(),
+				Phase:   PhaseRespecRound,
+				Batch:   ordinal,
+				Edges:   head,
+				Kept:    len(s.kept),
+				Pending: len(pending),
 			})
 		}
 	}
@@ -130,11 +128,10 @@ func (s *scan) speculateBatch(batch []graph.Edge) error {
 		}
 	}
 	s.emitPhase(PhaseInfo{
-		Phase:       PhaseBatchCommit,
-		Batch:       ordinal,
-		Edges:       len(batch),
-		Kept:        len(s.kept),
-		WitnessHits: s.live.WitnessHits(),
+		Phase: PhaseBatchCommit,
+		Batch: ordinal,
+		Edges: len(batch),
+		Kept:  len(s.kept),
 	})
 	return nil
 }
@@ -176,7 +173,6 @@ func (s *scan) specPass(batch []graph.Edge, results []specResult, pending []int,
 			}
 			if ok {
 				s.stats.SpecHits++
-				s.live.NoteWitness(r.witness)
 				s.commit(e, r.witness)
 				continue
 			}

@@ -241,8 +241,8 @@ func checkWitnesses(res *Result) error {
 func TestGreedyParallelMatchesAblations(t *testing.T) {
 	rng := rand.New(rand.NewSource(77077))
 	ablations := []fault.Options{
-		{DisablePruning: true, DisableMemo: true, DisableWitnessReuse: true}, // fully naive
-		{DisableWitnessReuse: true},
+		{DisablePruning: true, DisableMemo: true}, // fully naive
+		{DisableMemo: true},
 		{DisablePruning: true},
 	}
 	instances := 10

@@ -15,8 +15,10 @@ import (
 // e7 measures the paper's closing open question: the naive FT greedy oracle
 // is exponential in f, while sampling-style constructions (Dinitz–
 // Krauthgamer [16]) are polynomial. We report shortest-path computations
-// (the honest work unit) and wall time across f, for the naive oracle, the
-// accelerated oracle (pruning+memo ablation), and the sampling baseline.
+// (the honest work unit) and wall time across f, for the naive oracle (the
+// plain hitting-set branching: pruning and memo off, and no state kept
+// between queries), the accelerated oracle (pruning and memo on), and the
+// sampling baseline.
 func e7() Experiment {
 	return Experiment{
 		ID:    "E7",

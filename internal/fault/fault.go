@@ -12,8 +12,8 @@
 // question refers to; experiment E7 measures it.
 //
 // Every bounded reachability test of the exact search runs the
-// bidirectional search (sssp.RunReachBidi). Three accelerations, each with
-// a switch in Options, preserve exactness:
+// bidirectional search (sssp.RunReachBidi). Two accelerations, each with a
+// switch in Options, preserve exactness:
 //
 //   - pruning: if more than f pairwise internally-disjoint short paths
 //     survive, no budget-f fault set can hit them all, so the branch fails
@@ -23,12 +23,12 @@
 //     greedy's CountDisjointShortPaths stays unidirectional, because there
 //     the count itself is the decision;
 //   - memoization: fault sets are hashed order-independently so
-//     permutations of one set are explored once per query;
-//   - witness reuse: the greedy scans edges in weight order, so fault sets
-//     that witnessed recent kept edges often witness the next one too. The
-//     last witnessCacheSize distinct witnesses are kept in recency order,
-//     and each is re-validated with a single bounded Dijkstra before the
-//     exponential branching is attempted.
+//     permutations of one set are explored once per query.
+//
+// There is no cache of earlier witnesses: at small f the branching finds a
+// witness for about the price of revalidating a cached one, so a cache
+// saves no Dijkstras (README, "No witness cache"). A caller holding a
+// candidate witness passes it to FindFaultSetHinted instead.
 package fault
 
 import (
@@ -74,7 +74,8 @@ func (m Mode) String() string {
 }
 
 // Options tunes the oracle. The zero value enables every acceleration; the
-// three Disable switches are ablations, and none changes a verdict.
+// two Disable switches are ablations, and neither changes a verdict. With
+// both set the oracle is the naive reference the differential tests use.
 type Options struct {
 	// DisablePruning turns off the disjoint-path packing bound (experiment
 	// E7 and the ablation benchmarks measure the exponential search
@@ -82,9 +83,6 @@ type Options struct {
 	DisablePruning bool
 	// DisableMemo turns off fault-set memoization.
 	DisableMemo bool
-	// DisableWitnessReuse turns off the witness cache. The differential
-	// tests use it as the naive reference oracle.
-	DisableWitnessReuse bool
 	// EdgeCapacity sizes the edge fault mask. The searched graph may grow
 	// (the greedy adds edges between queries); set this to the maximum edge
 	// ID it will ever hold. Zero means the graph's current edge count.
@@ -96,8 +94,8 @@ type Options struct {
 	// the hook MUST be safe for concurrent use; ftserve feeds a concurrent
 	// histogram. Hinted queries answered purely by witness revalidation are
 	// not sampled — they are one Dijkstra by construction, and including
-	// them would make the distribution bimodal in a way that tracks cache
-	// luck, not search cost.
+	// them would make the distribution bimodal in a way that tracks
+	// speculation luck, not search cost.
 	ObserveQuery func(d time.Duration)
 	// Chaos, if non-nil, is invoked at the top of every FindFaultSet — a
 	// test-only fault-injection point that can panic to exercise the
@@ -110,12 +108,6 @@ type Options struct {
 // querySampleEvery is the ObserveQuery sampling stride: every n-th
 // FindFaultSet call is timed.
 const querySampleEvery = 8
-
-// witnessCacheSize is the witness cache's capacity. The cache is consulted
-// only after the packing bound has failed to refute the query, i.e. exactly
-// when the exponential branching is imminent, and each trial costs one
-// bounded reach-only Dijkstra — cheap insurance against branching.
-const witnessCacheSize = 4
 
 // memoMaxEntries bounds the generation-stamped memo table. The table is
 // never wiped per query (generation stamps invalidate stale entries for
@@ -152,13 +144,8 @@ type Oracle struct {
 	// so the recursion allocates nothing after warm-up.
 	cand [][]int
 
-	// witnesses is the reuse cache, most recently found or hit first.
-	witnesses [][]int
-
-	calls         int64
-	dijkstras     int64
-	witnessHits   int64
-	witnessMisses int64
+	calls     int64
+	dijkstras int64
 }
 
 // NewOracle returns an oracle over g in the given mode. The graph may gain
@@ -197,15 +184,12 @@ func (o *Oracle) Mode() Mode { return o.mode }
 // (the maximum edge ID the graph will hold before the next Rewind; zero
 // keeps the current capacity).
 //
-// All accumulated state (memo table, witness cache, counters) carries over:
-// the memo table is generation-stamped per query so entries from earlier
-// graph states can never serve, and cached witnesses are only used after
-// revalidation against the current graph — a stale witness whose element IDs now mean different
-// edges either fails its one-Dijkstra recheck or proves a genuine fault set
-// of the current graph, which is all the caller ever relies on. The
-// incremental spanner engine uses this to carry one oracle across delta
-// batches instead of rebuilding it per batch.
-func (o *Oracle) Rewind(g *graph.Graph, edgeCapacity int) error {
+// The memo table and the counters carry over. The memo is
+// generation-stamped per query, so entries from earlier graph states can
+// never serve, and no other state outlives a query. The incremental spanner
+// engine uses this to carry one oracle across delta batches instead of
+// rebuilding it per batch.
+func (o *Oracle) Rewind(g *graph.Graph, edgeCapacity int) {
 	if n := g.NumVertices(); n > o.forbiddenV.Cap() {
 		o.forbiddenV = bitset.New(n)
 		o.packV = bitset.New(n)
@@ -219,26 +203,15 @@ func (o *Oracle) Rewind(g *graph.Graph, edgeCapacity int) error {
 		o.packE = bitset.New(edgeCapacity)
 	}
 	o.g = g
-	return nil
 }
 
 // Calls returns the number of oracle queries served so far.
 func (o *Oracle) Calls() int64 { return o.calls }
 
 // Dijkstras returns the number of shortest-path computations performed, the
-// honest cost unit for experiment E7. Witness revalidation Dijkstras are
-// included.
+// honest cost unit for experiment E7. Witness validations (ValidateWitness
+// and hints) are included.
 func (o *Oracle) Dijkstras() int64 { return o.dijkstras }
-
-// WitnessHits returns the number of queries answered by a revalidated
-// cached witness instead of branching.
-func (o *Oracle) WitnessHits() int64 { return o.witnessHits }
-
-// WitnessMisses returns the number of queries where the witness cache was
-// consulted but branching still had to run. Queries resolved before the
-// cache applies (no short path, zero budget, or refuted by the packing
-// bound) count neither as hits nor as misses.
-func (o *Oracle) WitnessMisses() int64 { return o.witnessMisses }
 
 // FindFaultSet searches for a fault set F with |F| <= budget such that
 // dist_{g\F}(u, v) > bound. It returns the witness (vertex IDs in Vertices
@@ -272,12 +245,10 @@ func (o *Oracle) FindFaultSet(u, v int, bound float64, budget int) ([]int, bool,
 	if len(o.memo) > memoMaxEntries {
 		o.memo = make(map[uint64]uint64)
 	}
-	if !o.search(u, v, bound, budget, true) {
+	if !o.search(u, v, bound, budget) {
 		return nil, false, nil
 	}
-	witness := append([]int(nil), o.chosen...)
-	o.remember(witness)
-	return witness, true, nil
+	return append([]int(nil), o.chosen...), true, nil
 }
 
 // FindFaultSetHinted is FindFaultSet with a candidate witness tried first:
@@ -300,9 +271,7 @@ func (o *Oracle) FindFaultSetHinted(u, v int, bound float64, budget int, hint []
 		return o.FindFaultSet(u, v, bound, budget)
 	}
 	o.calls++
-	w := append([]int(nil), hint...)
-	o.remember(w)
-	return w, true, nil
+	return append([]int(nil), hint...), true, nil
 }
 
 // ValidateWitness checks with a single bounded reachability test whether w
@@ -341,17 +310,11 @@ func (o *Oracle) ValidateWitness(u, v int, bound float64, w []int) (bool, error)
 	return !o.runReach(u, v, bound, o.forbiddenV, o.forbiddenE, false), nil
 }
 
-// NoteWitness offers an externally discovered witness fault set to the
-// witness cache (a no-op under DisableWitnessReuse). The parallel greedy feeds
-// it the witnesses of speculatively committed edges so the live oracle's
-// cache stays as warm as a sequential run's would be. The slice is copied.
-func (o *Oracle) NoteWitness(w []int) { o.remember(w) }
-
 // runReach runs one bidirectional bounded reachability test against the
 // oracle's graph with the given masks and reports whether v is within bound
 // of u. With needPath the solver holds a valid <=bound u-v path for
 // extraction on success; without it the search skips the path splice
-// (sssp.Options.ReachOnly) — witness revalidation only consumes the boolean.
+// (sssp.Options.ReachOnly) — witness validation only consumes the boolean.
 func (o *Oracle) runReach(u, v int, bound float64, fv, fe *bitset.Set, needPath bool) bool {
 	o.dijkstras++
 	opts := sssp.Options{ForbiddenVertices: fv, ForbiddenEdges: fe, Bound: bound, ReachOnly: !needPath}
@@ -364,9 +327,8 @@ func (o *Oracle) runReach(u, v int, bound float64, fv, fe *bitset.Set, needPath 
 
 // search reports whether the currently chosen faults can be extended by at
 // most budget more elements into a witness. On success the chosen faults
-// (o.chosen and the forbidden sets) hold the witness. top is true for the
-// query-level invocation, where witness reuse applies.
-func (o *Oracle) search(u, v int, bound float64, budget int, top bool) bool {
+// (o.chosen and the forbidden sets) hold the witness.
+func (o *Oracle) search(u, v int, bound float64, budget int) bool {
 	if !o.runReach(u, v, bound, o.forbiddenV, o.forbiddenE, true) {
 		return true // dist > bound already; chosen faults are a witness
 	}
@@ -375,8 +337,8 @@ func (o *Oracle) search(u, v int, bound float64, budget int, top bool) bool {
 	}
 
 	// Every witness must hit this short path; branch on its elements. The
-	// path must be extracted before any further solver use (pruning and
-	// witness revalidation below reuse the solver). Extraction appends into
+	// path must be extracted before any further solver use (the pruning
+	// below reuses the solver). Extraction appends into
 	// a per-depth scratch buffer, so steady-state queries allocate nothing.
 	depth := len(o.chosen)
 	for len(o.cand) <= depth {
@@ -407,18 +369,6 @@ func (o *Oracle) search(u, v int, bound float64, budget int, top bool) bool {
 		return false
 	}
 
-	// Witness reuse: branching is now unavoidable, so one bounded Dijkstra
-	// per plausible cached witness is cheap insurance. A cached set that
-	// misses the current short path cannot be a witness (every witness hits
-	// every short path), which filters most stale entries for free.
-	if top && !o.opts.DisableWitnessReuse {
-		if o.tryCachedWitnesses(u, v, bound, budget, candidates) {
-			o.witnessHits++
-			return true
-		}
-		o.witnessMisses++
-	}
-
 	for _, x := range candidates {
 		o.push(x)
 		skip := false
@@ -429,87 +379,12 @@ func (o *Oracle) search(u, v int, bound float64, budget int, top bool) bool {
 				o.memo[o.chosenHash] = o.memoGen
 			}
 		}
-		if !skip && o.search(u, v, bound, budget-1, false) {
+		if !skip && o.search(u, v, bound, budget-1) {
 			return true
 		}
 		o.pop(x)
 	}
 	return false
-}
-
-// tryCachedWitnesses revalidates cached witness fault sets against the
-// current query, most recent first. On success the winning set is loaded
-// into o.chosen/forbidden state (the same contract as a successful search)
-// and moved to the recency front.
-func (o *Oracle) tryCachedWitnesses(u, v int, bound float64, budget int, pathElems []int) bool {
-	for i, w := range o.witnesses {
-		if len(w) > budget {
-			continue
-		}
-		if o.mode == Vertices && (contains(w, u) || contains(w, v)) {
-			continue
-		}
-		if !intersects(w, pathElems) {
-			continue
-		}
-		if o.loadIfWitness(u, v, bound, w) {
-			o.toFront(i)
-			return true
-		}
-	}
-	return false
-}
-
-// loadIfWitness forbids w and re-checks it with one bounded reach-only test.
-// On success (w still a witness) the forbidden sets stay loaded and o.chosen
-// holds a copy of w; on failure every element is unloaded again.
-func (o *Oracle) loadIfWitness(u, v int, bound float64, w []int) bool {
-	for _, x := range w {
-		if o.mode == Vertices {
-			o.forbiddenV.Add(x)
-		} else {
-			o.forbiddenE.Add(x)
-		}
-	}
-	if !o.runReach(u, v, bound, o.forbiddenV, o.forbiddenE, false) {
-		o.chosen = append(o.chosen[:0], w...)
-		return true
-	}
-	for _, x := range w {
-		if o.mode == Vertices {
-			o.forbiddenV.Remove(x)
-		} else {
-			o.forbiddenE.Remove(x)
-		}
-	}
-	return false
-}
-
-// toFront moves cache entry i to the recency front.
-func (o *Oracle) toFront(i int) {
-	w := o.witnesses[i]
-	copy(o.witnesses[1:i+1], o.witnesses[:i])
-	o.witnesses[0] = w
-}
-
-// remember puts a found witness at the recency front of the cache: an equal
-// cached set moves there, otherwise a copy is inserted and, at capacity, the
-// least recent entry is evicted.
-func (o *Oracle) remember(w []int) {
-	if o.opts.DisableWitnessReuse || len(w) == 0 {
-		return
-	}
-	for i, c := range o.witnesses {
-		if equalSets(c, w) {
-			o.toFront(i)
-			return
-		}
-	}
-	if len(o.witnesses) < witnessCacheSize {
-		o.witnesses = append(o.witnesses, nil)
-	}
-	copy(o.witnesses[1:], o.witnesses)
-	o.witnesses[0] = append([]int(nil), w...)
 }
 
 // CountDisjointShortPaths greedily packs pairwise internally-vertex-disjoint
@@ -622,38 +497,4 @@ func mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-func contains(a []int, x int) bool {
-	for _, v := range a {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func intersects(a, b []int) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// equalSets reports whether two small fault sets hold the same elements
-// (order-insensitive; elements within one set are distinct).
-func equalSets(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, x := range a {
-		if !contains(b, x) {
-			return false
-		}
-	}
-	return true
 }

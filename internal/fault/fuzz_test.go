@@ -35,7 +35,7 @@ func FuzzOracleDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := NewOracle(g, mode, Options{DisablePruning: true, DisableMemo: true, DisableWitnessReuse: true})
+		naive, err := NewOracle(g, mode, naiveOptions)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func TestMemoGenerationIsolation(t *testing.T) {
 		if trial%2 == 1 {
 			mode = Edges
 		}
-		longLived, err := NewOracle(g, mode, Options{DisableWitnessReuse: true})
+		longLived, err := NewOracle(g, mode, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestMemoGenerationIsolation(t *testing.T) {
 			// The fresh oracle's memo cannot contain anything from earlier
 			// queries; a differing answer means a stale entry leaked through
 			// the generation stamps.
-			fresh, err := NewOracle(g, mode, Options{DisableWitnessReuse: true})
+			fresh, err := NewOracle(g, mode, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +57,7 @@ func TestMemoNotWipedPerQuery(t *testing.T) {
 	g := randomConnectedGraph(rng, 12, 30)
 	// Edge mode always branches (the direct edge is itself a candidate), so
 	// every query with spare budget feeds the memo table.
-	o, err := NewOracle(g, Edges, Options{DisableWitnessReuse: true, DisablePruning: true})
+	o, err := NewOracle(g, Edges, Options{DisablePruning: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,20 +58,4 @@ func TestValidateWitness(t *testing.T) {
 	if !ok {
 		t.Fatal("edge witness {0,2} must validate at bound 1.5")
 	}
-
-	// A validated witness fed back via NoteWitness should serve the next
-	// identical query from the cache.
-	oracle.NoteWitness([]int{1, 2})
-	before := oracle.WitnessHits()
-	_, found, err := oracle.FindFaultSet(0, 3, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found {
-		t.Fatal("witness {1,2} exists for budget 2")
-	}
-	if oracle.WitnessHits() != before+1 {
-		t.Fatalf("expected a witness-cache hit after NoteWitness, hits %d -> %d",
-			before, oracle.WitnessHits())
-	}
 }

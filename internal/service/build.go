@@ -228,8 +228,7 @@ func (s *Server) build(ctx context.Context, job *Job) (*buildResult, error) {
 				case core.PhaseBatchCommit:
 					span.Event(info.Phase,
 						obs.Attr{Key: "batch", Value: int64(info.Batch)},
-						obs.Attr{Key: "kept", Value: int64(info.Kept)},
-						obs.Attr{Key: "witness_hits", Value: info.WitnessHits})
+						obs.Attr{Key: "kept", Value: int64(info.Kept)})
 				case core.PhaseRespecRound:
 					span.Event(info.Phase,
 						obs.Attr{Key: "edges", Value: int64(info.Edges)},

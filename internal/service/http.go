@@ -129,16 +129,12 @@ type statsBody struct {
 	EdgesScanned  int   `json:"edges_scanned"`
 	OracleCalls   int64 `json:"oracle_calls"`
 	Dijkstras     int64 `json:"dijkstras"`
-	WitnessHits   int64 `json:"witness_hits"`
-	WitnessMisses int64 `json:"witness_misses"`
-	// WitnessHitRate is hits/(hits+misses) for this build's oracles.
-	WitnessHitRate float64 `json:"witness_hit_rate"`
-	SpecBatches    int64   `json:"spec_batches,omitempty"`
-	SpecQueries    int64   `json:"spec_queries,omitempty"`
-	SpecHits       int64   `json:"spec_hits,omitempty"`
-	SpecWaste      int64   `json:"spec_waste,omitempty"`
-	SpecRounds     int64   `json:"spec_rounds,omitempty"`
-	SpecRequeries  int64   `json:"spec_requeries,omitempty"`
+	SpecBatches   int64 `json:"spec_batches,omitempty"`
+	SpecQueries   int64 `json:"spec_queries,omitempty"`
+	SpecHits      int64 `json:"spec_hits,omitempty"`
+	SpecWaste     int64 `json:"spec_waste,omitempty"`
+	SpecRounds    int64 `json:"spec_rounds,omitempty"`
+	SpecRequeries int64 `json:"spec_requeries,omitempty"`
 	// SpecHitRate is spec_hits / spec_queries: 1 − spec_waste / spec_queries.
 	SpecHitRate float64 `json:"spec_hit_rate,omitempty"`
 	DurationMS  float64 `json:"duration_ms"`
@@ -180,23 +176,20 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		resp.SpannerEdges = &m
 		st := job.result.stats
 		resp.Stats = &statsBody{
-			EdgesScanned:   st.EdgesScanned,
-			OracleCalls:    st.OracleCalls,
-			Dijkstras:      st.Dijkstras,
-			WitnessHits:    st.WitnessHits,
-			WitnessMisses:  st.WitnessMisses,
-			WitnessHitRate: st.WitnessHitRate(),
-			SpecBatches:    st.SpecBatches,
-			SpecQueries:    st.SpecQueries,
-			SpecHits:       st.SpecHits,
-			SpecWaste:      st.SpecWaste,
-			SpecRounds:     st.SpecRounds,
-			SpecRequeries:  st.SpecRequeries,
-			SpecHitRate:    st.SpecHitRate(),
-			DurationMS:     float64(st.Duration.Microseconds()) / 1000,
-			QueueMS:        float64(job.queueWait.Microseconds()) / 1000,
-			BuildMS:        float64(job.buildDur.Microseconds()) / 1000,
-			PersistMS:      float64(job.persistDur.Microseconds()) / 1000,
+			EdgesScanned:  st.EdgesScanned,
+			OracleCalls:   st.OracleCalls,
+			Dijkstras:     st.Dijkstras,
+			SpecBatches:   st.SpecBatches,
+			SpecQueries:   st.SpecQueries,
+			SpecHits:      st.SpecHits,
+			SpecWaste:     st.SpecWaste,
+			SpecRounds:    st.SpecRounds,
+			SpecRequeries: st.SpecRequeries,
+			SpecHitRate:   st.SpecHitRate(),
+			DurationMS:    float64(st.Duration.Microseconds()) / 1000,
+			QueueMS:       float64(job.queueWait.Microseconds()) / 1000,
+			BuildMS:       float64(job.buildDur.Microseconds()) / 1000,
+			PersistMS:     float64(job.persistDur.Microseconds()) / 1000,
 		}
 	}
 	job.mu.Unlock()

@@ -18,8 +18,6 @@ type metrics struct {
 	cacheMisses   atomic.Int64 // submissions that had to queue a build
 	dedups        atomic.Int64 // submissions coalesced onto an in-flight job
 	dijkstras     atomic.Int64 // total shortest-path runs across completed builds
-	witnessHits   atomic.Int64 // oracle queries answered by a cached witness (completed builds)
-	witnessMisses atomic.Int64 // oracle queries that consulted the witness cache and branched anyway
 	specBatches   atomic.Int64 // same-weight edge batches speculated on (parallel builds)
 	specQueries   atomic.Int64 // speculative oracle queries issued against snapshots
 	specHits      atomic.Int64 // batch edges committed straight from speculation
@@ -150,11 +148,6 @@ type MetricsSnapshot struct {
 	StoreQuarantined  int   `json:"store_quarantined"`
 	Deduplicated      int64 `json:"deduplicated"`
 	Dijkstras         int64 `json:"dijkstras_total"`
-	// WitnessCacheHits/Misses aggregate the build oracle's witness-reuse
-	// counters across completed builds; the ratio is hits/(hits+misses).
-	WitnessCacheHits     int64   `json:"witness_cache_hits"`
-	WitnessCacheMisses   int64   `json:"witness_cache_misses"`
-	WitnessCacheHitRatio float64 `json:"witness_cache_hit_ratio"`
 	// Spec* aggregate the speculative parallel greedy's counters
 	// across completed builds: batches speculated, speculative queries
 	// issued (initial batches plus re-speculation rounds), answers
@@ -234,9 +227,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Deduplicated:         s.met.dedups.Load(),
 		Dijkstras:            s.met.dijkstras.Load(),
 
-		WitnessCacheHits:   s.met.witnessHits.Load(),
-		WitnessCacheMisses: s.met.witnessMisses.Load(),
-
 		SpecBatches:   s.met.specBatches.Load(),
 		SpecQueries:   s.met.specQueries.Load(),
 		SpecHits:      s.met.specHits.Load(),
@@ -263,9 +253,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 	}
 	if total := snap.CacheHits + snap.CacheMisses; total > 0 {
 		snap.CacheHitRatio = float64(snap.CacheHits) / float64(total)
-	}
-	if total := snap.WitnessCacheHits + snap.WitnessCacheMisses; total > 0 {
-		snap.WitnessCacheHitRatio = float64(snap.WitnessCacheHits) / float64(total)
 	}
 	// Like core.Stats.SpecHitRate: the share of speculative queries whose
 	// answer decided an edge.

@@ -32,8 +32,6 @@ func recordFor(key CacheKey, res *buildResult) *store.Record {
 			EdgesScanned:  int64(st.EdgesScanned),
 			OracleCalls:   st.OracleCalls,
 			Dijkstras:     st.Dijkstras,
-			WitnessHits:   st.WitnessHits,
-			WitnessMisses: st.WitnessMisses,
 			SpecBatches:   st.SpecBatches,
 			SpecQueries:   st.SpecQueries,
 			SpecHits:      st.SpecHits,
@@ -78,8 +76,6 @@ func resultFromRecord(g *graph.Graph, rec *store.Record) (*buildResult, error) {
 			EdgesScanned:  int(st.EdgesScanned),
 			OracleCalls:   st.OracleCalls,
 			Dijkstras:     st.Dijkstras,
-			WitnessHits:   st.WitnessHits,
-			WitnessMisses: st.WitnessMisses,
 			SpecBatches:   st.SpecBatches,
 			SpecQueries:   st.SpecQueries,
 			SpecHits:      st.SpecHits,

@@ -546,36 +546,3 @@ func TestVerifyTrialsCapped(t *testing.T) {
 		t.Fatalf("verify with huge worker request: code=%d ok=%v", code, vr.OK)
 	}
 }
-
-// TestWitnessCacheMetricsExposed locks the PR-2 observability criterion:
-// after a greedy build completes, the oracle's witness-cache counters must
-// be visible both in the job's status stats and aggregated in /metrics.
-func TestWitnessCacheMetricsExposed(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	// Dense enough that some kept edges carry non-empty witnesses, which is
-	// what generates witness-cache traffic.
-	sub := submitJob(t, ts, JobSpec{
-		Generator: &GeneratorSpec{Name: "random", N: 60, M: 600, Seed: 77},
-		Stretch:   3,
-		Faults:    1,
-	})
-	st := waitState(t, ts, sub.ID, StateDone)
-	if st.Stats == nil {
-		t.Fatal("done job has no stats")
-	}
-	if st.Stats.WitnessHits+st.Stats.WitnessMisses == 0 {
-		t.Error("job stats report no witness-cache consultations on a branching workload")
-	}
-
-	m := getMetrics(t, ts)
-	if m.WitnessCacheHits != st.Stats.WitnessHits || m.WitnessCacheMisses != st.Stats.WitnessMisses {
-		t.Errorf("/metrics witness counters (%d,%d) disagree with the only job's stats (%d,%d)",
-			m.WitnessCacheHits, m.WitnessCacheMisses, st.Stats.WitnessHits, st.Stats.WitnessMisses)
-	}
-	if total := m.WitnessCacheHits + m.WitnessCacheMisses; total > 0 {
-		want := float64(m.WitnessCacheHits) / float64(total)
-		if m.WitnessCacheHitRatio != want {
-			t.Errorf("witness_cache_hit_ratio = %v, want %v", m.WitnessCacheHitRatio, want)
-		}
-	}
-}

@@ -507,8 +507,6 @@ func (s *Server) finish(job *Job, res *buildResult, err error) {
 	case err == nil:
 		s.met.jobsDone.Add(1)
 		s.met.dijkstras.Add(res.stats.Dijkstras)
-		s.met.witnessHits.Add(res.stats.WitnessHits)
-		s.met.witnessMisses.Add(res.stats.WitnessMisses)
 		s.met.specBatches.Add(res.stats.SpecBatches)
 		s.met.specQueries.Add(res.stats.SpecQueries)
 		s.met.specHits.Add(res.stats.SpecHits)

@@ -35,11 +35,12 @@ import (
 //	key, numVertices, inputEdges, spannerDigest,
 //	len(kept), kept[0..], then the fifteen Stats counter slots.
 //
-// Slot 11 once held a speculative pipeline depth, and slots 12 and 13 the
-// witness cache's structural seed trials and hits. They are reserved:
-// writers put 0 there and readers skip them, so records written before and
-// after those counters' removal decode alike, including those pulled from
-// peers of either build during anti-entropy.
+// Slots 3 and 4 once held the witness cache's hits and misses, slot 11 a
+// speculative pipeline depth, and slots 12 and 13 the witness cache's
+// structural seed trials and hits. They are reserved: writers put 0 there
+// and readers skip them, so records written before and after those
+// counters' removal decode alike, including those pulled from peers of
+// either build during anti-entropy.
 //
 // Version 1 carried ten counters; readers reject it like any other unknown
 // version, so pre-existing records are quarantined and rebuilt once (the
@@ -76,8 +77,6 @@ type Stats struct {
 	EdgesScanned  int64
 	OracleCalls   int64
 	Dijkstras     int64
-	WitnessHits   int64
-	WitnessMisses int64
 	SpecBatches   int64
 	SpecQueries   int64
 	SpecHits      int64
@@ -124,22 +123,20 @@ func Encode(rec *Record) []byte {
 }
 
 // counters lists the stats fields in codec order, with the reserved slots
-// 11–13 written as 0.
+// 3–4 and 11–13 written as 0.
 func (s *Stats) counters() [15]int64 {
 	return [15]int64{
-		s.EdgesScanned, s.OracleCalls, s.Dijkstras,
-		s.WitnessHits, s.WitnessMisses,
+		s.EdgesScanned, s.OracleCalls, s.Dijkstras, 0, 0,
 		s.SpecBatches, s.SpecQueries, s.SpecHits, s.SpecWaste,
 		s.SpecRounds, s.SpecRequeries, 0, 0, 0,
 		s.DurationNS,
 	}
 }
 
-// setCounters is the inverse of counters; the reserved slots 11–13 are
-// skipped.
+// setCounters is the inverse of counters; the reserved slots 3–4 and 11–13
+// are skipped.
 func (s *Stats) setCounters(c [15]int64) {
 	s.EdgesScanned, s.OracleCalls, s.Dijkstras = c[0], c[1], c[2]
-	s.WitnessHits, s.WitnessMisses = c[3], c[4]
 	s.SpecBatches, s.SpecQueries, s.SpecHits, s.SpecWaste = c[5], c[6], c[7], c[8]
 	s.SpecRounds, s.SpecRequeries = c[9], c[10]
 	s.DurationNS = c[14]

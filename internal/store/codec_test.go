@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"hash/crc32"
@@ -21,8 +23,6 @@ func sampleRecord() *Record {
 			EdgesScanned:  150,
 			OracleCalls:   150,
 			Dijkstras:     4321,
-			WitnessHits:   10,
-			WitnessMisses: 90,
 			SpecBatches:   3,
 			SpecQueries:   12,
 			SpecHits:      11,
@@ -58,8 +58,6 @@ func randomRecord(rng *rand.Rand) *Record {
 			EdgesScanned:  int64(rng.Intn(1 << 20)),
 			OracleCalls:   rng.Int63n(1 << 40),
 			Dijkstras:     rng.Int63n(1 << 40),
-			WitnessHits:   rng.Int63n(1 << 30),
-			WitnessMisses: rng.Int63n(1 << 30),
 			SpecBatches:   rng.Int63n(1 << 30),
 			SpecQueries:   rng.Int63n(1 << 30),
 			SpecHits:      rng.Int63n(1 << 30),
@@ -195,76 +193,138 @@ func TestCodecHostileCounts(t *testing.T) {
 	}
 }
 
-// goldenV2Reserved is a version-2 record as written while counter slot 11
-// still held a pipeline depth (4 here) and slots 12–13 the witness seed
-// tries and hits (8 and 5). Slots 11–13 are now reserved: they must decode
-// with no error to the same kept list and digest, be skipped, and be
-// written back as 0.
+// goldenV2Reserved is a version-2 record as written while counter slots 3
+// and 4 held the witness cache's hits and misses (10 and 90 here), slot 11
+// a pipeline depth (4) and slots 12–13 the witness seed tries and hits (8
+// and 5).
 const goldenV2Reserved = "465453520200000082000000bda5a9c51f76317c30313233616263647c337c327c76" +
 	"65727465787c6772656564797c301e9601406465616462656566646561646265656664" +
 	"656164626565666465616462656566646561646265656664656164626565666465616462" +
 	"656566646561646265656605000503950107ac02c402c24314b40106181602040208100aa48bb09909"
 
+// goldenV2Witness is a version-2 record as written after slots 11–13 became
+// reserved, while slots 3 and 4 still held the witness cache's hits and
+// misses (10 and 50 here).
+const goldenV2Witness = "46545352020000008100000041ff2e151f76317c30313233616263647c337c327c76" +
+	"65727465787c6772656564797c301e9601406465616462656566646561646265656664" +
+	"656164626565666465616462656566646561646265656664656164626565666465616462" +
+	"656566646561646265656605000503950107ac02ac02c2431464061816020402000000a48bb09909"
+
+// TestCodecReservedSlotGolden decodes records written while the reserved
+// slots 3–4 and 11–13 still held counters. Each must decode with no error
+// to the same kept list, digest and live counters, and re-encode with
+// every byte the same except the reserved slots, now 0.
 func TestCodecReservedSlotGolden(t *testing.T) {
-	data, err := hex.DecodeString(goldenV2Reserved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &Record{
+	base := Record{
 		Key:           "v1|0123abcd|3|2|vertex|greedy|0",
 		NumVertices:   30,
 		InputEdges:    150,
 		SpannerDigest: "deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef",
 		Kept:          []int{0, 5, 3, 149, 7},
 		Stats: Stats{
-			EdgesScanned: 150, OracleCalls: 162, Dijkstras: 4321,
-			WitnessHits: 10, WitnessMisses: 90,
+			EdgesScanned: 150, Dijkstras: 4321,
 			SpecBatches: 3, SpecQueries: 12, SpecHits: 11, SpecWaste: 1,
 			SpecRounds: 2, SpecRequeries: 1,
 			DurationNS: 1_234_567_890,
 		},
 	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatalf("decode golden v2 record: %v", err)
-	}
-	if !recordsEqual(want, got) {
-		t.Fatalf("golden decode mismatch:\n want %+v\n got  %+v", want, got)
-	}
+	for _, tc := range []struct {
+		name        string
+		golden      string
+		oracleCalls int64
+		// reserved maps each reserved slot to its zigzag varint bytes in
+		// the golden record.
+		reserved map[int][]byte
+	}{
+		{"witness and pipeline slots", goldenV2Reserved, 162, map[int][]byte{
+			3: {0x14}, 4: {0xb4, 0x01}, 11: {0x08}, 12: {0x10}, 13: {0x0a},
+		}},
+		{"witness slots", goldenV2Witness, 150, map[int][]byte{
+			3: {0x14}, 4: {0x64}, 11: {0x00}, 12: {0x00}, 13: {0x00},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := hex.DecodeString(tc.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := base
+			want.Stats.OracleCalls = tc.oracleCalls
+			got, err := Decode(data)
+			if err != nil {
+				t.Fatalf("decode golden v2 record: %v", err)
+			}
+			if !recordsEqual(&want, got) {
+				t.Fatalf("golden decode mismatch:\n want %+v\n got  %+v", &want, got)
+			}
 
-	// Re-encoding keeps the layout byte for byte except slots 11–13, now 0:
-	// the payload differs in exactly those three one-byte varints (and so in
-	// the CRC).
-	re := Encode(got)
-	if len(re) != len(data) {
-		t.Fatalf("re-encoded length %d, golden %d", len(re), len(data))
-	}
-	var diff []int
-	for i := headerSize; i < len(re); i++ {
-		if re[i] != data[i] {
-			diff = append(diff, i)
-		}
-	}
-	reserved := []byte{0x08, 0x10, 0x0a} // zigzag varints of 4, 8 and 5
-	if len(diff) != len(reserved) || diff[2]-diff[0] != 2 {
-		t.Fatalf("re-encoded payload differs at %v, want only the three adjacent reserved slots", diff)
-	}
-	for i, at := range diff {
-		if data[at] != reserved[i] || re[at] != 0x00 {
-			t.Fatalf("reserved slot %d: golden %#x re-encoded %#x, want %#x -> 0", 11+i, data[at], re[at], reserved[i])
-		}
-	}
+			// Re-encoding keeps the layout byte for byte except the
+			// reserved slots, now 0.
+			gPrefix, gSlots := splitPayload(t, data)
+			rPrefix, rSlots := splitPayload(t, Encode(got))
+			if !bytes.Equal(gPrefix, rPrefix) {
+				t.Fatalf("re-encoded payload before the counters differs:\n golden %x\n now    %x", gPrefix, rPrefix)
+			}
+			for i := range gSlots {
+				if old, ok := tc.reserved[i]; ok {
+					if !bytes.Equal(gSlots[i], old) || !bytes.Equal(rSlots[i], []byte{0}) {
+						t.Fatalf("reserved slot %d: golden %x re-encoded %x, want %x -> 00", i, gSlots[i], rSlots[i], old)
+					}
+				} else if !bytes.Equal(gSlots[i], rSlots[i]) {
+					t.Fatalf("slot %d: golden %x re-encoded %x", i, gSlots[i], rSlots[i])
+				}
+			}
 
-	// A peer's record pulled during anti-entropy goes through the same
-	// decoder: it imports and serves with nothing quarantined.
-	s := mustOpen(t, t.TempDir(), -1)
-	if _, imported, err := s.ImportEncoded(data); err != nil || !imported {
-		t.Fatalf("ImportEncoded(golden) = (%v, %v)", imported, err)
+			// A peer's record pulled during anti-entropy goes through the
+			// same decoder: it imports and serves with nothing quarantined.
+			s := mustOpen(t, t.TempDir(), -1)
+			if _, imported, err := s.ImportEncoded(data); err != nil || !imported {
+				t.Fatalf("ImportEncoded(golden) = (%v, %v)", imported, err)
+			}
+			if rec, ok := s.Get(want.Key); !ok || !recordsEqual(&want, rec) {
+				t.Fatalf("imported golden record: ok=%v got=%+v", ok, rec)
+			}
+			if m := s.Snapshot(); m.CorruptTotal != 0 || len(m.Quarantined) != 0 {
+				t.Fatalf("golden record quarantined: %+v", m)
+			}
+		})
 	}
-	if rec, ok := s.Get(want.Key); !ok || !recordsEqual(want, rec) {
-		t.Fatalf("imported golden record: ok=%v got=%+v", ok, rec)
+}
+
+// splitPayload cuts an encoded record's payload into the bytes before the
+// counters and the fifteen counter slots' varint encodings, walking the
+// documented layout independently of Decode.
+func splitPayload(t *testing.T, data []byte) (prefix []byte, slots [15][]byte) {
+	t.Helper()
+	p := data[headerSize:]
+	off := 0
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(p[off:])
+		if n <= 0 {
+			t.Fatalf("bad uvarint at payload offset %d", off)
+		}
+		off += n
+		return v
 	}
-	if m := s.Snapshot(); m.CorruptTotal != 0 || len(m.Quarantined) != 0 {
-		t.Fatalf("golden record quarantined: %+v", m)
+	off += int(uvarint()) // key
+	uvarint()             // numVertices
+	uvarint()             // inputEdges
+	off += int(uvarint()) // spannerDigest
+	for k := uvarint(); k > 0; k-- {
+		uvarint()
 	}
+	prefix = p[:off]
+	for i := range slots {
+		start := off
+		if _, n := binary.Varint(p[off:]); n <= 0 {
+			t.Fatalf("bad varint in counter slot %d", i)
+		} else {
+			off += n
+		}
+		slots[i] = p[start:off]
+	}
+	if off != len(p) {
+		t.Fatalf("%d trailing payload bytes", len(p)-off)
+	}
+	return prefix, slots
 }

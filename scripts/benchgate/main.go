@@ -3,6 +3,8 @@
 // cases (the stable, long-running fixtures — the small Build* cases are too
 // noisy to gate on) between a baseline JSON and a freshly generated one, and
 // exits non-zero when any gated case slowed down by more than the threshold.
+// A gated case whose spanner_digest is non-empty in both reports must also
+// carry the same digest: a changed kept set fails however fast the run was.
 //
 // Usage:
 //
@@ -25,8 +27,9 @@ import (
 
 // benchEntry is the slice of a component benchmark the gate reads.
 type benchEntry struct {
-	Name    string  `json:"name"`
-	NsPerOp float64 `json:"ns_per_op"`
+	Name          string  `json:"name"`
+	NsPerOp       float64 `json:"ns_per_op"`
+	SpannerDigest string  `json:"spanner_digest"`
 }
 
 // report mirrors the parts of ftbench's -benchjson document the gate needs.
@@ -58,15 +61,15 @@ func loadReport(path string) (*report, error) {
 	return nil, fmt.Errorf("%s: neither a benchjson report nor a trajectory with an \"after\" section", path)
 }
 
-// nsByName indexes a report's gated cases by name. prefix is a
+// gatedByName indexes a report's gated cases by name. prefix is a
 // comma-separated list; a case is gated when any element matches.
-func nsByName(r *report, prefix string) map[string]float64 {
+func gatedByName(r *report, prefix string) map[string]benchEntry {
 	prefixes := strings.Split(prefix, ",")
-	m := make(map[string]float64)
+	m := make(map[string]benchEntry)
 	for _, b := range r.Benchmarks {
 		for _, p := range prefixes {
 			if p != "" && strings.HasPrefix(b.Name, p) && b.NsPerOp > 0 {
-				m[b.Name] = b.NsPerOp
+				m[b.Name] = b
 				break
 			}
 		}
@@ -75,23 +78,28 @@ func nsByName(r *report, prefix string) map[string]float64 {
 }
 
 // compare returns one failure line per gated case that regressed beyond
-// threshold (0.25 = 25% slower) or went missing from the current run, and
-// one info line per compared case.
+// threshold (0.25 = 25% slower), changed its spanner digest or went missing
+// from the current run, and one info line per compared case.
 func compare(base, cur *report, prefix string, threshold float64) (failures, lines []string) {
-	bm := nsByName(base, prefix)
-	cm := nsByName(cur, prefix)
+	bm := gatedByName(base, prefix)
+	cm := gatedByName(cur, prefix)
 	names := make([]string, 0, len(bm))
 	for name := range bm {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		b := bm[name]
-		c, ok := cm[name]
+		be := bm[name]
+		ce, ok := cm[name]
 		if !ok {
 			failures = append(failures, fmt.Sprintf("%s: present in baseline but missing from current run", name))
 			continue
 		}
+		if be.SpannerDigest != "" && ce.SpannerDigest != "" && be.SpannerDigest != ce.SpannerDigest {
+			failures = append(failures, fmt.Sprintf("%s: spanner digest %s -> %s, the kept set changed",
+				name, be.SpannerDigest, ce.SpannerDigest))
+		}
+		b, c := be.NsPerOp, ce.NsPerOp
 		delta := (c - b) / b
 		lines = append(lines, fmt.Sprintf("%-24s %14.0f -> %14.0f ns/op  (%+.1f%%)", name, b, c, 100*delta))
 		if delta > threshold {

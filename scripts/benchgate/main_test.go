@@ -88,6 +88,40 @@ func TestCompareMultiPrefix(t *testing.T) {
 	}
 }
 
+// TestCompareDigestGate: a gated case whose spanner digest differs between
+// reports fails however fast it ran; an empty digest on either side (a case
+// that builds no spanner, or an older report) gates on ns/op alone.
+func TestCompareDigestGate(t *testing.T) {
+	base := rpt(
+		benchEntry{Name: "LargeVFTf2Seq", NsPerOp: 1000, SpannerDigest: "aa"},
+		benchEntry{Name: "SessionChurn", NsPerOp: 100, SpannerDigest: "bb"},
+		benchEntry{Name: "DecodeHotPool", NsPerOp: 100},
+		benchEntry{Name: "BuildVFTf1", NsPerOp: 100, SpannerDigest: "cc"}, // not gated
+	)
+	const prefix = "Large,Session,Decode"
+
+	// Matching digests, and an empty digest on one side, pass.
+	fails, lines := compare(base, rpt(
+		benchEntry{Name: "LargeVFTf2Seq", NsPerOp: 900, SpannerDigest: "aa"},
+		benchEntry{Name: "SessionChurn", NsPerOp: 100},
+		benchEntry{Name: "DecodeHotPool", NsPerOp: 100, SpannerDigest: "dd"},
+		benchEntry{Name: "BuildVFTf1", NsPerOp: 100, SpannerDigest: "changed"},
+	), prefix, 0.25)
+	if len(fails) != 0 || len(lines) != 3 {
+		t.Fatalf("matching or empty digests: fails %v, lines %v", fails, lines)
+	}
+
+	// A mismatch fails even when the case got faster.
+	fails, _ = compare(base, rpt(
+		benchEntry{Name: "LargeVFTf2Seq", NsPerOp: 500, SpannerDigest: "ab"},
+		benchEntry{Name: "SessionChurn", NsPerOp: 100, SpannerDigest: "bb"},
+		benchEntry{Name: "DecodeHotPool", NsPerOp: 100},
+	), prefix, 0.25)
+	if len(fails) != 1 || !strings.Contains(fails[0], "LargeVFTf2Seq") || !strings.Contains(fails[0], "digest") {
+		t.Fatalf("digest mismatch not caught: %v", fails)
+	}
+}
+
 func TestLoadReportBothShapes(t *testing.T) {
 	dir := t.TempDir()
 	raw := filepath.Join(dir, "raw.json")
