@@ -119,7 +119,7 @@ func sessionSpanner(eng *ftspanner.Incremental) (string, int, error) {
 
 // sessionBenchEntries measures the session cases and returns their report
 // entries. The instrumented pass drives the reuse engine and its ablation
-// twin through the same 8-batch stream, verifying byte-identical spanner
+// twin through the same 256-batch stream, verifying byte-identical spanner
 // digests after every batch and zero fault.NewOracle constructions on every
 // batch of the reuse engine (its initial build keeps its state, so batch 0
 // rewinds too) — enforced at generation time like the parallel determinism
@@ -141,7 +141,9 @@ func sessionBenchEntries(out io.Writer) ([]componentBench, error) {
 		if err != nil {
 			return nil, err
 		}
-		const streamLen = 8
+		// Long enough that one Dijkstra is under 0.3% of every case's
+		// count, so a sub-1% change in the session path's work shows.
+		const streamLen = 256
 		var queries, dijkstras int64
 		for i := 0; i < streamLen; i++ {
 			b := sessionBatch(i, c.churn, pairs, maxW)

@@ -67,8 +67,12 @@ type Node struct {
 	cfg     Config
 	ring    *Ring
 	selfIdx int // index into ring.Peers(), -1 for a pure router
-	mux     *http.ServeMux
-	api     *http.Client // proxied API calls and polls: 15s overall timeout
+	// memo resolves submit bodies to their routing digest: the Local
+	// service's memo on a worker node, so a body it routes to itself is
+	// resolved once, or a memo of its own on a pure router.
+	memo *service.SpecMemo
+	mux  *http.ServeMux
+	api  *http.Client // proxied API calls and polls: 15s overall timeout
 	// stream proxies event streams with a header-only timeout: streams are
 	// long-lived by design, an overall timeout would sever them.
 	stream *http.Client
@@ -125,6 +129,11 @@ func New(cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("cluster: self %q is in the peer list but no local service is attached", cfg.Self)
 		}
 		cfg.Local.SetJobIDPrefix(prefixID(n.selfIdx, ""))
+	}
+	if cfg.Local != nil {
+		n.memo = cfg.Local.SpecMemo()
+	} else {
+		n.memo = service.NewSpecMemo()
 	}
 	n.routes()
 	n.wg.Add(1)
@@ -328,7 +337,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusRequestEntityTooLarge, "read body: %v", err)
 		return
 	}
-	digest, err := service.SpecDigest(body)
+	digest, err := n.memo.Digest(body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return

@@ -124,6 +124,30 @@ func fuzzRecord(u, v uint16, w float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(w))
 }
 
+// TestIntegerWeightLine checks appendEdgeLine's integer fast path against
+// strconv's 'g' form on every integer it takes, [1, 1e6), and on weights at
+// and beyond its bounds.
+func TestIntegerWeightLine(t *testing.T) {
+	want := func(w float64) string { return "e 3 4 " + strconv.FormatFloat(w, 'g', -1, 64) + "\n" }
+	var buf []byte
+	for i := 1; i <= 1e6; i++ {
+		w := float64(i)
+		buf = appendEdgeLine(buf[:0], 3, 4, w)
+		if got := string(buf); got != want(w) {
+			t.Fatalf("weight %d: line %q, want %q", i, got, want(w))
+		}
+	}
+	for _, w := range []float64{
+		0.5, 999999.5, 1e6, 1e6 + 1, 1e7, 1e21, math.Nextafter(1e6, 0), math.Nextafter(1, 0),
+		math.Nextafter(1, 2), 1e-300, 5e-324, math.SmallestNonzeroFloat64 * 3, 2.2250738585072014e-308 / 2,
+		0, math.Copysign(0, -1), -1, -999999, math.MaxFloat64, math.Inf(1), math.NaN(),
+	} {
+		if got := string(appendEdgeLine(nil, 3, 4, w)); got != want(w) {
+			t.Errorf("weight %v: line %q, want %q", w, got, want(w))
+		}
+	}
+}
+
 // FuzzEncodeDigest checks the strconv encoder against the fmt reference on
 // arbitrary graphs — byte-identical text and equal digests — and that the
 // encoding round-trips exactly through Decode.
@@ -131,6 +155,12 @@ func FuzzEncodeDigest(f *testing.F) {
 	f.Add(uint16(3), append(fuzzRecord(0, 1, 1), fuzzRecord(1, 2, 0.1)...))
 	f.Add(uint16(0), []byte{})
 	f.Add(uint16(65535), append(fuzzRecord(65534, 0, math.MaxFloat64), fuzzRecord(7, 9, 5e-324)...))
+	// Integral weights on both sides of appendEdgeLine's AppendInt bound.
+	var ints []byte
+	for i, w := range []float64{1, 7, 100000, 999999, 999999.5, 1e6, 1e6 + 1, 1e7, 0.5, math.Nextafter(1e6, 0)} {
+		ints = append(ints, fuzzRecord(uint16(i), uint16(i+1), w)...)
+	}
+	f.Add(uint16(11), ints)
 	f.Fuzz(func(t *testing.T, n uint16, raw []byte) {
 		g := fuzzGraph(n, raw)
 		checkEncodingAgrees(t, g)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -74,7 +75,14 @@ func appendEdgeLine(buf []byte, u, v int, w float64) []byte {
 	buf = append(buf, ' ')
 	buf = strconv.AppendInt(buf, int64(v), 10)
 	buf = append(buf, ' ')
-	buf = strconv.AppendFloat(buf, w, 'g', -1, 64)
+	// An integral weight in (0, 1e6) prints in 'g' form as its plain
+	// decimal digits, so AppendInt writes the same bytes faster; from 1e6
+	// up 'g' switches to exponent form ("1e+06").
+	if w > 0 && w < 1e6 && w == math.Trunc(w) {
+		buf = strconv.AppendInt(buf, int64(w), 10)
+	} else {
+		buf = strconv.AppendFloat(buf, w, 'g', -1, 64)
+	}
 	return append(buf, '\n')
 }
 

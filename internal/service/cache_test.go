@@ -5,7 +5,7 @@ import "testing"
 func key(d string) CacheKey { return CacheKey{Digest: d, Stretch: 3, Faults: 1} }
 
 func TestLRUGetPut(t *testing.T) {
-	c := newLRU(2)
+	c := newLRU[CacheKey, *buildResult](2)
 	if _, ok := c.Get(key("a")); ok {
 		t.Fatal("empty cache returned a hit")
 	}
@@ -21,7 +21,7 @@ func TestLRUGetPut(t *testing.T) {
 }
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	c := newLRU(2)
+	c := newLRU[CacheKey, *buildResult](2)
 	c.Put(key("a"), &buildResult{})
 	c.Put(key("b"), &buildResult{})
 	c.Get(key("a")) // refresh a; b is now oldest
@@ -37,7 +37,7 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestLRUPutRefreshesExisting(t *testing.T) {
-	c := newLRU(2)
+	c := newLRU[CacheKey, *buildResult](2)
 	v1, v2 := &buildResult{}, &buildResult{}
 	c.Put(key("a"), v1)
 	c.Put(key("b"), &buildResult{})
@@ -55,7 +55,7 @@ func TestLRUPutRefreshesExisting(t *testing.T) {
 }
 
 func TestLRUMinimumCapacity(t *testing.T) {
-	c := newLRU(0)
+	c := newLRU[CacheKey, *buildResult](0)
 	c.Put(key("a"), &buildResult{})
 	c.Put(key("b"), &buildResult{})
 	if c.Len() != 1 {

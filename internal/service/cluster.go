@@ -7,8 +7,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
 
 	"github.com/ftspanner/ftspanner/internal/store"
@@ -139,24 +137,13 @@ func (s *Server) handleClusterRecord(w http.ResponseWriter, r *http.Request) {
 // the cluster layer's anti-entropy importer.
 func (s *Server) Store() *store.Store { return s.store }
 
-// SpecDigest computes the graph digest a job-spec body routes on, without
-// touching server state: the same decode → normalize → materialize path as
-// submission, stopping at the digest. The router calls this to pick the
-// owning replica; because materialization is deterministic, router and
-// owner always agree on the digest.
+// SpecDigest returns the graph digest a job body routes on: the digest in
+// the cache key that submission derives from the same body, by the same
+// decode → normalize → materialize → digest path (resolveSpec), so router
+// and owner always agree. It keeps no state; the fleet router resolves
+// bodies through a SpecMemo instead, whose Digest returns the same digest
+// and errors.
 func SpecDigest(body []byte) (string, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
-		return "", err
-	}
-	if err := normalizeSpec(&spec); err != nil {
-		return "", err
-	}
-	g, err := materialize(&spec)
-	if err != nil {
-		return "", err
-	}
-	return g.Digest(), nil
+	sub, _, err := resolveSpec(body)
+	return sub.key.Digest, err
 }

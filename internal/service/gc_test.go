@@ -1,18 +1,20 @@
 package service
 
 import (
+	"encoding/json"
 	"net/http"
 	"testing"
 	"time"
 )
 
-// submitNormalized is the HTTP handler's normalize-then-submit sequence for
-// tests that drive the Server directly.
+// submitNormalized submits spec the way the HTTP handler does, for tests
+// that drive the Server directly.
 func submitNormalized(srv *Server, spec JobSpec) (*Job, error) {
-	if err := normalizeSpec(&spec); err != nil {
+	body, err := json.Marshal(spec)
+	if err != nil {
 		return nil, err
 	}
-	job, _, err := srv.submit(spec)
+	job, _, err := srv.submit(body)
 	return job, err
 }
 

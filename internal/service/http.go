@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -69,19 +70,12 @@ type submitResponse struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
-	if err := normalizeSpec(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
-	}
-	job, dedup, err := s.submit(spec)
+	job, dedup, err := s.submit(body)
 	if err != nil {
 		var se *submitError
 		if errors.As(err, &se) {

@@ -239,21 +239,19 @@ func (j *Job) startTrace(cached, fromStore bool) {
 	root.End()
 }
 
-func newJob(id string, key CacheKey, spec JobSpec, g *graph.Graph) *Job {
-	every, n, m := 1, 0, 0
-	if g != nil {
-		n, m = g.NumVertices(), g.NumEdges()
-		if every = m / 16; every < 1 {
-			every = 1
-		}
+func newJob(id string, sub submission, g *graph.Graph) *Job {
+	every := sub.edges / 16
+	if every < 1 {
+		every = 1
 	}
+	spec := sub.spec
 	j := &Job{
 		id:            id,
-		key:           key,
+		key:           sub.key,
 		spec:          spec,
 		graph:         g,
-		vertices:      n,
-		inputEdges:    m,
+		vertices:      sub.vertices,
+		inputEdges:    sub.edges,
 		class:         classOf(spec.Priority),
 		enqueuedAt:    time.Now(),
 		progressEvery: every,

@@ -122,6 +122,11 @@ type MetricsSnapshot struct {
 	CacheMisses   int64                           `json:"cache_misses"`
 	CacheHitRatio float64                         `json:"cache_hit_ratio"`
 	CacheEntries  int                             `json:"cache_entries"`
+	// SpecMemo* count job-body lookups in the spec memo (SpecMemo): bodies
+	// resolved from one hash, and bodies decoded, parsed and digested. On a
+	// fleet node the routing lookups count here too.
+	SpecMemoHits   int64 `json:"spec_memo_hits"`
+	SpecMemoMisses int64 `json:"spec_memo_misses"`
 	// Store* report the durable disk tier: submissions answered from disk
 	// (store_hits), lookups that went to disk and found nothing
 	// (store_misses), records written, files quarantined as corrupt
@@ -251,6 +256,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Latency:      s.lat.snapshot(),
 		WaitBudgetMS: float64(s.cfg.WaitBudget.Nanoseconds()) / 1e6,
 	}
+	snap.SpecMemoHits, snap.SpecMemoMisses = s.memo.Counts()
 	if total := snap.CacheHits + snap.CacheMisses; total > 0 {
 		snap.CacheHitRatio = float64(snap.CacheHits) / float64(total)
 	}

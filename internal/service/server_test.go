@@ -227,6 +227,11 @@ func TestCacheHitSkipsRecompute(t *testing.T) {
 	if m.CacheHitRatio != 0.5 {
 		t.Errorf("cache_hit_ratio=%v, want 0.5", m.CacheHitRatio)
 	}
+	// The resubmitted body is byte-identical, so it resolved from the spec
+	// memo without a decode.
+	if m.SpecMemoHits != 1 || m.SpecMemoMisses != 1 {
+		t.Errorf("spec_memo_hits=%d spec_memo_misses=%d, want 1 and 1", m.SpecMemoHits, m.SpecMemoMisses)
+	}
 }
 
 // TestEightConcurrentBuilds demonstrates the acceptance criterion: eight

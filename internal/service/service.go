@@ -162,9 +162,12 @@ func (c *Config) applyDefaults() {
 type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
-	cache *lruCache
+	cache *lruCache[CacheKey, *buildResult]
 	store *store.Store // nil when persistence is disabled
-	met   metrics
+	// memo resolves job bodies for submission and, on a fleet node, for
+	// routing (SpecMemo).
+	memo *SpecMemo
+	met  metrics
 
 	// Observability and load control (this package's obs.go and shed.go):
 	// latency histograms for /metrics, the queue-wait load shedder, and the
@@ -230,7 +233,8 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		wake:     make(chan struct{}, cfg.QueueDepth),
-		cache:    newLRU(cfg.CacheEntries),
+		cache:    newLRU[CacheKey, *buildResult](cfg.CacheEntries),
+		memo:     NewSpecMemo(),
 		store:    st,
 		jobs:     make(map[string]*Job),
 		active:   make(map[CacheKey]*Job),
@@ -354,6 +358,10 @@ func (s *Server) SetJobIDPrefix(prefix string) {
 	s.idPrefix = prefix
 	s.mu.Unlock()
 }
+
+// SpecMemo returns the memo the server resolves job bodies through, for a
+// fleet node that routes the same bodies to share.
+func (s *Server) SpecMemo() *SpecMemo { return s.memo }
 
 // Draining reports whether the server is refusing new submissions while it
 // shuts down.
@@ -573,19 +581,26 @@ type submitError struct {
 
 func (e *submitError) Error() string { return e.msg }
 
-// submit registers a job for the normalized spec: an in-flight duplicate is
-// returned as-is (dedup true), a result found in either cache tier produces
-// a job born done, and anything else is enqueued onto its priority class
-// for the worker pool.
-func (s *Server) submit(spec JobSpec) (job *Job, dedup bool, err error) {
+// badSpecError is the 400 a job body that fails to resolve answers.
+func badSpecError(err error) *submitError {
+	return &submitError{status: http.StatusBadRequest, msg: "bad job spec: " + err.Error()}
+}
+
+// submit resolves a job body through the memo and registers a job for it:
+// an in-flight duplicate is returned as-is (dedup true), a result found in
+// either cache tier produces a job born done, and anything else is enqueued
+// onto its priority class for the worker pool. After a memo hit the graph
+// is not decoded: a memory-tier hit needs none, and the disk tier and a
+// build decode it from body.
+func (s *Server) submit(body []byte) (job *Job, dedup bool, err error) {
+	sub, g, err := s.memo.resolve(body)
+	if err != nil {
+		return nil, false, badSpecError(err)
+	}
 	if s.draining.Load() {
 		return nil, false, s.drainError()
 	}
-	g, err := materialize(&spec)
-	if err != nil {
-		return nil, false, &submitError{status: http.StatusBadRequest, msg: err.Error()}
-	}
-	key := cacheKeyFor(spec, g)
+	key := sub.key
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -596,15 +611,25 @@ func (s *Server) submit(spec JobSpec) (job *Job, dedup bool, err error) {
 	}
 	res, hit := s.cache.Get(key)
 	fromStore := false
-	if !hit && s.store != nil {
-		// Disk tier. The read does file I/O plus a spanner reconstruction
-		// and digest check, so s.mu is released for its duration (handlers,
-		// other submits, and worker dequeues must not stall behind disk);
-		// on re-acquire the dedup index and memory cache are re-checked, so
-		// a racing identical submission still never triggers a double build.
+	if !hit && (g == nil || s.store != nil) {
+		// The disk tier and a build need the input graph. Decoding it and
+		// the disk read (file I/O plus a spanner reconstruction and digest
+		// check) run with s.mu released, so handlers, other submits, and
+		// worker dequeues do not stall behind them; on re-acquire the dedup
+		// index and memory cache are re-checked, so a racing identical
+		// submission still never triggers a double build.
 		s.mu.Unlock()
-		stored := s.storeGet(key, g)
+		var stored *buildResult
+		if g == nil {
+			_, g, err = decodeSpec(body)
+		}
+		if err == nil && s.store != nil {
+			stored = s.storeGet(key, g)
+		}
 		s.mu.Lock()
+		if err != nil {
+			return nil, false, badSpecError(err)
+		}
 		if dup := s.active[key]; dup != nil {
 			s.met.jobsSubmitted.Add(1)
 			s.met.dedups.Add(1)
@@ -618,12 +643,11 @@ func (s *Server) submit(spec JobSpec) (job *Job, dedup bool, err error) {
 	}
 	id := fmt.Sprintf("%sj%d", s.idPrefix, s.nextID+1)
 	if hit {
-		// The job is sized from the submitter's own graph, which is
+		// The job is sized from the body's resolution, whose graph is
 		// digest-equal to the cached result's input: a session-published
 		// result would have to materialize its input to hand it over. A job
 		// born done never builds, so it keeps the sizes, not the graph.
-		job := newJob(id, key, spec, g)
-		job.graph = nil
+		job := newJob(id, sub, nil)
 		job.startTrace(true, fromStore)
 		job.mu.Lock()
 		job.result = res
@@ -651,7 +675,7 @@ func (s *Server) submit(spec JobSpec) (job *Job, dedup bool, err error) {
 		return nil, false, &submitError{status: http.StatusServiceUnavailable,
 			msg: fmt.Sprintf("job queue full (%d queued)", s.queues.totalLen())}
 	}
-	cls := classOf(spec.Priority)
+	cls := classOf(sub.spec.Priority)
 	if cap := s.cfg.QueueCaps[cls.Priority()]; len(s.queues.q[cls]) >= cap {
 		s.met.rejected[cls].Add(1)
 		return nil, false, &submitError{
@@ -679,18 +703,18 @@ func (s *Server) submit(spec JobSpec) (job *Job, dedup bool, err error) {
 	// so refuse it while the client can still retry elsewhere. This runs
 	// regardless of WaitBudget — the shedder records waits even with
 	// budget shedding disabled.
-	if spec.DeadlineMs > 0 {
-		if p90, ok := s.shedder.p90(cls); ok && time.Duration(spec.DeadlineMs)*time.Millisecond <= p90 {
+	if sub.spec.DeadlineMs > 0 {
+		if p90, ok := s.shedder.p90(cls); ok && time.Duration(sub.spec.DeadlineMs)*time.Millisecond <= p90 {
 			s.met.deadlineRejected[cls].Add(1)
 			return nil, false, &submitError{
 				status: http.StatusTooManyRequests,
 				msg: fmt.Sprintf("deadline %dms cannot be met: priority %q p90 queue wait is %s",
-					spec.DeadlineMs, cls.Priority(), p90.Round(time.Millisecond)),
+					sub.spec.DeadlineMs, cls.Priority(), p90.Round(time.Millisecond)),
 				retryAfter: s.retryAfterLocked(cls),
 			}
 		}
 	}
-	job = newJob(id, key, spec, g)
+	job = newJob(id, sub, g)
 	job.startTrace(false, false)
 	s.queues.push(job)
 	s.nextID++
