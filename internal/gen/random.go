@@ -50,19 +50,20 @@ func ConnectedGNM(n, m int, rng *rand.Rand) (*graph.Graph, error) {
 	if m > maxM {
 		return nil, fmt.Errorf("gen: n=%d admits at most %d edges, got %d", n, maxM, m)
 	}
-	g := graph.New(n)
+	b := graph.NewBuilder(n, m)
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
-		g.MustAddEdge(perm[i], perm[rng.Intn(i)], 1)
+		b.MustAddEdge(perm[i], perm[rng.Intn(i)], 1)
 	}
-	for g.NumEdges() < m {
+	for added := max(n-1, 0); added < m; {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v || g.HasEdge(u, v) {
+		if u == v || b.HasEdge(u, v) {
 			continue
 		}
-		g.MustAddEdge(u, v, 1)
+		b.MustAddEdge(u, v, 1)
+		added++
 	}
-	return g, nil
+	return b.Graph(), nil
 }
 
 // Point is a position in the unit square, reported by RandomGeometric.
@@ -84,15 +85,15 @@ func RandomGeometric(n int, radius float64, rng *rand.Rand) (*graph.Graph, []Poi
 	for i := range pts {
 		pts[i] = Point{X: rng.Float64(), Y: rng.Float64()}
 	}
-	g := graph.New(n)
+	b := graph.NewBuilder(n, 0)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if d := pts[u].Dist(pts[v]); d <= radius && d > 0 {
-				g.MustAddEdge(u, v, d)
+				b.MustAddEdge(u, v, d)
 			}
 		}
 	}
-	return g, pts
+	return b.Graph(), pts
 }
 
 // RandomRegular returns a random d-regular graph on n vertices via the

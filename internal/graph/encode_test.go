@@ -285,3 +285,54 @@ func BenchmarkMaterialize(b *testing.B) {
 		m.Materialize()
 	}
 }
+
+// FuzzAppendSubgraph checks AppendSubgraph against Encode of the subgraph
+// built edge by edge with MustAddEdge in ids order, appended after a prefix
+// the call must leave alone. The graph comes from fuzzGraph's records; each
+// little-endian uint16 of sel picks an edge ID (mod the edge count), and a
+// repeated pick is skipped, as a spanner keeps an edge at most once.
+func FuzzAppendSubgraph(f *testing.F) {
+	var ints, wide, subnormal []byte
+	for i, w := range []float64{1, 999999, 999999.5, 1e6, 1e6 + 1, 1e7, math.Nextafter(1e6, 0), math.Nextafter(1e6, 2e6)} {
+		ints = append(ints, fuzzRecord(uint16(i), uint16(i+1), w)...)
+	}
+	for i, w := range []float64{1e-300, 1e-100, 1e-7, 0.1, 2.0 / 3, 1e21, 1e100, 1e300, math.MaxFloat64} {
+		wide = append(wide, fuzzRecord(uint16(i), uint16(i+2), w)...)
+	}
+	for i, w := range []float64{5e-324, 1e-310, 2.2250738585072014e-308 / 2, math.SmallestNonzeroFloat64 * 3} {
+		subnormal = append(subnormal, fuzzRecord(uint16(i), uint16(i+3), w)...)
+	}
+	picks := []byte{3, 0, 0, 0, 7, 0, 3, 0, 1, 0, 255, 255}
+	f.Add(uint16(12), ints, picks)
+	f.Add(uint16(12), wide, picks)
+	f.Add(uint16(9), subnormal, []byte{2, 0, 1, 0, 0, 0})
+	f.Add(uint16(4), ints, []byte{})
+	f.Add(uint16(0), []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, n uint16, raw, sel []byte) {
+		g := fuzzGraph(n, raw)
+		sub := New(g.NumVertices())
+		var ids []int
+		if m := g.NumEdges(); m > 0 {
+			seen := make([]bool, m)
+			for ; len(sel) >= 2; sel = sel[2:] {
+				id := int(binary.LittleEndian.Uint16(sel)) % m
+				if seen[id] {
+					continue
+				}
+				seen[id] = true
+				ids = append(ids, id)
+				e := g.Edge(id)
+				sub.MustAddEdge(e.U, e.V, e.Weight)
+			}
+		}
+		want := []byte("prefix|")
+		var enc bytes.Buffer
+		if err := sub.Encode(&enc); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, enc.Bytes()...)
+		if got := g.AppendSubgraph([]byte("prefix|"), ids); !bytes.Equal(got, want) {
+			t.Fatalf("AppendSubgraph(%v):\n got %.300q\nwant %.300q", ids, got, want)
+		}
+	})
+}

@@ -57,6 +57,19 @@ func (g *Graph) Encode(w io.Writer) error {
 	return err
 }
 
+// AppendSubgraph appends the Encode form of the subgraph on g's vertices
+// whose edges are g's edges ids, in ids order: byte for byte what Encode
+// writes for a graph built by MustAddEdge over those edges in that order.
+// Every id must be an edge ID of g.
+func (g *Graph) AppendSubgraph(buf []byte, ids []int) []byte {
+	buf = appendHeader(buf, g.NumVertices(), len(ids))
+	for _, id := range ids {
+		e := &g.edges[id]
+		buf = appendEdgeLine(buf, e.U, e.V, e.Weight)
+	}
+	return buf
+}
+
 // appendHeader appends the canonical header line, "p n m\n".
 func appendHeader(buf []byte, n, m int) []byte {
 	buf = append(buf, 'p', ' ')
@@ -167,11 +180,7 @@ func DecodeString(s string, maxVertices int) (*Graph, error) {
 			}
 			promised = m
 			m = min(m, (len(s)-pos)/minEdgeLine+1)
-			g = &Graph{
-				edges: make([]Edge, 0, m),
-				seg:   make([]segment, n),
-				index: make(map[[2]int]int, m),
-			}
+			g = newBulk(n, m)
 		case "e":
 			if g == nil {
 				return nil, fmt.Errorf("graph: line %d: edge before header", lineNum)

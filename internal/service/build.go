@@ -245,20 +245,20 @@ func (s *Server) build(ctx context.Context, job *Job) (*buildResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &buildResult{input: res.Input, spanner: res.Spanner, kept: res.Kept, stats: res.Stats}, nil
+		return &buildResult{input: res.Input, kept: res.Kept, stats: res.Stats}, nil
 	case AlgoUnionEFT:
 		res, err := baseline.UnionEFT(job.graph, spec.Stretch, spec.Faults)
 		if err != nil {
 			return nil, err
 		}
-		return &buildResult{input: job.graph, spanner: res.Spanner, kept: res.Kept}, nil
+		return &buildResult{input: job.graph, kept: res.Kept}, nil
 	case AlgoSamplingVFT:
 		res, err := baseline.SamplingVFT(job.graph, samplingK(spec.Stretch), spec.Faults,
 			baseline.SamplingVFTOptions{}, newRand(spec.Seed))
 		if err != nil {
 			return nil, err
 		}
-		return &buildResult{input: job.graph, spanner: res.Spanner, kept: res.Kept}, nil
+		return &buildResult{input: job.graph, kept: res.Kept}, nil
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q", spec.Algorithm)
 	}

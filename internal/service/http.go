@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/ftspanner/ftspanner/internal/verify"
@@ -190,7 +189,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// spannerResponse answers GET /v1/jobs/{id}/spanner.
+// spannerResponse is the GET /v1/jobs/{id}/spanner answer's shape.
+// handleSpanner writes its JSON form from the result's encoding, byte for
+// byte what encoding/json writes for it.
 type spannerResponse struct {
 	ID string `json:"id"`
 	// Spanner is the built subgraph in the Graph.Encode text format.
@@ -212,16 +213,14 @@ func (s *Server) handleSpanner(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s is %s, not done", job.id, state)
 		return
 	}
-	var sb strings.Builder
-	if err := res.Spanner().Encode(&sb); err != nil {
-		writeError(w, http.StatusInternalServerError, "encode: %v", err)
-		return
+	tail := res.encoding().tail
+	head := appendJSONString(append(make([]byte, 0, 64), `{"id":`...), []byte(job.id))
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(head); err == nil {
+		_, _ = w.Write(tail)
 	}
-	kept := res.Kept()
-	if kept == nil {
-		kept = []int{}
-	}
-	writeJSON(w, http.StatusOK, spannerResponse{ID: job.id, Spanner: sb.String(), Kept: kept})
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -311,7 +310,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	inst, err := verify.NewInstance(res.Input(), res.Spanner(), res.Kept())
+	inst, err := verify.NewInstance(res.Input(), res.spannerGraph(), res.Kept())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "verifier: %v", err)
 		return

@@ -2,9 +2,14 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"github.com/ftspanner/ftspanner/internal/core"
 	"github.com/ftspanner/ftspanner/internal/graph"
@@ -112,34 +117,92 @@ type Event struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// buildResult is the normalized output of any algorithm: enough to encode
-// the spanner, report instrumentation, and re-verify the result later.
+// buildResult is the normalized output of any algorithm: the input graph,
+// the kept input edge IDs, the build's stats, and the spanner's encoding.
+// It holds no spanner graph. A result never changes, so the spanner is
+// encoded once, on first use, from the input and the kept IDs: that one
+// pass gives both the spanner digest a store record carries and the bytes
+// of every GET /v1/jobs/{id}/spanner answer after the ID. A store-tier hit
+// arrives with its encoding already made by the record check. /v1/verify
+// builds a spanner graph for each call and keeps none.
 //
-// A session publishes its result as a core.Snapshot, and the input graph,
-// spanner and kept IDs are then materialized from it once, on first use
-// (a job's spanner read, /verify, seeding a session, the persist at close).
-// Read them through Input, Spanner and Kept; NumKept needs none of them.
+// A session publishes its result as a core.Snapshot, and the input graph
+// and kept IDs are then materialized from it once, on first use (a job's
+// spanner read, /verify, seeding a session, the persist at close). Read
+// them through Input and Kept; NumKept needs neither.
 type buildResult struct {
 	stats core.Stats
 	snap  *core.Snapshot // nil for a built or stored result
 
-	once    sync.Once
-	input   *graph.Graph
-	spanner *graph.Graph
-	kept    []int
+	once  sync.Once
+	input *graph.Graph
+	kept  []int
+
+	encOnce sync.Once
+	enc     *spannerEncoding // preset by resultFromRecord, else built by encOnce
 }
 
-// materialized fills input, spanner and kept from the snapshot on first use.
+// spannerEncoding is a result's spanner, encoded once.
+type spannerEncoding struct {
+	// digest is the SHA-256 of the spanner's Graph.Encode text.
+	digest string
+	// tail is the spanner answer after the ID:
+	// `,"spanner":"<text>","kept":[<ids>]}` and a newline, the bytes
+	// encoding/json writes for those fields.
+	tail []byte
+}
+
+// newSpannerEncoding encodes the spanner whose Graph.Encode text is text and
+// whose kept input edge IDs are kept; maxID bounds every kept ID.
+func newSpannerEncoding(text []byte, kept []int, maxID int) *spannerEncoding {
+	sum := sha256.Sum256(text)
+	// The text has a header line and one line per kept edge, and escaping
+	// adds a byte per newline; each kept ID takes at most maxID's digits and
+	// a comma.
+	size := len(`,"spanner":"","kept":[]}`) + 1 + len(text) + len(kept) + 1 +
+		len(kept)*(len(strconv.Itoa(maxID))+1)
+	tail := make([]byte, 0, size)
+	tail = append(tail, `,"spanner":`...)
+	tail = appendJSONString(tail, text)
+	tail = append(tail, `,"kept":[`...)
+	for i, id := range kept {
+		if i > 0 {
+			tail = append(tail, ',')
+		}
+		tail = strconv.AppendInt(tail, int64(id), 10)
+	}
+	tail = append(tail, "]}\n"...)
+	return &spannerEncoding{digest: hex.EncodeToString(sum[:]), tail: tail}
+}
+
+// appendJSONString appends s as a JSON string, as encoding/json writes it.
+// Canonical graph text and job IDs are printable ASCII and newlines, which
+// the loop escapes itself; anything else is left to encoding/json.
+func appendJSONString(buf, s []byte) []byte {
+	mark := len(buf)
+	buf = append(buf, '"')
+	start := 0
+	for i, c := range s {
+		if c >= 0x20 && c < utf8.RuneSelf && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			continue
+		}
+		if c != '\n' {
+			q, _ := json.Marshal(string(s)) // a string always marshals
+			return append(buf[:mark], q...)
+		}
+		buf = append(buf, s[start:i]...)
+		buf = append(buf, '\\', 'n')
+		start = i + 1
+	}
+	buf = append(buf, s[start:]...)
+	return append(buf, '"')
+}
+
+// materialized fills input and kept from the snapshot on first use.
 func (r *buildResult) materialized() *buildResult {
 	r.once.Do(func() {
-		if r.snap == nil {
-			return
-		}
-		r.input, r.kept = r.snap.Materialize()
-		r.spanner = graph.New(r.input.NumVertices())
-		for _, id := range r.kept {
-			e := r.input.Edge(id)
-			r.spanner.MustAddEdge(e.U, e.V, e.Weight)
+		if r.snap != nil {
+			r.input, r.kept = r.snap.Materialize()
 		}
 	})
 	return r
@@ -147,9 +210,6 @@ func (r *buildResult) materialized() *buildResult {
 
 // Input returns the input graph.
 func (r *buildResult) Input() *graph.Graph { return r.materialized().input }
-
-// Spanner returns the built spanner.
-func (r *buildResult) Spanner() *graph.Graph { return r.materialized().spanner }
 
 // Kept returns the input edge IDs the spanner keeps, in spanner edge-ID
 // order.
@@ -161,6 +221,29 @@ func (r *buildResult) NumKept() int {
 		return len(r.snap.Kept)
 	}
 	return len(r.kept)
+}
+
+// encoding returns the spanner's encoding, made on first use.
+func (r *buildResult) encoding() *spannerEncoding {
+	r.encOnce.Do(func() {
+		if r.enc == nil {
+			in, kept := r.Input(), r.Kept()
+			r.enc = newSpannerEncoding(in.AppendSubgraph(nil, kept), kept, in.NumEdges())
+		}
+	})
+	return r.enc
+}
+
+// spannerGraph builds the spanner as a graph: spanner edge i is input edge
+// Kept()[i]. The result does not keep it.
+func (r *buildResult) spannerGraph() *graph.Graph {
+	in, kept := r.Input(), r.Kept()
+	b := graph.NewBuilder(in.NumVertices(), len(kept))
+	for _, id := range kept {
+		e := in.Edge(id)
+		b.MustAddEdge(e.U, e.V, e.Weight)
+	}
+	return b.Graph()
 }
 
 // Job is one submitted build with its full lifecycle: queue position,

@@ -19,14 +19,15 @@ func storeKeyFor(key CacheKey) string {
 
 // recordFor flattens a completed build into its persisted form: kept-edge
 // IDs and stats only — the spanner is reconstructed from the input graph on
-// read, and its digest is stored so the reconstruction is verifiable.
+// read, and its digest, from the result's one encoding, is stored so the
+// reconstruction is verifiable.
 func recordFor(key CacheKey, res *buildResult) *store.Record {
 	st := res.stats
 	return &store.Record{
 		Key:           storeKeyFor(key),
 		NumVertices:   res.Input().NumVertices(),
 		InputEdges:    res.Input().NumEdges(),
-		SpannerDigest: res.Spanner().Digest(),
+		SpannerDigest: res.encoding().digest,
 		Kept:          res.Kept(),
 		Stats: store.Stats{
 			EdgesScanned:  int64(st.EdgesScanned),
@@ -43,35 +44,39 @@ func recordFor(key CacheKey, res *buildResult) *store.Record {
 	}
 }
 
-// resultFromRecord rebuilds a full buildResult from a stored record and the
-// freshly materialized input graph: kept edges are re-added in stored order
-// (spanner edge IDs are assigned in keep order, so the reconstruction is
-// exact), and the spanner digest must match the one recorded at build time
-// byte for byte. Any inconsistency is an error — the caller quarantines the
-// record and rebuilds.
+// resultFromRecord rebuilds a buildResult from a stored record and the
+// freshly materialized input graph. The kept edges must be distinct edges
+// of the input, and the spanner text appended from them in stored order
+// (spanner edge IDs are assigned in keep order) must hash to the digest
+// recorded at build time; that same text seeds the result's encoding. Any
+// inconsistency is an error — the caller quarantines the record and
+// rebuilds.
 func resultFromRecord(g *graph.Graph, rec *store.Record) (*buildResult, error) {
 	if rec.NumVertices != g.NumVertices() || rec.InputEdges != g.NumEdges() {
 		return nil, fmt.Errorf("record is for a %dv/%de graph, input has %dv/%de",
 			rec.NumVertices, rec.InputEdges, g.NumVertices(), g.NumEdges())
 	}
-	sp := graph.New(g.NumVertices())
+	seen := make([]bool, g.NumEdges())
 	for _, id := range rec.Kept {
 		if id < 0 || id >= g.NumEdges() {
 			return nil, fmt.Errorf("kept edge ID %d out of range", id)
 		}
-		e := g.Edge(id)
-		if _, err := sp.AddEdge(e.U, e.V, e.Weight); err != nil {
-			return nil, fmt.Errorf("kept edge %d: %w", id, err)
+		if seen[id] {
+			e := g.Edge(id)
+			return nil, fmt.Errorf("kept edge %d: %w: (%d,%d)", id, graph.ErrParallelEdge, e.U, e.V)
 		}
+		seen[id] = true
 	}
-	if d := sp.Digest(); d != rec.SpannerDigest {
-		return nil, fmt.Errorf("reconstructed spanner digest %s != stored %s", d, rec.SpannerDigest)
+	kept := append([]int(nil), rec.Kept...)
+	enc := newSpannerEncoding(g.AppendSubgraph(nil, kept), kept, g.NumEdges())
+	if enc.digest != rec.SpannerDigest {
+		return nil, fmt.Errorf("reconstructed spanner digest %s != stored %s", enc.digest, rec.SpannerDigest)
 	}
 	st := rec.Stats
 	return &buildResult{
-		input:   g,
-		spanner: sp,
-		kept:    append([]int(nil), rec.Kept...),
+		input: g,
+		kept:  kept,
+		enc:   enc,
 		stats: core.Stats{
 			EdgesScanned:  int(st.EdgesScanned),
 			OracleCalls:   st.OracleCalls,

@@ -488,6 +488,9 @@ func (s *Server) finish(job *Job, res *buildResult, err error) {
 	var pe *core.PanicError
 	switch {
 	case err == nil:
+		// The result enters the memory cache before the job turns done, so
+		// whoever sees the job done and submits it again hits the cache.
+		s.cache.Put(job.key, res)
 		job.result = res
 		job.setStateLocked(StateDone, Event{Scanned: res.stats.EdgesScanned, Kept: res.NumKept()})
 	case errors.Is(err, context.DeadlineExceeded):
@@ -506,11 +509,11 @@ func (s *Server) finish(job *Job, res *buildResult, err error) {
 	}
 	job.mu.Unlock()
 
-	// Cache the result BEFORE releasing the dedup key: a duplicate
-	// submission racing this finish must find either the active job or the
-	// cached result, never a gap that triggers a full rebuild. The durable
-	// write rides the same window, so once the key is free the result is
-	// also on disk for any future process.
+	// The result was cached above, before the dedup key is released here:
+	// a duplicate submission racing this finish finds either the cached
+	// result or the active job, never a gap that triggers a full rebuild.
+	// The durable write rides the same window, so once the key is free the
+	// result is also on disk for any future process.
 	switch {
 	case err == nil:
 		s.met.jobsDone.Add(1)
@@ -522,7 +525,6 @@ func (s *Server) finish(job *Job, res *buildResult, err error) {
 		s.met.specRounds.Add(res.stats.SpecRounds)
 		s.met.specRequeries.Add(res.stats.SpecRequeries)
 		s.lat.build.Record(buildDur)
-		s.cache.Put(job.key, res)
 		pstart := time.Now()
 		ps := job.trace.Root().StartSpan("persist")
 		s.storePut(job.key, res)
@@ -587,11 +589,14 @@ func badSpecError(err error) *submitError {
 }
 
 // submit resolves a job body through the memo and registers a job for it:
-// an in-flight duplicate is returned as-is (dedup true), a result found in
-// either cache tier produces a job born done, and anything else is enqueued
-// onto its priority class for the worker pool. After a memo hit the graph
-// is not decoded: a memory-tier hit needs none, and the disk tier and a
-// build decode it from body.
+// a result in the memory cache produces a job born done, an in-flight
+// duplicate is returned as-is (dedup true), a result in the disk tier
+// produces a job born done, and anything else is enqueued onto its priority
+// class for the worker pool. The memory cache comes first because finish
+// caches a result before its job turns done and leaves the dedup index
+// only after the persist: a job that is done is answered from the cache.
+// After a memo hit the graph is not decoded: a memory-tier hit needs none,
+// and the disk tier and a build decode it from body.
 func (s *Server) submit(body []byte) (job *Job, dedup bool, err error) {
 	sub, g, err := s.memo.resolve(body)
 	if err != nil {
@@ -604,19 +609,19 @@ func (s *Server) submit(body []byte) (job *Job, dedup bool, err error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if dup := s.active[key]; dup != nil {
+	res, hit := s.cache.Get(key)
+	if dup := s.active[key]; !hit && dup != nil {
 		s.met.jobsSubmitted.Add(1)
 		s.met.dedups.Add(1)
 		return dup, true, nil
 	}
-	res, hit := s.cache.Get(key)
 	fromStore := false
 	if !hit && (g == nil || s.store != nil) {
 		// The disk tier and a build need the input graph. Decoding it and
-		// the disk read (file I/O plus a spanner reconstruction and digest
+		// the disk read (file I/O plus the record's spanner text and digest
 		// check) run with s.mu released, so handlers, other submits, and
-		// worker dequeues do not stall behind them; on re-acquire the dedup
-		// index and memory cache are re-checked, so a racing identical
+		// worker dequeues do not stall behind them; on re-acquire the memory
+		// cache and dedup index are re-checked, so a racing identical
 		// submission still never triggers a double build.
 		s.mu.Unlock()
 		var stored *buildResult
@@ -630,12 +635,12 @@ func (s *Server) submit(body []byte) (job *Job, dedup bool, err error) {
 		if err != nil {
 			return nil, false, badSpecError(err)
 		}
-		if dup := s.active[key]; dup != nil {
+		res, hit = s.cache.Get(key)
+		if dup := s.active[key]; !hit && dup != nil {
 			s.met.jobsSubmitted.Add(1)
 			s.met.dedups.Add(1)
 			return dup, true, nil
 		}
-		res, hit = s.cache.Get(key)
 		if !hit && stored != nil {
 			s.cache.Put(key, stored)
 			res, hit, fromStore = stored, true, true

@@ -36,10 +36,10 @@ import (
 // A publish is one core.Snapshot: the digest, hashed over edge lines the
 // mutable graph formatted when each edge entered, plus O(kept) copying. The
 // session's spanner read is answered from the snapshot without the session
-// lock. The cached result's input graph, spanner and kept IDs materialize
-// from the snapshot once, and only when something needs them: a job's
-// spanner read or /verify, a session seeded from the entry, or the persist
-// at close. A cross-job that hits the cache needs none of them.
+// lock. The cached result's input graph and kept IDs materialize from the
+// snapshot once, and only when something needs them: a job's spanner read
+// or /verify, a session seeded from the entry, or the persist at close. A
+// cross-job that hits the cache needs none of them.
 
 // maxSessionDeltaOps bounds one delta request's operation count.
 const maxSessionDeltaOps = 4096

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,9 +59,9 @@ func answerID(t *testing.T, answer []byte) string {
 	return sub.ID
 }
 
-// waitJob blocks until job id on s is terminal and has left the dedup
-// index, which finish does after caching and persisting the result: until
-// then an identical submission joins the job instead of hitting the cache.
+// waitJob blocks until job id on s is terminal. A done job's result is
+// already in the memory cache, so an identical submission after this hits
+// it.
 func waitJob(t *testing.T, s *Server, id string) {
 	t.Helper()
 	job, ok := s.job(id)
@@ -70,15 +69,6 @@ func waitJob(t *testing.T, s *Server, id string) {
 		t.Fatalf("no job %s", id)
 	}
 	<-job.done
-	for {
-		s.mu.Lock()
-		active := s.active[job.key] == job
-		s.mu.Unlock()
-		if !active {
-			return
-		}
-		runtime.Gosched()
-	}
 }
 
 // inlineBody wraps graph text as a job body.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"github.com/ftspanner/ftspanner/internal/graph"
 )
@@ -54,6 +55,11 @@ func BaswanaSen(g *graph.Graph, k int, rng *rand.Rand) (*Result, error) {
 			delete(lightest, c)
 		}
 	}
+	// byWeight lists lightest's clusters by their edge's (weight, ID): the
+	// order in which those edges enter the spanner. Map order would make the
+	// kept order, and with it the spanner's edge IDs and digest, differ from
+	// run to run under one seed.
+	var byWeight []int
 	scanNeighborClusters := func(v int) {
 		clearLightest()
 		for _, arc := range g.Neighbors(v) {
@@ -69,6 +75,11 @@ func BaswanaSen(g *graph.Graph, k int, rng *rand.Rand) (*Result, error) {
 				lightest[c] = e
 			}
 		}
+		byWeight = byWeight[:0]
+		for c := range lightest {
+			byWeight = append(byWeight, c)
+		}
+		sort.Slice(byWeight, func(i, j int) bool { return less(lightest[byWeight[i]], lightest[byWeight[j]]) })
 	}
 
 	// Phase 1: k-1 rounds of cluster sampling.
@@ -104,8 +115,8 @@ func BaswanaSen(g *graph.Graph, k int, rng *rand.Rand) (*Result, error) {
 			if !haveSampled {
 				// No sampled neighbor: keep the lightest edge to every
 				// neighbor cluster, then retire v with all its edges.
-				for _, e := range lightest {
-					addEdge(e)
+				for _, c := range byWeight {
+					addEdge(lightest[c])
 				}
 				for _, arc := range g.Neighbors(v) {
 					alive[arc.ID] = false
@@ -120,8 +131,8 @@ func BaswanaSen(g *graph.Graph, k int, rng *rand.Rand) (*Result, error) {
 			joined := cluster[bestSampled.Other(v)]
 			addEdge(bestSampled)
 			newCluster[v] = joined
-			for c, e := range lightest {
-				if c != joined && less(e, bestSampled) {
+			for _, c := range byWeight {
+				if e := lightest[c]; c != joined && less(e, bestSampled) {
 					addEdge(e)
 				}
 			}
@@ -152,8 +163,8 @@ func BaswanaSen(g *graph.Graph, k int, rng *rand.Rand) (*Result, error) {
 	// remaining cluster.
 	for v := 0; v < n; v++ {
 		scanNeighborClusters(v)
-		for _, e := range lightest {
-			addEdge(e)
+		for _, c := range byWeight {
+			addEdge(lightest[c])
 		}
 	}
 	return res, nil

@@ -293,3 +293,27 @@ func BenchmarkBaswanaSenK2(b *testing.B) {
 		}
 	}
 }
+
+// TestBaswanaSenReproducible runs each seed several times: one seed must
+// give one spanner, edge order and all, because the spanner's text and
+// digest follow its edge order.
+func TestBaswanaSenReproducible(t *testing.T) {
+	g, err := gen.RandomizeWeights(gen.Complete(40), 1, 4, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 10; seed++ {
+		var want string
+		for run := 0; run < 5; run++ {
+			res, err := BaswanaSen(g, 3, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := res.Spanner.Digest(); run == 0 {
+				want = d
+			} else if d != want {
+				t.Fatalf("seed %d run %d: spanner digest %s, first run %s", seed, run, d, want)
+			}
+		}
+	}
+}
