@@ -371,86 +371,3 @@ func BenchmarkHighGirth(b *testing.B) {
 		sinkGraph = HighGirth(100, 5, 0, rng)
 	}
 }
-
-// connectedGNMReference is ConnectedGNM as it was written over
-// graph.MustAddEdge, kept as the oracle the bulk build must match.
-func connectedGNMReference(n, m int, rng *rand.Rand) *graph.Graph {
-	g := graph.New(n)
-	perm := rng.Perm(n)
-	for i := 1; i < n; i++ {
-		g.MustAddEdge(perm[i], perm[rng.Intn(i)], 1)
-	}
-	for g.NumEdges() < m {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v || g.HasEdge(u, v) {
-			continue
-		}
-		g.MustAddEdge(u, v, 1)
-	}
-	return g
-}
-
-// randomGeometricReference is RandomGeometric over graph.MustAddEdge.
-func randomGeometricReference(n int, radius float64, rng *rand.Rand) *graph.Graph {
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Point{X: rng.Float64(), Y: rng.Float64()}
-	}
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if d := pts[u].Dist(pts[v]); d <= radius && d > 0 {
-				g.MustAddEdge(u, v, d)
-			}
-		}
-	}
-	return g
-}
-
-// sameGraph fails unless got and want have the same digest and the same
-// adjacency lists in the same order, which the searches' tie-breaking
-// depends on.
-func sameGraph(t *testing.T, name string, got, want *graph.Graph) {
-	t.Helper()
-	if got.Digest() != want.Digest() {
-		t.Fatalf("%s: digest %s, reference %s", name, got.Digest(), want.Digest())
-	}
-	for v := 0; v < want.NumVertices(); v++ {
-		ga, wa := got.Neighbors(v), want.Neighbors(v)
-		if len(ga) != len(wa) {
-			t.Fatalf("%s: vertex %d has degree %d, reference %d", name, v, len(ga), len(wa))
-		}
-		for i := range wa {
-			if ga[i] != wa[i] {
-				t.Fatalf("%s: vertex %d arc %d is %+v, reference %+v", name, v, i, ga[i], wa[i])
-			}
-		}
-	}
-}
-
-// TestBulkGeneratorsMatchReference pins the bulk-built generators to their
-// edge-by-edge originals over a seed sweep: the same RNG draws give the same
-// graph, so every cache key and experiment golden over them stays put.
-func TestBulkGeneratorsMatchReference(t *testing.T) {
-	gnm := [][2]int{{0, 0}, {1, 0}, {2, 1}, {10, 9}, {10, 45}, {100, 800}, {300, 3000}}
-	for seed := int64(0); seed < 200; seed++ {
-		nm := gnm[seed%int64(len(gnm))]
-		got, err := ConnectedGNM(nm[0], nm[1], rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameGraph(t, "ConnectedGNM", got, connectedGNMReference(nm[0], nm[1], rand.New(rand.NewSource(seed))))
-		n, radius := int(seed%7)*20, 0.05+float64(seed%5)*0.1
-		geo, _ := RandomGeometric(n, radius, rand.New(rand.NewSource(seed)))
-		sameGraph(t, "RandomGeometric", geo, randomGeometricReference(n, radius, rand.New(rand.NewSource(seed))))
-	}
-}
-
-// BenchmarkConnectedGNM times the jobs-cold generator size, GNM(100, 800).
-func BenchmarkConnectedGNM(b *testing.B) {
-	for i := 0; b.Loop(); i++ {
-		if _, err := ConnectedGNM(100, 800, rand.New(rand.NewSource(int64(i)))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -50,20 +50,19 @@ func ConnectedGNM(n, m int, rng *rand.Rand) (*graph.Graph, error) {
 	if m > maxM {
 		return nil, fmt.Errorf("gen: n=%d admits at most %d edges, got %d", n, maxM, m)
 	}
-	b := graph.NewBuilder(n, m)
+	g := graph.New(n)
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
-		b.MustAddEdge(perm[i], perm[rng.Intn(i)], 1)
+		g.MustAddEdge(perm[i], perm[rng.Intn(i)], 1)
 	}
-	for added := max(n-1, 0); added < m; {
+	for g.NumEdges() < m {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v || b.HasEdge(u, v) {
+		if u == v || g.HasEdge(u, v) {
 			continue
 		}
-		b.MustAddEdge(u, v, 1)
-		added++
+		g.MustAddEdge(u, v, 1)
 	}
-	return b.Graph(), nil
+	return g, nil
 }
 
 // Point is a position in the unit square, reported by RandomGeometric.
@@ -85,15 +84,15 @@ func RandomGeometric(n int, radius float64, rng *rand.Rand) (*graph.Graph, []Poi
 	for i := range pts {
 		pts[i] = Point{X: rng.Float64(), Y: rng.Float64()}
 	}
-	b := graph.NewBuilder(n, 0)
+	g := graph.New(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if d := pts[u].Dist(pts[v]); d <= radius && d > 0 {
-				b.MustAddEdge(u, v, d)
+				g.MustAddEdge(u, v, d)
 			}
 		}
 	}
-	return b.Graph(), pts
+	return g, pts
 }
 
 // RandomRegular returns a random d-regular graph on n vertices via the

@@ -145,16 +145,6 @@ func (g *Graph) checkEdge(u, v int, w float64) error {
 
 func parallelEdge(u, v int) error { return fmt.Errorf("%w: (%d,%d)", ErrParallelEdge, u, v) }
 
-// newBulk returns an empty graph on n vertices with room for m edges, to be
-// filled by pushEdge and finished by layOut.
-func newBulk(n, m int) *Graph {
-	return &Graph{
-		edges: make([]Edge, 0, m),
-		seg:   make([]segment, n),
-		index: make(map[[2]int]int, m),
-	}
-}
-
 // pushEdge is the first half of building a graph in bulk: it appends an edge
 // that passed checkEdge to the edge list and the endpoint index, and counts
 // it into both endpoints' block capacities, leaving the arcs to layOut. The
@@ -191,44 +181,6 @@ func (g *Graph) layOut() {
 		su.deg++
 		sv.deg++
 	}
-}
-
-// Builder assembles a graph in bulk, the way DecodeString does: edges take
-// their IDs in the order they are added, and the CSR arena is laid out once,
-// with exact per-vertex blocks, when Graph is called. The graph equals one
-// built by MustAddEdge in the same order: the same edges, digest and
-// adjacency order.
-type Builder struct {
-	g *Graph
-}
-
-// NewBuilder starts a graph on n isolated vertices, with room for m edges
-// (a capacity hint, not a bound).
-func NewBuilder(n, m int) *Builder {
-	return &Builder{g: newBulk(max(n, 0), m)}
-}
-
-// HasEdge reports whether an edge added so far joins u and v.
-func (b *Builder) HasEdge(u, v int) bool { return b.g.HasEdge(u, v) }
-
-// MustAddEdge adds the edge (u, v) with weight w as the next edge ID. It
-// panics on any edge AddEdge rejects.
-func (b *Builder) MustAddEdge(u, v int, w float64) {
-	if err := b.g.checkEdge(u, v, w); err != nil {
-		panic(err)
-	}
-	if err := b.g.pushEdge(u, v, w); err != nil {
-		panic(err)
-	}
-}
-
-// Graph lays the arena out and returns the graph. The Builder must not be
-// used afterwards.
-func (b *Builder) Graph() *Graph {
-	g := b.g
-	b.g = nil
-	g.layOut()
-	return g
 }
 
 // addArc appends one directed arc to v's CSR block, relocating the block to

@@ -375,33 +375,3 @@ func TestTruncatePanics(t *testing.T) {
 	mustPanic("negative watermark", func() { g.Truncate(-1) })
 	mustPanic("watermark past end", func() { g.Truncate(2) })
 }
-
-// TestBuilderRejectsWhatAddEdgeRejects checks the bulk builder panics on
-// every edge AddEdge refuses, and that a built graph grows like any other.
-func TestBuilderRejectsWhatAddEdgeRejects(t *testing.T) {
-	for _, e := range [][3]float64{{0, 0, 1}, {0, 3, 1}, {0, 1, 0}, {1, 0, 1}} {
-		b := NewBuilder(3, 0)
-		b.MustAddEdge(0, 1, 1)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("edge %v was accepted", e)
-				}
-			}()
-			b.MustAddEdge(int(e[0]), int(e[1]), e[2])
-		}()
-	}
-	b := NewBuilder(3, 1)
-	b.MustAddEdge(2, 0, 0.5)
-	if !b.HasEdge(0, 2) || b.HasEdge(0, 1) {
-		t.Fatal("HasEdge disagrees with the edges added")
-	}
-	g := b.Graph()
-	g.MustAddEdge(0, 1, 2)
-	want := New(3)
-	want.MustAddEdge(2, 0, 0.5)
-	want.MustAddEdge(0, 1, 2)
-	if g.Digest() != want.Digest() || len(g.Neighbors(0)) != 2 || g.Neighbors(0)[1].To != 1 {
-		t.Fatalf("built graph %v differs after growth", g)
-	}
-}

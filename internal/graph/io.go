@@ -180,7 +180,11 @@ func DecodeString(s string, maxVertices int) (*Graph, error) {
 			}
 			promised = m
 			m = min(m, (len(s)-pos)/minEdgeLine+1)
-			g = newBulk(n, m)
+			g = &Graph{
+				edges: make([]Edge, 0, m),
+				seg:   make([]segment, n),
+				index: make(map[[2]int]int, m),
+			}
 		case "e":
 			if g == nil {
 				return nil, fmt.Errorf("graph: line %d: edge before header", lineNum)

@@ -269,7 +269,11 @@ func (f *Frozen) AppendSubgraph(buf []byte, edges []Edge) []byte {
 // presized to the live count, and every vertex's CSR block gets its exact
 // final size, so nothing relocates or rehashes.
 func (f *Frozen) Materialize() (*Graph, []int) {
-	out := newBulk(f.n, f.live)
+	out := &Graph{
+		edges: make([]Edge, 0, f.live),
+		seg:   make([]segment, f.n),
+		index: make(map[[2]int]int, f.live),
+	}
 	ids := make([]int, 0, f.live)
 	for _, e := range f.edges {
 		if !f.dead[e.ID] {

@@ -189,17 +189,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// spannerResponse is the GET /v1/jobs/{id}/spanner answer's shape.
-// handleSpanner writes its JSON form from the result's encoding, byte for
-// byte what encoding/json writes for it.
-type spannerResponse struct {
-	ID string `json:"id"`
-	// Spanner is the built subgraph in the Graph.Encode text format.
-	Spanner string `json:"spanner"`
-	// Kept lists the input edge IDs retained, in spanner edge-ID order.
-	Kept []int `json:"kept"`
-}
-
 func (s *Server) handleSpanner(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.job(r.PathValue("id"))
 	if !ok {
@@ -213,8 +202,12 @@ func (s *Server) handleSpanner(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s is %s, not done", job.id, state)
 		return
 	}
+	// The answer is {"id":<id>,"spanner":<text>,"kept":[<ids>]} and a
+	// newline, as encoding/json writes it; all but the ID is the result's
+	// one encoding.
+	id, _ := json.Marshal(job.id) // a string always marshals
+	head := append([]byte(`{"id":`), id...)
 	tail := res.encoding().tail
-	head := appendJSONString(append(make([]byte, 0, 64), `{"id":`...), []byte(job.id))
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(tail)))
 	w.WriteHeader(http.StatusOK)

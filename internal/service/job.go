@@ -5,11 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"github.com/ftspanner/ftspanner/internal/core"
 	"github.com/ftspanner/ftspanner/internal/graph"
@@ -153,49 +151,21 @@ type spannerEncoding struct {
 }
 
 // newSpannerEncoding encodes the spanner whose Graph.Encode text is text and
-// whose kept input edge IDs are kept; maxID bounds every kept ID.
-func newSpannerEncoding(text []byte, kept []int, maxID int) *spannerEncoding {
+// whose kept input edge IDs are kept.
+func newSpannerEncoding(text []byte, kept []int) *spannerEncoding {
 	sum := sha256.Sum256(text)
-	// The text has a header line and one line per kept edge, and escaping
-	// adds a byte per newline; each kept ID takes at most maxID's digits and
-	// a comma.
-	size := len(`,"spanner":"","kept":[]}`) + 1 + len(text) + len(kept) + 1 +
-		len(kept)*(len(strconv.Itoa(maxID))+1)
-	tail := make([]byte, 0, size)
-	tail = append(tail, `,"spanner":`...)
-	tail = appendJSONString(tail, text)
-	tail = append(tail, `,"kept":[`...)
-	for i, id := range kept {
-		if i > 0 {
-			tail = append(tail, ',')
-		}
-		tail = strconv.AppendInt(tail, int64(id), 10)
+	if kept == nil {
+		kept = []int{}
 	}
-	tail = append(tail, "]}\n"...)
-	return &spannerEncoding{digest: hex.EncodeToString(sum[:]), tail: tail}
-}
-
-// appendJSONString appends s as a JSON string, as encoding/json writes it.
-// Canonical graph text and job IDs are printable ASCII and newlines, which
-// the loop escapes itself; anything else is left to encoding/json.
-func appendJSONString(buf, s []byte) []byte {
-	mark := len(buf)
-	buf = append(buf, '"')
-	start := 0
-	for i, c := range s {
-		if c >= 0x20 && c < utf8.RuneSelf && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-			continue
-		}
-		if c != '\n' {
-			q, _ := json.Marshal(string(s)) // a string always marshals
-			return append(buf[:mark], q...)
-		}
-		buf = append(buf, s[start:i]...)
-		buf = append(buf, '\\', 'n')
-		start = i + 1
+	tail, err := json.Marshal(struct {
+		Spanner string `json:"spanner"`
+		Kept    []int  `json:"kept"`
+	}{string(text), kept})
+	if err != nil {
+		panic(err) // a string and an int slice always marshal
 	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
+	tail[0] = ','
+	return &spannerEncoding{digest: hex.EncodeToString(sum[:]), tail: append(tail, '\n')}
 }
 
 // materialized fills input and kept from the snapshot on first use.
@@ -228,7 +198,7 @@ func (r *buildResult) encoding() *spannerEncoding {
 	r.encOnce.Do(func() {
 		if r.enc == nil {
 			in, kept := r.Input(), r.Kept()
-			r.enc = newSpannerEncoding(in.AppendSubgraph(nil, kept), kept, in.NumEdges())
+			r.enc = newSpannerEncoding(in.AppendSubgraph(nil, kept), kept)
 		}
 	})
 	return r.enc
@@ -237,13 +207,13 @@ func (r *buildResult) encoding() *spannerEncoding {
 // spannerGraph builds the spanner as a graph: spanner edge i is input edge
 // Kept()[i]. The result does not keep it.
 func (r *buildResult) spannerGraph() *graph.Graph {
-	in, kept := r.Input(), r.Kept()
-	b := graph.NewBuilder(in.NumVertices(), len(kept))
-	for _, id := range kept {
+	in := r.Input()
+	sp := graph.New(in.NumVertices())
+	for _, id := range r.Kept() {
 		e := in.Edge(id)
-		b.MustAddEdge(e.U, e.V, e.Weight)
+		sp.MustAddEdge(e.U, e.V, e.Weight)
 	}
-	return b.Graph()
+	return sp
 }
 
 // Job is one submitted build with its full lifecycle: queue position,

@@ -68,7 +68,7 @@ func resultFromRecord(g *graph.Graph, rec *store.Record) (*buildResult, error) {
 		seen[id] = true
 	}
 	kept := append([]int(nil), rec.Kept...)
-	enc := newSpannerEncoding(g.AppendSubgraph(nil, kept), kept, g.NumEdges())
+	enc := newSpannerEncoding(g.AppendSubgraph(nil, kept), kept)
 	if enc.digest != rec.SpannerDigest {
 		return nil, fmt.Errorf("reconstructed spanner digest %s != stored %s", enc.digest, rec.SpannerDigest)
 	}

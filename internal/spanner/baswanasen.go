@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/ftspanner/ftspanner/internal/graph"
 )
@@ -55,13 +54,14 @@ func BaswanaSen(g *graph.Graph, k int, rng *rand.Rand) (*Result, error) {
 			delete(lightest, c)
 		}
 	}
-	// byWeight lists lightest's clusters by their edge's (weight, ID): the
-	// order in which those edges enter the spanner. Map order would make the
-	// kept order, and with it the spanner's edge IDs and digest, differ from
-	// run to run under one seed.
-	var byWeight []int
+	// seen lists lightest's clusters in the order the adjacency scan first
+	// meets them: the order in which their edges enter the spanner. Map order
+	// would make the kept order, and with it the spanner's edge IDs and
+	// digest, differ from run to run under one seed.
+	var seen []int
 	scanNeighborClusters := func(v int) {
 		clearLightest()
+		seen = seen[:0]
 		for _, arc := range g.Neighbors(v) {
 			if !alive[arc.ID] {
 				continue
@@ -71,15 +71,13 @@ func BaswanaSen(g *graph.Graph, k int, rng *rand.Rand) (*Result, error) {
 				continue
 			}
 			e := g.Edge(arc.ID)
-			if best, ok := lightest[c]; !ok || less(e, best) {
+			if best, ok := lightest[c]; !ok {
+				seen = append(seen, c)
+				lightest[c] = e
+			} else if less(e, best) {
 				lightest[c] = e
 			}
 		}
-		byWeight = byWeight[:0]
-		for c := range lightest {
-			byWeight = append(byWeight, c)
-		}
-		sort.Slice(byWeight, func(i, j int) bool { return less(lightest[byWeight[i]], lightest[byWeight[j]]) })
 	}
 
 	// Phase 1: k-1 rounds of cluster sampling.
@@ -115,7 +113,7 @@ func BaswanaSen(g *graph.Graph, k int, rng *rand.Rand) (*Result, error) {
 			if !haveSampled {
 				// No sampled neighbor: keep the lightest edge to every
 				// neighbor cluster, then retire v with all its edges.
-				for _, c := range byWeight {
+				for _, c := range seen {
 					addEdge(lightest[c])
 				}
 				for _, arc := range g.Neighbors(v) {
@@ -131,7 +129,7 @@ func BaswanaSen(g *graph.Graph, k int, rng *rand.Rand) (*Result, error) {
 			joined := cluster[bestSampled.Other(v)]
 			addEdge(bestSampled)
 			newCluster[v] = joined
-			for _, c := range byWeight {
+			for _, c := range seen {
 				if e := lightest[c]; c != joined && less(e, bestSampled) {
 					addEdge(e)
 				}
@@ -163,7 +161,7 @@ func BaswanaSen(g *graph.Graph, k int, rng *rand.Rand) (*Result, error) {
 	// remaining cluster.
 	for v := 0; v < n; v++ {
 		scanNeighborClusters(v)
-		for _, c := range byWeight {
+		for _, c := range seen {
 			addEdge(lightest[c])
 		}
 	}
