@@ -17,7 +17,9 @@
 // consistent-hash ring over graph digests routes every job to its owning
 // replica, so caches, dedup, and the durable store stay shard-local. When
 // -self (default -addr) appears in -peers the process is a combined
-// router+worker; otherwise it is a pure router.
+// router+worker; otherwise it is a pure router, whose local service still
+// answers its sessions and the peer endpoints. -max-body bounds the fleet
+// node's body reads as well as the service's.
 //
 // On SIGINT/SIGTERM the server drains: new submissions get 503 with a
 // Retry-After estimate, queued jobs are cancelled, and running builds get
@@ -244,7 +246,8 @@ func run(opts options) int {
 	defer svc.Close()
 
 	// With -peers the public listener fronts the fleet node, which routes
-	// by graph digest and serves the local ring segment through svc.
+	// by graph digest and serves the local ring segment and every
+	// replica-local route through svc.
 	var handler http.Handler = svc
 	if len(opts.peers) > 0 {
 		node, err := cluster.New(cluster.Config{
@@ -253,7 +256,6 @@ func run(opts options) int {
 			Local:        svc,
 			PollInterval: opts.clusterPoll,
 			SyncInterval: opts.syncInterval,
-			MaxBodyBytes: opts.cfg.MaxBodyBytes,
 		})
 		if err != nil {
 			log.Printf("ftserve: %v", err)

@@ -55,6 +55,13 @@ func (f *fleet) peers() []string {
 // explicitly for determinism).
 func startFleet(t *testing.T, n int, cfg service.Config) *fleet {
 	t.Helper()
+	return startFleetPolling(t, n, cfg, 50*time.Millisecond)
+}
+
+// startFleetPolling is startFleet with each node polling its peers' summaries
+// every poll.
+func startFleetPolling(t *testing.T, n int, cfg service.Config, poll time.Duration) *fleet {
+	t.Helper()
 	f := &fleet{t: t}
 	for i := 0; i < n; i++ {
 		rep := &replica{}
@@ -94,7 +101,7 @@ func startFleet(t *testing.T, n int, cfg service.Config) *fleet {
 			Self:         rep.addr,
 			Peers:        peers,
 			Local:        svc,
-			PollInterval: 50 * time.Millisecond,
+			PollInterval: poll,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -406,6 +413,79 @@ func TestFleetDrainingOwnerHedges(t *testing.T) {
 	if f.byRing(ownerIdx).node.Metrics().RoutedLocalTotal != 0 {
 		t.Error("draining owner still served a routed submit")
 	}
+}
+
+// startUnpolledFleet brings up a 3-replica fleet whose nodes poll once, at
+// start, and not again within any test's run. It returns after every
+// node's first poll has finished, so a drain started afterwards is known
+// to no node's router: only the owner's own refusal can reveal it.
+func startUnpolledFleet(t *testing.T) *fleet {
+	t.Helper()
+	f := startFleetPolling(t, 3, service.Config{}, time.Hour)
+	deadline := time.Now().Add(10 * time.Second)
+	for _, rep := range f.replicas {
+		for {
+			// A peer polled before its node was installed counts as
+			// unreachable; either way the node holds no drain state.
+			m := rep.node.Metrics()
+			if m.PeersAccepting+m.PeersUnreachable == len(f.replicas) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("node %s: first poll did not finish", rep.addr)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	return f
+}
+
+// unpolledDrainHedges drains the owner of a body aimed at ring index
+// ownerIdx after every node's last poll, submits the body through entry,
+// and checks the ring successor answered it through the hedge while the
+// entry's router still held no drain state.
+func unpolledDrainHedges(t *testing.T, f *fleet, entry *replica, ownerIdx int) {
+	t.Helper()
+	ring := entry.node.Ring()
+	_, body := seedOwnedBy(t, ring, ownerIdx, false)
+	digest, _ := service.SpecDigest(body)
+	succIdx := ring.Successors(digest, 2)[1]
+	f.byRing(ownerIdx).svc.StartDrain()
+
+	m, resp := postJob(t, entry, body)
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit with an unpolled draining owner: http %d (%v)", resp.StatusCode, m)
+	}
+	id, _ := m["id"].(string)
+	if !strings.HasPrefix(id, fmt.Sprintf("p%d~", succIdx)) {
+		t.Fatalf("drain-hedged job id %q, want successor prefix p%d~", id, succIdx)
+	}
+	em := entry.node.Metrics()
+	if em.HedgedTotal != 1 {
+		t.Errorf("cluster_hedged_total = %d after one drain hedge, want 1", em.HedgedTotal)
+	}
+	if em.PeersDraining != 0 {
+		t.Errorf("entry's router polled the drain (%d draining peers); the test must hit the unpolled path", em.PeersDraining)
+	}
+}
+
+// TestFleetUnpolledDrainSelfOwner: the entry node owns the body and its
+// own service starts draining after the node's last poll. The node learns
+// of the drain only from its service's refusal and hedges to the ring
+// successor.
+func TestFleetUnpolledDrainSelfOwner(t *testing.T) {
+	f := startUnpolledFleet(t)
+	entry := f.replicas[0]
+	unpolledDrainHedges(t, f, entry, entry.node.Ring().Index(entry.addr))
+}
+
+// TestFleetUnpolledDrainRemoteOwner: a remote owner starts draining after
+// the entry node's last poll; the entry detects it by the owner's drain
+// 503 and hedges to the ring successor.
+func TestFleetUnpolledDrainRemoteOwner(t *testing.T) {
+	f := startUnpolledFleet(t)
+	entry := f.replicas[0]
+	unpolledDrainHedges(t, f, entry, (entry.node.Ring().Index(entry.addr)+1)%3)
 }
 
 // ---- e2e: fleet-aware backpressure -----------------------------------

@@ -19,7 +19,6 @@ import (
 // Defaults for the node's tunables.
 const (
 	defaultPollInterval = time.Second
-	defaultMaxBody      = 8 << 20
 	// submitTries bounds the per-peer forwarding attempts on network
 	// errors; the hedge to the ring successor is on top of these.
 	submitTries = 2
@@ -38,16 +37,20 @@ const forwardedHeader = "X-Ftspanner-Forwarded"
 // Config assembles a Node.
 type Config struct {
 	// Self is this node's advertised host:port. When it appears in Peers
-	// the node is a combined router+worker (it owns a ring segment); when
-	// absent (or empty) the node is a pure router. Local must be non-nil
-	// for worker duty.
+	// the node is a combined router+worker: it owns a ring segment, which
+	// its Local service builds. When absent (or empty) the node is a pure
+	// router: it forwards every submit to its owner, while its Local
+	// service still answers its sessions and the peer endpoints.
 	Self string
 	// Peers is the full fleet list, host:port each. Order does not matter:
 	// the ring is a function of the peer set.
 	Peers []string
-	// Local is the in-process service this node fronts; nil for a pure
-	// router with no local build capacity. A worker node makes it mint
-	// job IDs scoped to its ring index.
+	// Local is the in-process service this node fronts; required. It reads
+	// and resolves every body the node routes (under its MaxBodyBytes),
+	// serves the job IDs it minted, and answers every route the node does
+	// not route itself: sessions, health and the peer-facing cluster
+	// endpoints. A worker node makes it mint job IDs scoped to its ring
+	// index.
 	Local *service.Server
 	// PollInterval is the peer health/queue summary poll cadence (default
 	// 1s). The poll is what makes backpressure and drain routing
@@ -56,23 +59,18 @@ type Config struct {
 	// SyncInterval enables the background anti-entropy sweep at this
 	// cadence; zero leaves sweeps manual (SweepOnce).
 	SyncInterval time.Duration
-	// MaxBodyBytes bounds submit/verify request bodies (default 8 MiB).
-	MaxBodyBytes int64
 }
 
 // Node is the fleet-facing HTTP handler: it owns a ring, routes job
-// traffic by graph digest, and (with a Local service) serves its own ring
-// segment. Create with New, release with Close.
+// traffic by graph digest, and serves its own ring segment and every
+// replica-local route through its Local service. Create with New, release
+// with Close.
 type Node struct {
 	cfg     Config
 	ring    *Ring
 	selfIdx int // index into ring.Peers(), -1 for a pure router
-	// memo resolves submit bodies to their routing digest: the Local
-	// service's memo on a worker node, so a body it routes to itself is
-	// resolved once, or a memo of its own on a pure router.
-	memo *service.SpecMemo
-	mux  *http.ServeMux
-	api  *http.Client // proxied API calls and polls: 15s overall timeout
+	mux     *http.ServeMux
+	api     *http.Client // proxied API calls and polls: 15s overall timeout
 	// stream proxies event streams with a header-only timeout: streams are
 	// long-lived by design, an overall timeout would sever them.
 	stream *http.Client
@@ -109,11 +107,11 @@ func New(cfg Config) (*Node, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: no peers configured")
 	}
+	if cfg.Local == nil {
+		return nil, fmt.Errorf("cluster: no local service attached")
+	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = defaultPollInterval
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = defaultMaxBody
 	}
 	n := &Node{
 		cfg:    cfg,
@@ -125,20 +123,12 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.selfIdx = n.ring.Index(cfg.Self)
 	if n.selfIdx >= 0 {
-		if cfg.Local == nil {
-			return nil, fmt.Errorf("cluster: self %q is in the peer list but no local service is attached", cfg.Self)
-		}
 		cfg.Local.SetJobIDPrefix(prefixID(n.selfIdx, ""))
-	}
-	if cfg.Local != nil {
-		n.memo = cfg.Local.SpecMemo()
-	} else {
-		n.memo = service.NewSpecMemo()
 	}
 	n.routes()
 	n.wg.Add(1)
 	go n.pollLoop()
-	if cfg.SyncInterval > 0 && cfg.Local != nil && cfg.Local.Store() != nil {
+	if cfg.SyncInterval > 0 && cfg.Local.Store() != nil {
 		n.wg.Add(1)
 		go n.syncLoop()
 	}
@@ -167,35 +157,16 @@ func (n *Node) routes() {
 	n.mux.HandleFunc("GET /v1/jobs/{id}/events", n.byID(true))
 	n.mux.HandleFunc("POST /v1/verify", n.handleVerify)
 	n.mux.HandleFunc("GET /metrics", n.handleMetrics)
-	n.mux.HandleFunc("GET /healthz", n.handleHealthz)
-	n.mux.HandleFunc("GET /v1/cluster/summary", n.local)
-	n.mux.HandleFunc("GET /v1/cluster/records", n.local)
-	n.mux.HandleFunc("GET /v1/cluster/records/{name}", n.local)
-	// Live graph sessions are replica-local state (a session's mutable
-	// graph lives in one process), so they bypass digest-affinity routing
-	// and bind to this node's own service.
-	n.mux.HandleFunc("POST /v1/sessions", n.local)
-	n.mux.HandleFunc("GET /v1/sessions/{id}", n.local)
-	n.mux.HandleFunc("POST /v1/sessions/{id}/deltas", n.local)
-	n.mux.HandleFunc("GET /v1/sessions/{id}/spanner", n.local)
-	n.mux.HandleFunc("GET /v1/sessions/{id}/events", n.local)
-	n.mux.HandleFunc("DELETE /v1/sessions/{id}", n.local)
+	// Every other route is this replica's own: live graph sessions (a
+	// session's mutable graph lives in one process, so it bypasses
+	// digest-affinity routing), health, and the peer-facing summary and
+	// record endpoints the fleet listener must expose.
+	n.mux.Handle("/", n.cfg.Local)
 }
 
 // ServeHTTP implements http.Handler.
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.mux.ServeHTTP(w, r)
-}
-
-// local passes a request straight to the attached service (the
-// peer-facing anti-entropy and summary endpoints must be reachable on the
-// fleet listener).
-func (n *Node) local(w http.ResponseWriter, r *http.Request) {
-	if n.cfg.Local == nil {
-		writeErr(w, http.StatusNotFound, "pure router: no local service")
-		return
-	}
-	n.cfg.Local.ServeHTTP(w, r)
 }
 
 // ---- job IDs --------------------------------------------------------
@@ -299,18 +270,6 @@ func (n *Node) proxyTo(w http.ResponseWriter, r *http.Request, idx int, body []b
 	}
 }
 
-// capture buffers a local submit's answer, so a drain 503 can hedge to a
-// peer instead of reaching the client.
-type capture struct {
-	code   int
-	header http.Header
-	body   []byte
-}
-
-func (c *capture) Header() http.Header         { return c.header }
-func (c *capture) WriteHeader(code int)        { c.code = code }
-func (c *capture) Write(p []byte) (int, error) { c.body = append(c.body, p...); return len(p), nil }
-
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -324,24 +283,23 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// already chose this replica (owner or hedge target), and re-proxying
 	// could loop.
 	if r.Header.Get(forwardedHeader) != "" {
-		if n.cfg.Local == nil {
-			writeErr(w, http.StatusBadGateway, "pure router cannot serve forwarded submit")
-			return
-		}
 		n.routedLocal.Add(1)
 		n.cfg.Local.ServeHTTP(w, r)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, n.cfg.MaxBodyBytes))
-	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "read body: %v", err)
+	// The body is read and resolved once, through the node's own service:
+	// the routing digest comes from its spec memo, and a body the node
+	// owns is submitted from that resolution, not read or hashed again.
+	body, ok := n.cfg.Local.ReadBody(w, r)
+	if !ok {
 		return
 	}
-	digest, err := n.memo.Digest(body)
+	res, err := n.cfg.Local.Resolve(body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
+	digest := res.Digest()
 	cands := n.ring.Successors(digest, 2)
 	owner := cands[0]
 
@@ -370,27 +328,23 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			n.hedged.Add(1)
 		}
-		if done := n.submitTo(w, r, target, body); done {
+		if done := n.submitTo(w, r, target, body, res); done {
 			return
 		}
 	}
 	writeErr(w, http.StatusBadGateway, "no replica available for digest %s", digest)
 }
 
-// submitTo sends one submit to the ring peer at index target. It reports
-// true when an answer was relayed downstream; false means the peer is
-// unreachable or draining and the caller should hedge.
-func (n *Node) submitTo(w http.ResponseWriter, r *http.Request, target int, body []byte) bool {
+// submitTo sends one submit to the ring peer at index target: the
+// resolution to the node's own service, the body bytes to a peer. It
+// reports true when an answer was written downstream; false means the
+// replica is unreachable or draining and the caller should hedge.
+func (n *Node) submitTo(w http.ResponseWriter, r *http.Request, target int, body []byte, res service.Resolution) bool {
 	if target == n.selfIdx {
-		c := &capture{code: http.StatusOK, header: make(http.Header)}
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		n.cfg.Local.ServeHTTP(c, r)
-		if c.code == http.StatusServiceUnavailable && isDraining(c.body) {
+		if !n.cfg.Local.SubmitResolved(w, res) {
 			return false // local drain: let the hedge try a peer
 		}
 		n.routedLocal.Add(1)
-		relayHeader(w, c.code, c.header)
-		_, _ = w.Write(c.body)
 		return true
 	}
 	for attempt := 0; attempt < submitTries; attempt++ {
@@ -416,8 +370,8 @@ func (n *Node) submitTo(w http.ResponseWriter, r *http.Request, target int, body
 	return false
 }
 
-// isDraining distinguishes a drain 503 (hedge to the successor) from a
-// queue-full 503 (relay: that is backpressure, not failure).
+// isDraining distinguishes a peer's drain 503 (hedge to the successor)
+// from a queue-full 503 (relay: that is backpressure, not failure).
 func isDraining(body []byte) bool {
 	var e struct {
 		Error string `json:"error"`
@@ -435,10 +389,6 @@ func (n *Node) byID(stream bool) http.HandlerFunc {
 		id := r.PathValue("id")
 		idx, _ := parseID(id)
 		if n.servesHere(r, idx) {
-			if n.cfg.Local == nil {
-				writeErr(w, http.StatusNotFound, "no job %q", id)
-				return
-			}
 			if !stream {
 				n.routedLocal.Add(1)
 			}
@@ -455,9 +405,8 @@ func (n *Node) byID(stream bool) http.HandlerFunc {
 
 // handleVerify routes POST /v1/verify by the job_id's ring prefix.
 func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, n.cfg.MaxBodyBytes))
-	if err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, "read body: %v", err)
+	body, ok := n.cfg.Local.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	var req struct {
@@ -466,13 +415,8 @@ func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
 	_ = json.Unmarshal(body, &req)
 	idx, _ := parseID(req.JobID)
 	if n.servesHere(r, idx) {
-		if n.cfg.Local == nil {
-			writeErr(w, http.StatusNotFound, "no job %q", req.JobID)
-			return
-		}
 		n.routedLocal.Add(1)
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		n.cfg.Local.ServeHTTP(w, r)
+		n.cfg.Local.ServeVerify(w, body)
 		return
 	}
 	if idx >= len(n.ring.Peers()) {
@@ -482,16 +426,7 @@ func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
 	n.proxyTo(w, r, idx, body, false)
 }
 
-// ---- health and metrics ----------------------------------------------
-
-func (n *Node) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if n.cfg.Local != nil {
-		n.cfg.Local.ServeHTTP(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{"status": "ok", "mode": "router", "peers": len(n.ring.Peers())})
-}
+// ---- metrics ---------------------------------------------------------
 
 // ClusterMetrics is the fleet block of GET /metrics. Field names carry the
 // cluster_ prefix so they land alongside the service counters in one flat
@@ -546,19 +481,14 @@ func (n *Node) Metrics() ClusterMetrics {
 	return m
 }
 
-// handleMetrics merges the local service counters (when present) with the
-// cluster_* block into one flat JSON document.
+// handleMetrics merges the local service counters with the cluster_* block
+// into one flat JSON document.
 func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	if n.cfg.Local != nil {
-		_ = enc.Encode(struct {
-			service.MetricsSnapshot
-			ClusterMetrics
-		}{n.cfg.Local.Metrics(), n.Metrics()})
-		return
-	}
-	_ = enc.Encode(n.Metrics())
+	_ = json.NewEncoder(w).Encode(struct {
+		service.MetricsSnapshot
+		ClusterMetrics
+	}{n.cfg.Local.Metrics(), n.Metrics()})
 }
 
 // ---- peer summary polling --------------------------------------------

@@ -48,21 +48,33 @@ func submitVia(h http.Handler, body []byte, owner bool) (int, string) {
 	return w.Code, sub.ID
 }
 
-// TestNodeSharesSpecMemo: a worker node routes through its service's memo,
-// so a body it routes to itself is decoded once — the routing lookup
-// misses and the owner's lookup of the same bytes hits — and a pure router
-// resolves a repeated body from a memo of its own.
-func TestNodeSharesSpecMemo(t *testing.T) {
+// TestRoutedSubmitResolvesOnce: a node resolves a body it routes to itself
+// once, through its service's memo, and submits from that resolution — one
+// cold routed submit is one memo miss and no hit.
+func TestRoutedSubmitResolvesOnce(t *testing.T) {
 	n, svc := soloNode(t)
 	if code, id := submitVia(n, specBody(3), false); id == "" {
 		t.Fatalf("routed submit: status %d, no job", code)
 	}
-	if m := svc.Metrics(); m.SpecMemoHits != 1 || m.SpecMemoMisses != 1 {
-		t.Fatalf("after one routed submit: spec_memo_hits=%d spec_memo_misses=%d, want 1 and 1",
+	if m := svc.Metrics(); m.SpecMemoHits != 0 || m.SpecMemoMisses != 1 {
+		t.Fatalf("after one cold routed submit: spec_memo_hits=%d spec_memo_misses=%d, want 0 and 1",
 			m.SpecMemoHits, m.SpecMemoMisses)
 	}
+	if got := n.Metrics().RoutedLocalTotal; got != 1 {
+		t.Fatalf("cluster_routed_local_total=%d after one self-owned submit, want 1", got)
+	}
+}
 
-	router, err := New(Config{Peers: []string{"127.0.0.1:1"}})
+// TestNodeSharesSpecMemo: a node outside the ring (a pure router) still
+// resolves bodies through its own service's memo, so a repeated body costs
+// one hash before it is forwarded.
+func TestNodeSharesSpecMemo(t *testing.T) {
+	svc, err := service.New(service.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	router, err := New(Config{Self: "router:1", Peers: []string{"127.0.0.1:1"}, Local: svc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,17 +86,22 @@ func TestNodeSharesSpecMemo(t *testing.T) {
 			t.Fatalf("pure router submit to a dead peer: status %d, want 502", code)
 		}
 	}
-	if hits, misses := router.memo.Counts(); hits != 1 || misses != 1 {
-		t.Fatalf("pure router memo: %d hits and %d misses, want 1 and 1", hits, misses)
+	if m := svc.Metrics(); m.SpecMemoHits != 1 || m.SpecMemoMisses != 1 {
+		t.Fatalf("pure router memo: spec_memo_hits=%d spec_memo_misses=%d, want 1 and 1",
+			m.SpecMemoHits, m.SpecMemoMisses)
+	}
+	if m := svc.Metrics(); m.JobsSubmitted != 0 {
+		t.Fatalf("pure router's service took %d jobs, want 0", m.JobsSubmitted)
 	}
 }
 
 // TestSpecMemoConcurrentRouterOwner submits overlapping bodies from router
-// goroutines (the node's routing path, which resolves the body and hands it
-// to its own service) and owner goroutines (forwarded submits the service
-// resolves itself), all through the one memo they share. Run under -race
-// it fails on any unsynchronized access to the memo's LRU; every submit
-// must be accepted, and the memo must count every lookup.
+// goroutines (the node's routing path, which resolves the body and hands
+// the resolution to its own service) and owner goroutines (forwarded
+// submits the service reads and resolves itself), all through the one memo
+// they share. Run under -race it fails on any unsynchronized access to the
+// memo's LRU; every submit must be accepted, and the memo must count one
+// lookup per submit.
 func TestSpecMemoConcurrentRouterOwner(t *testing.T) {
 	n, svc := soloNode(t)
 	const bodies, rounds, perRole = 8, 6, 3
@@ -108,10 +125,9 @@ func TestSpecMemoConcurrentRouterOwner(t *testing.T) {
 	for e := range errs {
 		t.Errorf("submit failed: %s", e)
 	}
-	// A routed submit looks its body up twice (router, then owner), a
-	// forwarded one once.
+	// A routed submit and a forwarded one each look their body up once.
 	m := svc.Metrics()
-	if want := int64(perRole*rounds*bodies*2 + perRole*rounds*bodies); m.SpecMemoHits+m.SpecMemoMisses != want {
+	if want := int64(2 * perRole * rounds * bodies); m.SpecMemoHits+m.SpecMemoMisses != want {
 		t.Fatalf("memo counted %d hits + %d misses, want %d lookups", m.SpecMemoHits, m.SpecMemoMisses, want)
 	}
 	if m.SpecMemoMisses < bodies {

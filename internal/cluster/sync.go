@@ -54,9 +54,6 @@ type SweepResult struct {
 // codec. A node without a local durable store sweeps nothing.
 func (n *Node) SweepOnce(ctx context.Context) (SweepResult, error) {
 	var res SweepResult
-	if n.cfg.Local == nil {
-		return res, errors.New("cluster: pure router has no store to sync")
-	}
 	st := n.cfg.Local.Store()
 	if st == nil {
 		return res, errors.New("cluster: local service has no durable store")

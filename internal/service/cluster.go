@@ -139,11 +139,12 @@ func (s *Server) Store() *store.Store { return s.store }
 
 // SpecDigest returns the graph digest a job body routes on: the digest in
 // the cache key that submission derives from the same body, by the same
-// decode → normalize → materialize → digest path (resolveSpec), so router
-// and owner always agree. It keeps no state; the fleet router resolves
-// bodies through a SpecMemo instead, whose Digest returns the same digest
-// and errors.
+// decode → normalize → materialize → digest path (resolveSpec), so every
+// node agrees on a body's owner. It keeps no state and decodes the body on
+// every call; a fleet node resolves a body through its own service instead
+// (Server.Resolve), whose memo answers a repeated body from one hash with
+// the same digest and errors.
 func SpecDigest(body []byte) (string, error) {
-	sub, _, err := resolveSpec(body)
-	return sub.key.Digest, err
+	res, err := resolveSpec(body)
+	return res.Digest(), err
 }

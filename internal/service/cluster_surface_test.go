@@ -91,9 +91,9 @@ func TestClusterRecordsExport(t *testing.T) {
 }
 
 // TestSpecDigestMatchesSubmission pins the router's routing contract: the
-// digest SpecDigest computes for a body, and the digest a router's spec
-// memo returns for it on a miss and on a hit, equal the graph digest the
-// owning server reports for the same submission.
+// digest SpecDigest computes for a body, and the digest a spec memo
+// resolves it to on a miss and on a hit, equal the graph digest the owning
+// server reports for the same submission.
 func TestSpecDigestMatchesSubmission(t *testing.T) {
 	body := []byte(`{"algorithm":"greedy","stretch":3,"faults":1,"generator":{"name":"random","n":30,"m":60,"seed":5}}`)
 	digest, err := SpecDigest(body)
@@ -114,13 +114,13 @@ func TestSpecDigestMatchesSubmission(t *testing.T) {
 	if st.GraphDigest != digest {
 		t.Fatalf("SpecDigest %s != submitted job's graph digest %s", digest, st.GraphDigest)
 	}
-	router := NewSpecMemo()
+	router := newSpecMemo()
 	for _, try := range []string{"miss", "hit"} {
-		if d, err := router.Digest(body); err != nil || d != st.GraphDigest {
-			t.Fatalf("memoized router digest on a %s: %s (%v), want the owner's %s", try, d, err, st.GraphDigest)
+		if res, err := router.resolve(body); err != nil || res.Digest() != st.GraphDigest {
+			t.Fatalf("memoized router digest on a %s: %s (%v), want the owner's %s", try, res.Digest(), err, st.GraphDigest)
 		}
 	}
-	if hits, misses := router.Counts(); hits != 1 || misses != 1 {
+	if hits, misses := router.counts(); hits != 1 || misses != 1 {
 		t.Fatalf("router memo counted %d hits and %d misses, want 1 and 1", hits, misses)
 	}
 
@@ -130,7 +130,7 @@ func TestSpecDigestMatchesSubmission(t *testing.T) {
 	}
 	_, want := SpecDigest(bad)
 	for try := 0; try < 2; try++ {
-		if _, err := router.Digest(bad); err == nil || err.Error() != want.Error() {
+		if _, err := router.resolve(bad); err == nil || err.Error() != want.Error() {
 			t.Errorf("memoized router digest of an invalid spec, try %d: %v, want %v", try, err, want)
 		}
 	}

@@ -14,7 +14,11 @@ func submitNormalized(srv *Server, spec JobSpec) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	job, _, err := srv.submit(body)
+	res, err := srv.Resolve(body)
+	if err != nil {
+		return nil, badSpecError(err)
+	}
+	job, _, err := srv.submit(res)
 	return job, err
 }
 

@@ -16,6 +16,12 @@ import (
 // maxVerifyTrials bounds one POST /v1/verify request's work.
 const maxVerifyTrials = 10000
 
+// maxPreallocBody bounds the buffer ReadBody allocates from a declared
+// Content-Length before the bytes arrive. A client that declares a large
+// body and then stalls holds no more than this; a larger body is read as
+// it arrives.
+const maxPreallocBody = 1 << 20
+
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -53,6 +59,54 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeSubmitError answers a refused submission or session request: a
+// submitError with its status (and Retry-After when it carries one), any
+// other error with 500.
+func writeSubmitError(w http.ResponseWriter, err error) {
+	var se *submitError
+	if !errors.As(err, &se) {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	if se.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(se.retryAfter))
+	}
+	writeError(w, se.status, "%s", se.msg)
+}
+
+// ReadBody reads r's body whole, bounded by Config.MaxBodyBytes: the one
+// read of a request body on this server and on a fleet node in front of
+// it. A declared Content-Length over the bound is refused before anything
+// is allocated; up to maxPreallocBody, the buffer is allocated once at that
+// length. A longer body, or one of unknown length, is read through a
+// bounded io.ReadAll. On failure
+// ReadBody answers w itself, 413 for a body over the bound and 400 for one
+// that ends short, and returns false.
+func (s *Server) ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	limit := s.cfg.MaxBodyBytes
+	var body []byte
+	var err error
+	switch n := r.ContentLength; {
+	case n > limit:
+		err = &http.MaxBytesError{Limit: limit}
+	case n >= 0 && n <= maxPreallocBody:
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	default:
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	}
+	if err == nil {
+		return body, true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body over the %d-byte limit", limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "read body: %v", err)
+	}
+	return nil, false
+}
+
 // submitResponse answers POST /v1/jobs.
 type submitResponse struct {
 	ID    string `json:"id"`
@@ -69,23 +123,32 @@ type submitResponse struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, ok := s.ReadBody(w, r)
+	if !ok {
+		return
+	}
+	res, err := s.Resolve(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
-	job, dedup, err := s.submit(body)
+	if !s.SubmitResolved(w, res) {
+		writeSubmitError(w, s.drainError())
+	}
+}
+
+// SubmitResolved submits a resolved job body and answers w as POST /v1/jobs
+// does. It reports false, having written nothing, when the server refuses
+// the job because it is draining: a fleet node then hedges to another
+// replica, and the server's own handler answers 503 with Retry-After.
+func (s *Server) SubmitResolved(w http.ResponseWriter, res Resolution) bool {
+	job, dedup, err := s.submit(res)
+	if errors.Is(err, errDraining) {
+		return false
+	}
 	if err != nil {
-		var se *submitError
-		if errors.As(err, &se) {
-			if se.retryAfter > 0 {
-				w.Header().Set("Retry-After", strconv.Itoa(se.retryAfter))
-			}
-			writeError(w, se.status, "%s", se.msg)
-		} else {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
-		return
+		writeSubmitError(w, err)
+		return true
 	}
 	job.mu.Lock()
 	resp := submitResponse{ID: job.id, State: job.state, Cached: job.cached,
@@ -93,9 +156,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job.mu.Unlock()
 	if resp.State == StateQueued && !dedup {
 		writeJSON(w, http.StatusAccepted, resp)
-		return
+		return true
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return true
 }
 
 // statusResponse answers GET /v1/jobs/{id}.
@@ -265,11 +329,16 @@ type verifyResponse struct {
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
+	if body, ok := s.ReadBody(w, r); ok {
+		s.ServeVerify(w, body)
+	}
+}
+
+// ServeVerify answers a POST /v1/verify whose body was already read
+// (ReadBody), as a fleet node does to route it by its job ID.
+func (s *Server) ServeVerify(w http.ResponseWriter, body []byte) {
 	var req verifyRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad verify request: %v", err)
 		return
 	}

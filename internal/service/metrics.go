@@ -122,9 +122,10 @@ type MetricsSnapshot struct {
 	CacheMisses   int64                           `json:"cache_misses"`
 	CacheHitRatio float64                         `json:"cache_hit_ratio"`
 	CacheEntries  int                             `json:"cache_entries"`
-	// SpecMemo* count job-body lookups in the spec memo (SpecMemo): bodies
-	// resolved from one hash, and bodies decoded, parsed and digested. On a
-	// fleet node the routing lookups count here too.
+	// SpecMemo* count job-body lookups in the spec memo: bodies resolved
+	// from one hash, and bodies decoded, parsed and digested. A fleet node
+	// resolves the bodies it routes through its service, so each hop counts
+	// one lookup per submit.
 	SpecMemoHits   int64 `json:"spec_memo_hits"`
 	SpecMemoMisses int64 `json:"spec_memo_misses"`
 	// Store* report the durable disk tier: submissions answered from disk
@@ -256,7 +257,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Latency:      s.lat.snapshot(),
 		WaitBudgetMS: float64(s.cfg.WaitBudget.Nanoseconds()) / 1e6,
 	}
-	snap.SpecMemoHits, snap.SpecMemoMisses = s.memo.Counts()
+	snap.SpecMemoHits, snap.SpecMemoMisses = s.memo.counts()
 	if total := snap.CacheHits + snap.CacheMisses; total > 0 {
 		snap.CacheHitRatio = float64(snap.CacheHits) / float64(total)
 	}

@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"github.com/ftspanner/ftspanner/internal/core"
@@ -549,5 +551,35 @@ func TestVerifyTrialsCapped(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/verify",
 		verifyRequest{JobID: sub.ID, Trials: 10, Workers: 1 << 20}, &vr); code != http.StatusOK || !vr.OK {
 		t.Fatalf("verify with huge worker request: code=%d ok=%v", code, vr.OK)
+	}
+}
+
+// TestReadBodyPreallocBounded: a declared Content-Length inside the body
+// bound is trusted for one allocation only up to maxPreallocBody, so a
+// client that declares the whole 8 MiB bound and sends two bytes before
+// its connection ends does not make the server allocate 8 MiB; a body past
+// maxPreallocBody is still read whole as it arrives.
+func TestReadBodyPreallocBounded(t *testing.T) {
+	srv := mustNew(t, Config{Workers: 1})
+	t.Cleanup(srv.Close)
+	post := func(body io.Reader, declared int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/verify", body)
+		req.ContentLength = declared
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		return w
+	}
+	var w *httptest.ResponseRecorder
+	// A short body fails as net/http's body reader fails it.
+	stalled := io.MultiReader(strings.NewReader("{}"), iotest.ErrReader(io.ErrUnexpectedEOF))
+	if got := allocBytes(func() { w = post(stalled, srv.cfg.MaxBodyBytes) }); got > 2*maxPreallocBody {
+		t.Errorf("a stalled body declaring %d bytes allocated %d bytes", srv.cfg.MaxBodyBytes, got)
+	}
+	if w.Code != http.StatusBadRequest {
+		t.Errorf("a body shorter than its declared length: status %d (%s), want 400", w.Code, w.Body)
+	}
+	big := `{"job_id":"nope"}` + strings.Repeat(" ", 2*maxPreallocBody)
+	if w = post(strings.NewReader(big), int64(len(big))); w.Code != http.StatusNotFound {
+		t.Errorf("a %d-byte verify body: status %d (%s), want 404 for its unknown job", len(big), w.Code, w.Body)
 	}
 }

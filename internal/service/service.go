@@ -73,7 +73,8 @@ type Config struct {
 	// selects the default of 256 MiB; negative disables the bound.
 	StoreMaxBytes int64
 	// MaxBodyBytes bounds request bodies, which contain inline graphs
-	// (default 8 MiB).
+	// (default 8 MiB). A fleet node in front of the server reads its bodies
+	// under the same bound (ReadBody).
 	MaxBodyBytes int64
 	// JobRetention bounds how long terminal jobs (done, failed, cancelled)
 	// stay addressable after finishing; a background janitor evicts older
@@ -165,8 +166,8 @@ type Server struct {
 	cache *lruCache[CacheKey, *buildResult]
 	store *store.Store // nil when persistence is disabled
 	// memo resolves job bodies for submission and, on a fleet node, for
-	// routing (SpecMemo).
-	memo *SpecMemo
+	// routing (Resolve).
+	memo *specMemo
 	met  metrics
 
 	// Observability and load control (this package's obs.go and shed.go):
@@ -234,7 +235,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		wake:     make(chan struct{}, cfg.QueueDepth),
 		cache:    newLRU[CacheKey, *buildResult](cfg.CacheEntries),
-		memo:     NewSpecMemo(),
+		memo:     newSpecMemo(),
 		store:    st,
 		jobs:     make(map[string]*Job),
 		active:   make(map[CacheKey]*Job),
@@ -358,10 +359,6 @@ func (s *Server) SetJobIDPrefix(prefix string) {
 	s.idPrefix = prefix
 	s.mu.Unlock()
 }
-
-// SpecMemo returns the memo the server resolves job bodies through, for a
-// fleet node that routes the same bodies to share.
-func (s *Server) SpecMemo() *SpecMemo { return s.memo }
 
 // Draining reports whether the server is refusing new submissions while it
 // shuts down.
@@ -588,23 +585,24 @@ func badSpecError(err error) *submitError {
 	return &submitError{status: http.StatusBadRequest, msg: "bad job spec: " + err.Error()}
 }
 
-// submit resolves a job body through the memo and registers a job for it:
-// a result in the memory cache produces a job born done, an in-flight
-// duplicate is returned as-is (dedup true), a result in the disk tier
-// produces a job born done, and anything else is enqueued onto its priority
-// class for the worker pool. The memory cache comes first because finish
-// caches a result before its job turns done and leaves the dedup index
-// only after the persist: a job that is done is answered from the cache.
-// After a memo hit the graph is not decoded: a memory-tier hit needs none,
-// and the disk tier and a build decode it from body.
-func (s *Server) submit(body []byte) (job *Job, dedup bool, err error) {
-	sub, g, err := s.memo.resolve(body)
-	if err != nil {
-		return nil, false, badSpecError(err)
-	}
+// errDraining is submit's refusal of a job while the server drains; the
+// caller answers it (drainError) or hedges to another replica.
+var errDraining = errors.New("server draining")
+
+// submit registers a job for a resolved body: a result in the memory cache
+// produces a job born done, an in-flight duplicate is returned as-is (dedup
+// true), a result in the disk tier produces a job born done, and anything
+// else is enqueued onto its priority class for the worker pool. The memory
+// cache comes first because finish caches a result before its job turns
+// done and leaves the dedup index only after the persist: a job that is
+// done is answered from the cache. After a memo hit the graph is not
+// decoded: a memory-tier hit needs none, and the disk tier and a build
+// decode it from the body.
+func (s *Server) submit(in Resolution) (job *Job, dedup bool, err error) {
 	if s.draining.Load() {
-		return nil, false, s.drainError()
+		return nil, false, errDraining
 	}
+	sub, g := in.sub, in.g
 	key := sub.key
 
 	s.mu.Lock()
@@ -626,7 +624,7 @@ func (s *Server) submit(body []byte) (job *Job, dedup bool, err error) {
 		s.mu.Unlock()
 		var stored *buildResult
 		if g == nil {
-			_, g, err = decodeSpec(body)
+			_, g, err = decodeSpec(in.body)
 		}
 		if err == nil && s.store != nil {
 			stored = s.storeGet(key, g)
@@ -674,7 +672,7 @@ func (s *Server) submit(body []byte) (job *Job, dedup bool, err error) {
 	// lock, so a submission past the lock-free check above must not slip a
 	// job into a queue no worker will ever drain.
 	if s.draining.Load() {
-		return nil, false, s.drainErrorLocked()
+		return nil, false, errDraining
 	}
 	if s.queues.totalLen() >= s.cfg.QueueDepth {
 		return nil, false, &submitError{status: http.StatusServiceUnavailable,
@@ -739,11 +737,6 @@ func (s *Server) submit(body []byte) (job *Job, dedup bool, err error) {
 func (s *Server) drainError() *submitError {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.drainErrorLocked()
-}
-
-// drainErrorLocked is drainError with s.mu already held.
-func (s *Server) drainErrorLocked() *submitError {
 	return &submitError{
 		status:     http.StatusServiceUnavailable,
 		msg:        "server draining",

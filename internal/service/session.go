@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -465,16 +464,15 @@ func (s *Server) sessionResponseLocked(sess *Session) sessionResponse {
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		se := s.drainError()
-		w.Header().Set("Retry-After", fmt.Sprint(se.retryAfter))
-		writeError(w, se.status, "%s", se.msg)
+		writeSubmitError(w, s.drainError())
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
+	body, ok := s.ReadBody(w, r)
+	if !ok {
+		return
+	}
 	var spec SessionSpec
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeStrict(body, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad session spec: %v", err)
 		return
 	}
@@ -484,15 +482,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, err := s.createSession(spec)
 	if err != nil {
-		var se *submitError
-		if errors.As(err, &se) {
-			if se.retryAfter > 0 {
-				w.Header().Set("Retry-After", fmt.Sprint(se.retryAfter))
-			}
-			writeError(w, se.status, "%s", se.msg)
-		} else {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
+		writeSubmitError(w, err)
 		return
 	}
 	sess.mu.Lock()
@@ -534,9 +524,7 @@ type sessionDeltasResponse struct {
 
 func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		se := s.drainError()
-		w.Header().Set("Retry-After", fmt.Sprint(se.retryAfter))
-		writeError(w, se.status, "%s", se.msg)
+		writeSubmitError(w, s.drainError())
 		return
 	}
 	sess, ok := s.session(r.PathValue("id"))
@@ -544,11 +532,12 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no session %q", r.PathValue("id"))
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
+	body, ok := s.ReadBody(w, r)
+	if !ok {
+		return
+	}
 	var req sessionDeltasRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad deltas request: %v", err)
 		return
 	}

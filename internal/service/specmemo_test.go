@@ -168,7 +168,7 @@ func TestSpecMemoDifferential(t *testing.T) {
 				waitJob(t, s, answerID(t, ans))
 			}
 		}
-		aHits, aMisses := a.memo.Counts()
+		aHits, aMisses := a.memo.counts()
 		missCode, miss := postBody(a, body)
 		hitCode, hit := postBody(a, body)
 		freshCode, fresh := postBody(b, body)
@@ -180,14 +180,14 @@ func TestSpecMemoDifferential(t *testing.T) {
 				t.Fatalf("body %d (%.60q): errors differ: miss %d %s, hit %s, fresh memo %s",
 					i, body, missCode, miss, hit, fresh)
 			}
-			if h, m := a.memo.Counts(); h != aHits || m != aMisses+2 {
+			if h, m := a.memo.counts(); h != aHits || m != aMisses+2 {
 				t.Fatalf("body %d: an invalid body moved the memo to %d hits / %d misses from %d / %d, want two misses",
 					i, h, m, aHits, aMisses)
 			}
 			continue
 		}
 		valid++
-		if h, m := a.memo.Counts(); h != aHits+1 || m != aMisses+1 {
+		if h, m := a.memo.counts(); h != aHits+1 || m != aMisses+1 {
 			t.Fatalf("body %d: memo at %d hits / %d misses from %d / %d, want one of each", i, h, m, aHits, aMisses)
 		}
 		want := withoutID(t, miss)
@@ -236,7 +236,7 @@ func TestSpecMemoHitAfterEviction(t *testing.T) {
 			waitJob(t, s, answerID(t, other))
 
 			code, again := postBody(s, x)
-			if hits, _ := s.memo.Counts(); hits != 1 {
+			if hits, _ := s.memo.counts(); hits != 1 {
 				t.Fatalf("memo hits %d after resubmitting x, want 1", hits)
 			}
 			var sub submitResponse
@@ -266,17 +266,17 @@ func TestSpecMemoHitAfterEviction(t *testing.T) {
 // TestSpecMemoBounded checks the memo keeps no graph text and no more than
 // specMemoEntries bodies.
 func TestSpecMemoBounded(t *testing.T) {
-	m := NewSpecMemo()
-	sub, g, err := m.resolve(inlineBody("p 3 2\ne 0 1 1\ne 1 2 0.5\n"))
-	if err != nil || g == nil {
-		t.Fatalf("first resolve: graph %v, err %v", g, err)
+	m := newSpecMemo()
+	res, err := m.resolve(inlineBody("p 3 2\ne 0 1 1\ne 1 2 0.5\n"))
+	if err != nil || res.g == nil {
+		t.Fatalf("first resolve: graph %v, err %v", res.g, err)
 	}
-	if sub.spec.Graph != "" {
-		t.Fatalf("memoized spec keeps graph text %q", sub.spec.Graph)
+	if res.sub.spec.Graph != "" {
+		t.Fatalf("memoized spec keeps graph text %q", res.sub.spec.Graph)
 	}
 	for seed := 0; seed < specMemoEntries+50; seed++ {
 		body := fmt.Sprintf(`{"generator":{"name":"grid","rows":2,"cols":2},"stretch":3,"seed":%d}`, seed)
-		if _, _, err := m.resolve([]byte(body)); err != nil {
+		if _, err := m.resolve([]byte(body)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,7 +290,7 @@ func TestSpecMemoBounded(t *testing.T) {
 // inserts and evictions interleave; every answer must equal the unmemoized
 // resolution.
 func TestSpecMemoConcurrent(t *testing.T) {
-	m := NewSpecMemo()
+	m := newSpecMemo()
 	const bodies = specMemoEntries + 64
 	want := make([]string, bodies)
 	body := func(i int) []byte {
@@ -310,15 +310,15 @@ func TestSpecMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2*bodies; i++ {
 				j := (i*7 + w*131) % bodies
-				if d, err := m.Digest(body(j)); err != nil || d != want[j] {
-					t.Errorf("body %d: digest %s (%v), want %s", j, d, err, want[j])
+				if res, err := m.resolve(body(j)); err != nil || res.Digest() != want[j] {
+					t.Errorf("body %d: digest %s (%v), want %s", j, res.Digest(), err, want[j])
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if h, mi := m.Counts(); h+mi != 4*2*bodies || h == 0 {
+	if h, mi := m.counts(); h+mi != 4*2*bodies || h == 0 {
 		t.Fatalf("memo counted %d hits and %d misses for %d lookups", h, mi, 4*2*bodies)
 	}
 }
