@@ -1,11 +1,13 @@
-// Benchmarks, one per reproduction experiment (see DESIGN.md §4): each
+// Benchmarks, one per reproduction experiment E1–E13 (the README's
+// experiment suite; `ftbench -list` names each one's claim): each
 // BenchmarkE<n> regenerates the corresponding "table" of the evaluation in
 // Quick mode, so `go test -bench=.` exercises the full pipeline end to end.
 // The cmd/ftbench binary runs the same experiments with the full grids and
-// prints the tables EXPERIMENTS.md records.
+// prints the tables.
 //
-// The Ablation benchmarks measure the oracle design choices DESIGN.md calls
-// out (disjoint-path pruning and fault-set memoization).
+// The Ablation benchmarks measure the exact oracle's design choices that
+// the README's "Bidirectional search" section describes (disjoint-path
+// pruning and fault-set memoization).
 package ftspanner_test
 
 import (

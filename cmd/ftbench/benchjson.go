@@ -227,6 +227,12 @@ func runBenchJSON(path string, out io.Writer, parallelism int) error {
 	}
 	report.Benchmarks = append(report.Benchmarks, sessionEntries...)
 
+	readEntry, err := sessionReadBench(out)
+	if err != nil {
+		return err
+	}
+	report.Benchmarks = append(report.Benchmarks, readEntry)
+
 	decodeEntries, err := decodeBenchEntries(out)
 	if err != nil {
 		return err

@@ -1,5 +1,6 @@
-// Command ftbench runs the reproduction experiments E1–E13 (see DESIGN.md)
-// and prints the paper-shaped result tables.
+// Command ftbench runs the reproduction experiments E1–E13 (the README's
+// experiment suite; -list names each one's claim) and prints the
+// paper-shaped result tables.
 //
 // Usage:
 //

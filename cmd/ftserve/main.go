@@ -199,7 +199,8 @@ func parseArgs(args []string) (options, error) {
 // pin forever (slowloris): connections must deliver their headers and turn
 // over idle keep-alives within a bound. WriteTimeout stays zero on purpose
 // — NDJSON event streams are long-lived and an overall write deadline
-// would sever them mid-job.
+// would sever them mid-job. A stalled request body is bounded by the
+// service itself (service.Server.ReadBody's read deadline).
 func hardenedServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,

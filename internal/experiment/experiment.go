@@ -1,9 +1,9 @@
-// Package experiment defines the reproduction experiments E1–E10 mapped out
-// in DESIGN.md. The paper is pure theory — it has no tables or figures — so
-// each experiment turns one quantitative claim (theorem, corollary, lemma or
-// remark) into a measurable run whose *shape* (exponents, inequalities, who
-// wins) is compared against the paper's prediction. EXPERIMENTS.md records
-// the outcomes.
+// Package experiment defines the reproduction experiments E1–E13, the
+// README's experiment suite. The paper is pure theory — it has no tables or
+// figures — so each experiment turns one quantitative claim (theorem,
+// corollary, lemma or remark) into a measurable run whose *shape*
+// (exponents, inequalities, who wins) is compared against the paper's
+// prediction. `ftbench` prints the outcomes as tables and findings.
 //
 // Every experiment is deterministic under Config.Seed and has a Quick mode
 // with a reduced grid for smoke tests and benchmarks.
@@ -39,7 +39,7 @@ type Report struct {
 	// Tables are the paper-shaped result tables.
 	Tables []*Table
 	// Findings are one-line numeric conclusions ("fitted slope 0.47 vs
-	// predicted <= 0.5"), the material EXPERIMENTS.md quotes.
+	// predicted <= 0.5"), printed under the experiment's tables.
 	Findings []string
 	// Pass reports whether every checked invariant of the experiment held.
 	Pass bool

@@ -3,8 +3,11 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -326,4 +329,212 @@ func TestSpannerAnswerConcurrentReads(t *testing.T) {
 			t.Fatalf("reader %d got other bytes: %q vs %q", i, a, answers[0])
 		}
 	}
+}
+
+// sessionSpannerResponse is the GET /v1/sessions/{id}/spanner answer's
+// shape, as the tests decode it; handleSessionSpanner writes the bytes
+// json.NewEncoder writes for it.
+type sessionSpannerResponse struct {
+	ID     string `json:"id"`
+	Digest string `json:"digest"`
+	// Spanner is the current spanner in the Graph.Encode text format; Kept
+	// lists the same edges by endpoints and weight in scan order.
+	Spanner string        `json:"spanner"`
+	Kept    []SessionEdge `json:"kept"`
+}
+
+// FuzzJSONFloat: appendJSONFloat writes every finite float64 as
+// json.Marshal does.
+func FuzzJSONFloat(f *testing.F) {
+	for _, x := range []float64{5e-324, 1e-7, 1e-6, 0.5, 999999, 1e6, 1e6 + 0.5, 1 << 53, 1e20, 1e21,
+		math.MaxFloat64, math.Copysign(0, -1)} {
+		f.Add(math.Float64bits(x))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		x := math.Float64frombits(bits)
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return // encoding/json refuses them, and no weight is one
+		}
+		want, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat([]byte(`"w":`), x); string(got) != `"w":`+string(want) {
+			t.Fatalf("%v (bits %#x): got %s, want %s", x, bits, got[4:], want)
+		}
+	})
+}
+
+// FuzzJSONText: appendJSONText quotes any string, valid UTF-8 or not, as
+// json.Marshal does, from a string and from bytes alike.
+func FuzzJSONText(f *testing.F) {
+	for _, s := range []string{"", "p 3 2\ne 0 1 1\ne 1 2 1e+06\n", "p1~s12", "<a href=\"x\">&amp;</a>",
+		"\\\b\f\n\r\t\x00\x1f\x7f", "h\u00e9llo \u2028\u2029 \U0001f600", "\xff\xe2\x82 \xed\xa0\x80"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONText([]byte("x"), s); string(got) != "x"+string(want) {
+			t.Fatalf("%q: got %s, want %s", s, got[1:], want)
+		}
+		if got := appendJSONText(nil, []byte(s)); string(got) != string(want) {
+			t.Fatalf("%q as bytes: got %s, want %s", s, got, want)
+		}
+	})
+}
+
+// sessionAnswer is the session spanner answer json.NewEncoder writes over
+// a fresh greedy build of the session's current graph.
+func sessionAnswer(t *testing.T, s *Server, id string, stretch float64, faults int) []byte {
+	t.Helper()
+	g, err := graph.DecodeString(encodeCurrentSessionGraph(t, s, id), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, _ := ownSpanner(t, JobSpec{Stretch: stretch, Faults: faults, Mode: "vertex", Algorithm: AlgoGreedy}, g)
+	var text strings.Builder
+	if err := sp.Encode(&text); err != nil {
+		t.Fatal(err)
+	}
+	edges := make([]SessionEdge, 0, sp.NumEdges())
+	for _, e := range sp.Edges() {
+		edges = append(edges, SessionEdge{U: e.U, V: e.V, Weight: e.Weight})
+	}
+	var buf bytes.Buffer
+	ans := sessionSpannerResponse{ID: id, Digest: g.Digest(), Spanner: text.String(), Kept: edges}
+	if err := json.NewEncoder(&buf).Encode(ans); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkSessionAnswer reads session id's spanner twice and requires both
+// reads to equal the reference answer byte for byte.
+func checkSessionAnswer(t *testing.T, s *Server, id string, stretch float64, faults int) []byte {
+	t.Helper()
+	want := sessionAnswer(t, s, id, stretch, faults)
+	for read := 0; read < 2; read++ {
+		w := getPath(t, s, "/v1/sessions/"+id+"/spanner")
+		h := w.Header()
+		if w.Code != http.StatusOK || h.Get("Content-Type") != "application/json" ||
+			h.Get("Content-Length") != strconv.Itoa(w.Body.Len()) {
+			t.Fatalf("read %d of %s: http %d, headers %v: %.200s", read, id, w.Code, h, w.Body.Bytes())
+		}
+		if got := w.Body.Bytes(); !bytes.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			from := max(0, i-60)
+			t.Fatalf("read %d of %s differs at byte %d:\n got %.120q\nwant %.120q", read, id, i, got[from:], want[from:])
+		}
+	}
+	return want
+}
+
+// TestSessionAnswerBytes pins the session spanner answer to the bytes
+// json.NewEncoder writes for the reference shape over a fresh greedy build:
+// on unit, integer-level, geometric and extreme weights, for an empty
+// session, and after batches that compact the session's graph.
+func TestSessionAnswerBytes(t *testing.T) {
+	s := sessionTestServer(t, Config{})
+	create := func(t *testing.T, body map[string]any) string {
+		t.Helper()
+		w := postJSON(t, s, "/v1/sessions", body)
+		if w.Code != http.StatusCreated && w.Code != http.StatusOK {
+			t.Fatalf("create session: http %d: %s", w.Code, w.Body.Bytes())
+		}
+		return decodeBody[sessionResponse](t, w).ID
+	}
+	generated := func(gs GeneratorSpec) *graph.Graph {
+		g, err := materialize(&JobSpec{Generator: &gs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	rng := rand.New(rand.NewSource(12))
+	levels := graph.New(60)
+	for _, e := range generated(GeneratorSpec{Name: "random", N: 60, M: 400, Seed: 12}).Edges() {
+		levels.MustAddEdge(e.U, e.V, float64(1+rng.Intn(12)))
+	}
+	extremes := []float64{1e-300, 1e300, 5e-324, 1e-7, 2.5e-8, 0.1, 123456.789, 999999, 1e6, 1 << 53, 1e20, 1e21,
+		math.MaxFloat64 / 8}
+	extreme := graph.New(14)
+	for u := 0; u < 14; u++ {
+		for v := u + 1; v < 14; v += 1 + u%3 {
+			extreme.MustAddEdge(u, v, extremes[extreme.NumEdges()%len(extremes)])
+		}
+	}
+	answers := map[string][]byte{}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"unit", generated(GeneratorSpec{Name: "random", N: 50, M: 300, Seed: 11})},
+		{"12 levels", levels},
+		{"geometric", generated(GeneratorSpec{Name: "geometric", N: 50, Radius: 0.3, Seed: 13})},
+		{"extreme", extreme},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			id := create(t, map[string]any{"graph": encodeGraph(t, tc.g), "stretch": 3, "faults": 1})
+			checkSessionAnswer(t, s, id, 3, 1)
+			batch := map[string]any{"add_vertices": 1, "deltas": []map[string]any{
+				{"op": "insert", "u": tc.g.NumVertices(), "v": 0, "weight": 0.3},
+				{"op": "delete", "u": tc.g.Edge(0).U, "v": tc.g.Edge(0).V},
+			}}
+			if w := postJSON(t, s, "/v1/sessions/"+id+"/deltas", batch); w.Code != http.StatusOK {
+				t.Fatalf("deltas: http %d: %s", w.Code, w.Body.Bytes())
+			}
+			answers[id] = checkSessionAnswer(t, s, id, 3, 1)
+		})
+	}
+
+	// Readers of sessions of different sizes share the answer buffers.
+	t.Run("concurrent", func(t *testing.T) {
+		var wg sync.WaitGroup
+		for r := 0; r < 8; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					for id, want := range answers {
+						if got := getPath(t, s, "/v1/sessions/"+id+"/spanner").Body.Bytes(); !bytes.Equal(got, want) {
+							t.Errorf("concurrent read of %s: got %.200q", id, got)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
+
+	t.Run("empty", func(t *testing.T) {
+		id := create(t, map[string]any{"vertices": 5, "stretch": 3, "faults": 1})
+		if got := checkSessionAnswer(t, s, id, 3, 1); !bytes.HasSuffix(got, []byte(`,"kept":[]}`+"\n")) {
+			t.Fatalf("empty session answered %s", got)
+		}
+	})
+
+	t.Run("compacted", func(t *testing.T) {
+		id := create(t, map[string]any{"graph": encodeGraph(t, compactingGraph()), "stretch": 2, "faults": 1})
+		sess, _ := s.session(id)
+		for i := 0; ; i++ {
+			sess.mu.Lock()
+			compactions := sess.eng.Stats().Compactions
+			sess.mu.Unlock()
+			if compactions > 0 {
+				break
+			}
+			if i == 20 {
+				t.Fatal("the session never compacted")
+			}
+			deleteBatch(t, s, id, 4)
+		}
+		checkSessionAnswer(t, s, id, 2, 1)
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"runtime"
 	"strconv"
 	"time"
@@ -21,6 +22,16 @@ const maxVerifyTrials = 10000
 // body and then stalls holds no more than this; a larger body is read as
 // it arrives.
 const maxPreallocBody = 1 << 20
+
+// bodyReadTimeout bounds the read of one request body, from ReadBody's
+// first read to its last byte. A client that sends headers and then stalls
+// the body is answered 408 instead of holding its connection, its handler
+// and the preallocated buffer forever. ReadBody sets it on the connection
+// for the body alone, so it holds on every server that serves this one (a
+// fleet node, ftserve's listener, an embedding program) without a
+// server-wide http.Server.ReadTimeout, and it never reaches a later request
+// on the connection. Tests lower it.
+var bodyReadTimeout = 30 * time.Second
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
@@ -74,15 +85,19 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 	writeError(w, se.status, "%s", se.msg)
 }
 
-// ReadBody reads r's body whole, bounded by Config.MaxBodyBytes: the one
-// read of a request body on this server and on a fleet node in front of
-// it. A declared Content-Length over the bound is refused before anything
-// is allocated; up to maxPreallocBody, the buffer is allocated once at that
-// length. A longer body, or one of unknown length, is read through a
-// bounded io.ReadAll. On failure
-// ReadBody answers w itself, 413 for a body over the bound and 400 for one
-// that ends short, and returns false.
+// ReadBody reads r's body whole, bounded by Config.MaxBodyBytes and by
+// bodyReadTimeout: the one read of a request body on this server and on a
+// fleet node in front of it. A declared Content-Length over the bound is
+// refused before anything is allocated; up to maxPreallocBody, the buffer
+// is allocated once at that length. A longer body, or one of unknown
+// length, is read through a bounded io.ReadAll. On failure ReadBody answers
+// w itself, 413 for a body over the bound, 408 for one not received within
+// the deadline and 400 for one that ends short, and returns false.
 func (s *Server) ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	// A ResponseWriter without a connection (a recorder) has no deadline to
+	// set and answers http.ErrNotSupported; its body cannot stall.
+	rc := http.NewResponseController(w)
+	deadlineSet := rc.SetReadDeadline(time.Now().Add(bodyReadTimeout)) == nil
 	limit := s.cfg.MaxBodyBytes
 	var body []byte
 	var err error
@@ -96,12 +111,22 @@ func (s *Server) ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	}
 	if err == nil {
+		if deadlineSet {
+			// The next request on a keep-alive connection, an events stream
+			// say, must not inherit the deadline.
+			_ = rc.SetReadDeadline(time.Time{})
+		}
 		return body, true
 	}
+	// On failure the deadline stays: the server discards what is left of
+	// the body before it answers, and that read is bounded by it too.
 	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
+	switch {
+	case errors.As(err, &tooBig):
 		writeError(w, http.StatusRequestEntityTooLarge, "request body over the %d-byte limit", limit)
-	} else {
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		writeError(w, http.StatusRequestTimeout, "request body not received within %v", bodyReadTimeout)
+	default:
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 	}
 	return nil, false
@@ -267,10 +292,8 @@ func (s *Server) handleSpanner(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The answer is {"id":<id>,"spanner":<text>,"kept":[<ids>]} and a
-	// newline, as encoding/json writes it; all but the ID is the result's
-	// one encoding.
-	id, _ := json.Marshal(job.id) // a string always marshals
-	head := append([]byte(`{"id":`), id...)
+	// newline; all but the ID is the result's one encoding.
+	head := appendJSONText([]byte(`{"id":`), job.id)
 	tail := res.encoding().tail
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(tail)))

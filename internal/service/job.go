@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,8 +144,8 @@ type spannerEncoding struct {
 	// digest is the SHA-256 of the spanner's Graph.Encode text.
 	digest string
 	// tail is the spanner answer after the ID:
-	// `,"spanner":"<text>","kept":[<ids>]}` and a newline, the bytes
-	// encoding/json writes for those fields.
+	// `,"spanner":"<text>","kept":[<ids>]}` and a newline
+	// (appendJobAnswerTail).
 	tail []byte
 }
 
@@ -154,18 +153,10 @@ type spannerEncoding struct {
 // whose kept input edge IDs are kept.
 func newSpannerEncoding(text []byte, kept []int) *spannerEncoding {
 	sum := sha256.Sum256(text)
-	if kept == nil {
-		kept = []int{}
-	}
-	tail, err := json.Marshal(struct {
-		Spanner string `json:"spanner"`
-		Kept    []int  `json:"kept"`
-	}{string(text), kept})
-	if err != nil {
-		panic(err) // a string and an int slice always marshal
-	}
-	tail[0] = ','
-	return &spannerEncoding{digest: hex.EncodeToString(sum[:]), tail: append(tail, '\n')}
+	// The quoted text grows by one byte per line; an ID takes at most
+	// eight bytes with its comma below ten million edges.
+	tail := make([]byte, 0, 32+len(text)+len(text)/8+8*len(kept))
+	return &spannerEncoding{digest: hex.EncodeToString(sum[:]), tail: appendJobAnswerTail(tail, text, kept)}
 }
 
 // materialized fills input and kept from the snapshot on first use.

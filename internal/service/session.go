@@ -629,16 +629,6 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// sessionSpannerResponse answers GET /v1/sessions/{id}/spanner.
-type sessionSpannerResponse struct {
-	ID     string `json:"id"`
-	Digest string `json:"digest"`
-	// Spanner is the current spanner in the Graph.Encode text format; Kept
-	// lists the same edges by endpoints and weight in scan order.
-	Spanner string        `json:"spanner"`
-	Kept    []SessionEdge `json:"kept"`
-}
-
 func (s *Server) handleSessionSpanner(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.session(r.PathValue("id"))
 	if !ok {
@@ -663,13 +653,7 @@ func (s *Server) handleSessionSpanner(w http.ResponseWriter, r *http.Request) {
 	// sess.mu: a slow reader never holds up the session's batches.
 	snap := sess.result.snap
 	sess.mu.Unlock()
-	edges := make([]SessionEdge, len(snap.Kept))
-	for i, e := range snap.Kept {
-		edges[i] = SessionEdge{U: e.U, V: e.V, Weight: e.Weight}
-	}
-	writeJSON(w, http.StatusOK, sessionSpannerResponse{
-		ID: sess.id, Digest: snap.Digest, Spanner: string(snap.AppendSpanner(nil)), Kept: edges,
-	})
+	writeSessionAnswer(w, sess.id, snap)
 }
 
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
