@@ -1,16 +1,16 @@
 // Command ftserve runs the fault-tolerant spanner build service: an
-// HTTP/JSON API that queues build jobs onto weighted priority queues
-// drained by a bounded worker pool, serves repeated requests from an
-// in-memory LRU result cache, and (with -store-dir) persists results to a
-// durable content-addressed store so restarts come up warm.
+// HTTP/JSON API that queues build jobs onto one FIFO queue drained by a
+// bounded worker pool, serves repeated requests from an in-memory LRU result
+// cache, and (with -store-dir) persists results to a durable
+// content-addressed store so restarts come up warm.
 //
 // Usage:
 //
-//	ftserve [-addr :8437] [-workers 4] [-queue 64] [-queue-caps high=32,normal=48,low=16]
+//	ftserve [-addr :8437] [-workers 4] [-queue 64]
 //	        [-cache 128] [-store-dir DIR] [-store-max-bytes 268435456]
 //	        [-max-body 8388608] [-retention 15m]
 //	        [-session-retention 30m] [-max-sessions 64]
-//	        [-wait-budget 0] [-drain-timeout 30s] [-pprof addr]
+//	        [-drain-timeout 30s] [-pprof addr]
 //	        [-peers host:port,...] [-self host:port] [-cluster-poll 1s] [-sync-interval 30s]
 //
 // With -peers the process joins a digest-affinity replica fleet: a
@@ -41,7 +41,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -78,44 +77,13 @@ type options struct {
 	cfg          service.Config
 }
 
-// parseQueueCaps parses the -queue-caps value: comma-separated
-// class=depth pairs, e.g. "high=32,normal=48,low=16". Omitted classes keep
-// the default (the global queue depth).
-func parseQueueCaps(s string) (map[service.Priority]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	caps := make(map[service.Priority]int)
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("queue-caps: %q is not class=depth", part)
-		}
-		p := service.Priority(name)
-		switch p {
-		case service.PriorityHigh, service.PriorityNormal, service.PriorityLow:
-		default:
-			return nil, fmt.Errorf("queue-caps: unknown class %q (want high, normal, or low)", name)
-		}
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("queue-caps: %q needs a positive depth, got %q", name, val)
-		}
-		caps[p] = n
-	}
-	return caps, nil
-}
-
 // parseArgs parses argv (without the program name) into options.
 func parseArgs(args []string) (options, error) {
 	fs := flag.NewFlagSet("ftserve", flag.ContinueOnError)
 	var opts options
-	var queueCaps string
 	fs.StringVar(&opts.addr, "addr", ":8437", "listen address")
 	fs.IntVar(&opts.cfg.Workers, "workers", 4, "build worker pool size")
-	fs.IntVar(&opts.cfg.QueueDepth, "queue", 64, "total job queue capacity; submissions beyond it get 503")
-	fs.StringVar(&queueCaps, "queue-caps", "",
-		"per-priority queue caps as class=depth pairs (e.g. high=32,normal=48,low=16); a full class answers 429 with Retry-After")
+	fs.IntVar(&opts.cfg.QueueDepth, "queue", 64, "job queue capacity; submissions beyond it get 503 with Retry-After")
 	fs.IntVar(&opts.cfg.CacheEntries, "cache", 128, "result LRU cache entries")
 	fs.StringVar(&opts.cfg.StoreDir, "store-dir", "",
 		"directory of the durable content-addressed result store; empty disables persistence")
@@ -128,8 +96,6 @@ func parseArgs(args []string) (options, error) {
 		"how long an idle live session stays open before eviction (0 for the 30m default, negative to keep forever)")
 	fs.IntVar(&opts.cfg.MaxSessions, "max-sessions", 0,
 		"ceiling of concurrently open live sessions; creations beyond it get 429 (0 for the default of 64, negative for unlimited)")
-	fs.DurationVar(&opts.cfg.WaitBudget, "wait-budget", 0,
-		"queue-wait budget per priority class: when a class's recent p90 wait (or head-of-line age) exceeds it, submissions get 429 (0 disables shedding)")
 	fs.DurationVar(&opts.drainTimeout, "drain-timeout", 30*time.Second,
 		"how long a graceful shutdown (SIGINT/SIGTERM) waits for running builds to finish before cancelling them")
 	fs.StringVar(&opts.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
@@ -154,25 +120,9 @@ func parseArgs(args []string) (options, error) {
 	if opts.cfg.StoreMaxBytes == 0 {
 		return options{}, fmt.Errorf("store-max-bytes must be positive (or negative for unbounded)")
 	}
-	if opts.cfg.WaitBudget < 0 {
-		return options{}, fmt.Errorf("wait-budget must be non-negative, got %v", opts.cfg.WaitBudget)
-	}
 	if opts.drainTimeout <= 0 {
 		return options{}, fmt.Errorf("drain-timeout must be positive, got %v", opts.drainTimeout)
 	}
-	caps, err := parseQueueCaps(queueCaps)
-	if err != nil {
-		return options{}, err
-	}
-	// The global -queue bound is checked before any class cap, so a cap at
-	// or above it would silently never produce its documented 429; reject
-	// the misconfiguration instead of surprising the operator.
-	for p, n := range caps {
-		if n >= opts.cfg.QueueDepth {
-			return options{}, fmt.Errorf("queue-caps: %s=%d is not below the global queue depth %d, so it would never apply", p, n, opts.cfg.QueueDepth)
-		}
-	}
-	opts.cfg.QueueCaps = caps
 	if peers != "" {
 		for _, p := range strings.Split(peers, ",") {
 			p = strings.TrimSpace(p)

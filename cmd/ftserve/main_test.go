@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/ftspanner/ftspanner/internal/service"
 )
 
 func TestParseArgsDefaults(t *testing.T) {
@@ -19,9 +17,6 @@ func TestParseArgsDefaults(t *testing.T) {
 	if opts.cfg.Workers != 4 || opts.cfg.QueueDepth != 64 || opts.cfg.CacheEntries != 128 || opts.cfg.MaxBodyBytes != 8<<20 {
 		t.Errorf("default config %+v", opts.cfg)
 	}
-	if opts.cfg.WaitBudget != 0 {
-		t.Errorf("default observability config %+v", opts.cfg)
-	}
 	if opts.drainTimeout != 30*time.Second {
 		t.Errorf("default drain timeout %v, want 30s", opts.drainTimeout)
 	}
@@ -31,14 +26,9 @@ func TestParseArgsDefaults(t *testing.T) {
 }
 
 func TestParseArgsObservabilityFlags(t *testing.T) {
-	opts, err := parseArgs([]string{
-		"-wait-budget", "250ms", "-drain-timeout", "90s",
-	})
+	opts, err := parseArgs([]string{"-drain-timeout", "90s"})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if opts.cfg.WaitBudget != 250*time.Millisecond {
-		t.Errorf("parsed observability config %+v", opts.cfg)
 	}
 	if opts.drainTimeout != 90*time.Second {
 		t.Errorf("parsed drain timeout %v, want 90s", opts.drainTimeout)
@@ -75,48 +65,13 @@ func TestParseArgsOverrides(t *testing.T) {
 	}
 }
 
-func TestParseArgsStoreAndQueueCaps(t *testing.T) {
-	opts, err := parseArgs([]string{
-		"-store-dir", "/tmp/ftstore", "-store-max-bytes", "1048576",
-		"-queue-caps", "high=32, normal=48,low=16",
-	})
+func TestParseArgsStoreFlags(t *testing.T) {
+	opts, err := parseArgs([]string{"-store-dir", "/tmp/ftstore", "-store-max-bytes", "1048576"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opts.cfg.StoreDir != "/tmp/ftstore" || opts.cfg.StoreMaxBytes != 1<<20 {
 		t.Errorf("store config %+v", opts.cfg)
-	}
-	want := map[service.Priority]int{
-		service.PriorityHigh:   32,
-		service.PriorityNormal: 48,
-		service.PriorityLow:    16,
-	}
-	if len(opts.cfg.QueueCaps) != len(want) {
-		t.Fatalf("queue caps %+v, want %+v", opts.cfg.QueueCaps, want)
-	}
-	for p, n := range want {
-		if opts.cfg.QueueCaps[p] != n {
-			t.Errorf("queue cap %s=%d, want %d", p, opts.cfg.QueueCaps[p], n)
-		}
-	}
-
-	// Partial caps leave the other classes unset (they default to the
-	// global queue depth inside the service).
-	opts, err = parseArgs([]string{"-queue-caps", "low=4"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opts.cfg.QueueCaps) != 1 || opts.cfg.QueueCaps[service.PriorityLow] != 4 {
-		t.Errorf("partial queue caps %+v, want just low=4", opts.cfg.QueueCaps)
-	}
-
-	// Unset flag means nil caps.
-	opts, err = parseArgs(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.cfg.QueueCaps != nil {
-		t.Errorf("default queue caps %+v, want nil", opts.cfg.QueueCaps)
 	}
 }
 
@@ -127,13 +82,6 @@ func TestParseArgsRejectsBadValues(t *testing.T) {
 		{"-cache", "0"},
 		{"-max-body", "0"},
 		{"-store-max-bytes", "0"},
-		{"-queue-caps", "high"},
-		{"-queue-caps", "urgent=3"},
-		{"-queue-caps", "low=0"},
-		{"-queue-caps", "low=x"},
-		{"-queue-caps", "normal=64"},             // not below the default -queue 64
-		{"-queue", "8", "-queue-caps", "high=9"}, // above an explicit depth
-		{"-wait-budget", "-1s"},
 		{"-drain-timeout", "0s"},
 		{"-drain-timeout", "-5s"},
 		{"stray"},
@@ -141,6 +89,13 @@ func TestParseArgsRejectsBadValues(t *testing.T) {
 	} {
 		if _, err := parseArgs(args); err == nil {
 			t.Errorf("parseArgs(%v) accepted invalid input", args)
+		}
+	}
+	// The per-class queue caps and the wait budget are gone with the
+	// priority classes.
+	for _, args := range [][]string{{"-queue-caps", "x"}, {"-wait-budget", "1s"}} {
+		if _, err := parseArgs(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("parseArgs(%v) = %v, want an unknown-flag error", args, err)
 		}
 	}
 }

@@ -78,19 +78,17 @@ const (
 
 // Serving types, re-exported for the ftserve HTTP service.
 type (
-	// ServerConfig sizes a spanner-build Server (workers, queues, caches,
+	// ServerConfig sizes a spanner-build Server (workers, queue, caches,
 	// durable store).
 	ServerConfig = service.Config
-	// Server is the ftserve HTTP job service: an http.Handler with weighted
-	// priority job queues, a bounded worker pool, and a two-tier (memory
+	// Server is the ftserve HTTP job service: an http.Handler with one
+	// bounded FIFO job queue, a bounded worker pool, and a two-tier (memory
 	// LRU + durable on-disk store) result cache.
 	Server = service.Server
 	// JobSpec describes one build job submitted to a Server.
 	JobSpec = service.JobSpec
 	// GeneratorSpec names a server-side graph generator in a JobSpec.
 	GeneratorSpec = service.GeneratorSpec
-	// JobPriority is a job's scheduling class in a JobSpec.
-	JobPriority = service.Priority
 	// CacheKey identifies a build result in a Server's cache: the input
 	// graph's content digest plus every output-relevant parameter.
 	CacheKey = service.CacheKey
@@ -136,16 +134,6 @@ const (
 	DeltaDelete = core.DeltaDelete
 	// DeltaFaultVertex removes every live edge incident to a vertex.
 	DeltaFaultVertex = core.DeltaFaultVertex
-)
-
-// Job scheduling classes for JobSpec.Priority. Under a saturated worker
-// pool, queued jobs are dequeued weighted-fair at high:normal:low = 4:2:1,
-// and each class has its own admission cap (backpressure via 429 +
-// Retry-After) — see ServerConfig.QueueCaps.
-const (
-	PriorityHigh   = service.PriorityHigh
-	PriorityNormal = service.PriorityNormal
-	PriorityLow    = service.PriorityLow
 )
 
 // NewGraph returns an empty graph on n isolated vertices.

@@ -26,9 +26,6 @@ const maxGeneratedSize = 1 << 20
 // value would be a memory amplification lever.
 const maxParallelism = 64
 
-// maxPipeline bounds the ignored JobSpec.Pipeline field (see its doc).
-const maxPipeline = 64
-
 // newRand is the service's deterministic RNG constructor: same seed, same
 // randomized build or verification outcome.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -45,9 +42,6 @@ func normalizeSpec(spec *JobSpec) error {
 	if _, err := parseMode(spec.Mode); err != nil {
 		return err
 	}
-	if err := normalizePriority(spec); err != nil {
-		return err
-	}
 	if spec.Stretch < 1 || math.IsInf(spec.Stretch, 0) || math.IsNaN(spec.Stretch) {
 		return fmt.Errorf("stretch must be a finite number >= 1, got %v", spec.Stretch)
 	}
@@ -59,12 +53,6 @@ func normalizeSpec(spec *JobSpec) error {
 	}
 	if spec.Parallelism > 1 && spec.Algorithm != AlgoGreedy {
 		return fmt.Errorf("parallelism applies to algorithm %q only, got %q", AlgoGreedy, spec.Algorithm)
-	}
-	if spec.Pipeline < 0 || spec.Pipeline > maxPipeline {
-		return fmt.Errorf("pipeline must be in [0,%d], got %d", maxPipeline, spec.Pipeline)
-	}
-	if spec.Pipeline > 0 && spec.Parallelism <= 1 {
-		return fmt.Errorf("pipeline requires parallelism > 1, got parallelism %d", spec.Parallelism)
 	}
 	if spec.DeadlineMs < 0 {
 		return fmt.Errorf("deadline_ms must be >= 0, got %d", spec.DeadlineMs)
@@ -167,11 +155,11 @@ func materialize(spec *JobSpec) (*graph.Graph, error) {
 
 // cacheKeyFor derives the result cache key of a normalized spec and its
 // materialized graph. Only sampling-vft output depends on the seed, so the
-// seed is zeroed for every other algorithm. Parallelism and Pipeline never
-// enter the key: the speculative greedy's kept-edge set is provably
-// identical to the sequential one's at every worker count, so one cached
-// result serves every setting (and in-flight dedup coalesces a P=4
-// submission onto a running P=0 build).
+// seed is zeroed for every other algorithm. Parallelism never enters the
+// key: the speculative greedy's kept-edge set is provably identical to the
+// sequential one's at every worker count, so one cached result serves every
+// setting (and in-flight dedup coalesces a P=4 submission onto a running P=0
+// build).
 func cacheKeyFor(spec JobSpec, g *graph.Graph) CacheKey {
 	key := CacheKey{
 		Digest:    g.Digest(),

@@ -16,8 +16,8 @@ import (
 // of one replica: whether it accepts work right now, how loaded it is, and
 // how long a rejected client should wait.
 type ClusterSummary struct {
-	// Accepting is false while the replica is draining or its global queue
-	// is full — the router hedges to the ring successor instead of
+	// Accepting is false while the replica is draining or its job queue is
+	// full — the router hedges to the ring successor instead of
 	// forwarding.
 	Accepting bool `json:"accepting"`
 	Draining  bool `json:"draining"`
@@ -43,16 +43,11 @@ func (s *Server) ClusterSummary() ClusterSummary {
 		Version:  s.cfg.Version,
 	}
 	s.mu.Lock()
-	sum.QueueLen = s.queues.totalLen()
-	switch {
-	case sum.Draining:
+	sum.QueueLen = len(s.queue)
+	if sum.Draining {
 		sum.RetryAfterSec = s.drainRetryAfterLocked()
-	default:
-		sec := 1 + sum.QueueLen/s.cfg.Workers
-		if sec > 60 {
-			sec = 60
-		}
-		sum.RetryAfterSec = sec
+	} else {
+		sum.RetryAfterSec = s.queueRetryAfterLocked()
 	}
 	s.mu.Unlock()
 	sum.Accepting = !sum.Draining && sum.QueueLen < sum.QueueCap

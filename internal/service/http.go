@@ -195,7 +195,6 @@ type statusResponse struct {
 	Mode         string     `json:"mode"`
 	Stretch      float64    `json:"stretch"`
 	Faults       int        `json:"faults"`
-	Priority     Priority   `json:"priority"`
 	GraphDigest  string     `json:"graph_digest"`
 	Vertices     int        `json:"vertices"`
 	InputEdges   int        `json:"input_edges"`
@@ -243,7 +242,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Mode:        job.spec.Mode,
 		Stretch:     job.spec.Stretch,
 		Faults:      job.spec.Faults,
-		Priority:    job.spec.Priority,
 		GraphDigest: job.key.Digest,
 		Vertices:    job.vertices,
 		InputEdges:  job.inputEdges,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,24 +68,13 @@ type JobSpec struct {
 	// kept-edge set is identical at every setting, so it does not affect the
 	// cache key: a result built at any parallelism serves them all.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Pipeline is accepted and ignored. It stays in the wire format with its
-	// range check (0..64, nonzero only with Parallelism > 1) so that every
-	// existing client's request is accepted or rejected exactly as before.
-	// It is not in the cache key.
-	Pipeline int `json:"pipeline,omitempty"`
-	// Priority is the scheduling class: "high", "normal" (the default), or
-	// "low". It orders a saturated pool's dequeues and selects the per-class
-	// queue cap; the result is identical at every priority, so it does not
-	// affect the cache key (and a duplicate submission coalesces onto the
-	// in-flight job whatever either priority says).
-	Priority Priority `json:"priority,omitempty"`
 	// DeadlineMs is the job's end-to-end deadline in milliseconds from
 	// submission, covering queue wait plus build. Zero means no deadline.
-	// The deadline propagates as a context deadline through the build, a
-	// job that exceeds it lands in the "deadline_exceeded" terminal state,
-	// and submissions whose deadline is already infeasible given the
-	// class's recent p90 queue wait are refused up front with 429. Like
-	// Priority it never affects the cache key.
+	// The deadline propagates as a context deadline through the build, and
+	// a job that exceeds it, in the queue or in the build, lands in the
+	// "deadline_exceeded" terminal state. It never affects the cache key; a
+	// duplicate submission coalesces onto an in-flight job only if that
+	// job's deadline is no earlier than its own.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 }
 
@@ -217,13 +207,16 @@ type Job struct {
 	// and holds none. vertices and inputEdges size the input either way.
 	graph                *graph.Graph
 	vertices, inputEdges int
-	// class is the scheduling class derived from spec.Priority; enqueuedAt
-	// feeds the per-class queue-age gauge.
-	class      class
+	// enqueuedAt starts the job's queue wait.
 	enqueuedAt time.Time
-	// deadline is the absolute deadline derived from spec.DeadlineMs at
-	// submission (zero = none). Immutable after newJob.
-	deadline time.Time
+	// deadline is the absolute deadline derived from deadlineMs at
+	// submission (zero = none). A duplicate submission may move both later
+	// while the job is queued (Server.dedupLocked); dequeued is set when a
+	// worker pops the job, and fixes them from then on. Server.mu guards
+	// all three until then.
+	deadline   time.Time
+	deadlineMs int64
+	dequeued   bool
 
 	// scanned mirrors the build's latest progress-hook edge count without
 	// taking j.mu — the drain Retry-After estimate reads it from the
@@ -283,27 +276,24 @@ func (j *Job) startTrace(cached, fromStore bool) {
 	root.End()
 }
 
-func newJob(id string, sub submission, g *graph.Graph) *Job {
+func newJob(id string, sub submission, g *graph.Graph, deadline time.Time) *Job {
 	every := sub.edges / 16
 	if every < 1 {
 		every = 1
 	}
-	spec := sub.spec
 	j := &Job{
 		id:            id,
 		key:           sub.key,
-		spec:          spec,
+		spec:          sub.spec,
 		graph:         g,
 		vertices:      sub.vertices,
 		inputEdges:    sub.edges,
-		class:         classOf(spec.Priority),
 		enqueuedAt:    time.Now(),
+		deadline:      deadline,
+		deadlineMs:    sub.spec.DeadlineMs,
 		progressEvery: every,
 		state:         StateQueued,
 		done:          make(chan struct{}),
-	}
-	if spec.DeadlineMs > 0 {
-		j.deadline = j.enqueuedAt.Add(time.Duration(spec.DeadlineMs) * time.Millisecond)
 	}
 	j.log.append(Event{State: StateQueued}, false)
 	return j
@@ -319,6 +309,20 @@ func (j *Job) setStateLocked(s State, e Event) {
 		j.retention.touch()
 		close(j.done)
 	}
+}
+
+// expireLocked ends a dequeued job as deadline_exceeded. The caller holds
+// j.mu.
+func (j *Job) expireLocked() {
+	j.err = fmt.Errorf("deadline of %dms exceeded", j.deadlineMs)
+	j.setStateLocked(StateDeadline, Event{Error: j.err.Error()})
+}
+
+// doneFromCacheLocked ends the job done with a result it did not build.
+// The caller holds j.mu.
+func (j *Job) doneFromCacheLocked(res *buildResult, fromStore bool) {
+	j.result, j.cached, j.fromStore = res, true, fromStore
+	j.setStateLocked(StateDone, Event{Scanned: res.stats.EdgesScanned, Kept: res.NumKept()})
 }
 
 // cancelQueuedLocked ends a job that no worker has picked up as cancelled,

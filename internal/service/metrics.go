@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// metrics holds the server's monotonic counters. Gauges (queue depths, jobs
+// metrics holds the server's monotonic counters. Gauges (queue depth, jobs
 // by state, cache entries, store bytes) are computed at snapshot time from
 // live state.
 type metrics struct {
@@ -41,12 +41,6 @@ type metrics struct {
 	sessionOracleReuses   atomic.Int64 // suffix repairs that rewound the retained prefix graph + oracle
 	sessionOracleRebuilds atomic.Int64 // suffix repairs that built them from scratch
 
-	// Per-priority-class scheduling counters, indexed by class.
-	dequeued         [numClasses]atomic.Int64 // jobs handed to a worker from this class
-	rejected         [numClasses]atomic.Int64 // submissions refused with 429 (class cap)
-	shed             [numClasses]atomic.Int64 // submissions refused with 429 (wait budget)
-	deadlineRejected [numClasses]atomic.Int64 // submissions refused with 429 (deadline infeasible)
-
 	buildsInFlight atomic.Int64 // builds currently occupying a worker slot
 	maxInFlight    atomic.Int64 // high-water mark of buildsInFlight
 }
@@ -64,28 +58,6 @@ func (m *metrics) buildStarted() {
 }
 
 func (m *metrics) buildFinished() { m.buildsInFlight.Add(-1) }
-
-// QueueClassSnapshot reports one priority class's queue in GET /metrics.
-type QueueClassSnapshot struct {
-	// Depth and Cap are the class's current backlog and admission cap
-	// (submissions over it get 429 with Retry-After).
-	Depth int `json:"depth"`
-	Cap   int `json:"cap"`
-	// OldestAgeMS is how long the class's head job has been queued.
-	OldestAgeMS float64 `json:"oldest_age_ms"`
-	// Weight is the class's weighted-fair dequeue share.
-	Weight int `json:"weight"`
-	// Dequeued and Rejected count jobs handed to workers from this class and
-	// submissions bounced off its cap.
-	Dequeued int64 `json:"dequeued"`
-	Rejected int64 `json:"rejected"`
-	// Shed counts submissions refused by the wait-budget load shedder (a
-	// 429 issued on observed latency, before the depth cap would fire).
-	Shed int64 `json:"shed"`
-	// DeadlineRejected counts submissions refused because their DeadlineMs
-	// was infeasible against this class's recent p90 queue wait.
-	DeadlineRejected int64 `json:"deadline_rejected"`
-}
 
 // MetricsSnapshot is the GET /metrics response.
 type MetricsSnapshot struct {
@@ -115,13 +87,11 @@ type MetricsSnapshot struct {
 	JobsByState   map[State]int `json:"jobs_by_state"`
 	QueueDepth    int           `json:"queue_depth"`
 	QueueCapacity int           `json:"queue_capacity"`
-	// Queues breaks the backlog down by priority class.
-	Queues        map[Priority]QueueClassSnapshot `json:"queues"`
-	Workers       int                             `json:"workers"`
-	CacheHits     int64                           `json:"cache_hits"`
-	CacheMisses   int64                           `json:"cache_misses"`
-	CacheHitRatio float64                         `json:"cache_hit_ratio"`
-	CacheEntries  int                             `json:"cache_entries"`
+	Workers       int           `json:"workers"`
+	CacheHits     int64         `json:"cache_hits"`
+	CacheMisses   int64         `json:"cache_misses"`
+	CacheHitRatio float64       `json:"cache_hit_ratio"`
+	CacheEntries  int           `json:"cache_entries"`
 	// SpecMemo* count job-body lookups in the spec memo: bodies resolved
 	// from one hash, and bodies decoded, parsed and digested. A fleet node
 	// resolves the bodies it routes through its service, so each hop counts
@@ -202,11 +172,9 @@ type MetricsSnapshot struct {
 	BuildsInFlight      int64 `json:"builds_in_flight"`
 	MaxConcurrentBuilds int64 `json:"max_concurrent_builds"`
 	// Latency carries p50/p90/p99/max/mean summaries of the server's
-	// log-bucketed histograms: queue wait per priority class, build and
-	// persist durations, store get/put, and sampled oracle queries.
+	// log-bucketed histograms: queue wait, build and persist durations,
+	// store get/put, and sampled oracle queries.
 	Latency LatencySnapshot `json:"latency"`
-	// WaitBudgetMS is the load-shedding latency budget (0 = shedding off).
-	WaitBudgetMS float64 `json:"wait_budget_ms"`
 }
 
 // Metrics returns a consistent point-in-time snapshot of the server's
@@ -225,7 +193,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		BuildsTotal:          s.met.buildsRun.Load(),
 		JobsByState:          make(map[State]int),
 		QueueCapacity:        s.cfg.QueueDepth,
-		Queues:               make(map[Priority]QueueClassSnapshot, numClasses),
 		Workers:              s.cfg.Workers,
 		CacheHits:            s.met.cacheHits.Load(),
 		CacheMisses:          s.met.cacheMisses.Load(),
@@ -254,8 +221,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		BuildsInFlight:      s.met.buildsInFlight.Load(),
 		MaxConcurrentBuilds: s.met.maxInFlight.Load(),
 
-		Latency:      s.lat.snapshot(),
-		WaitBudgetMS: float64(s.cfg.WaitBudget.Nanoseconds()) / 1e6,
+		Latency: s.lat.snapshot(),
 	}
 	snap.SpecMemoHits, snap.SpecMemoMisses = s.memo.counts()
 	if total := snap.CacheHits + snap.CacheMisses; total > 0 {
@@ -291,22 +257,8 @@ func (s *Server) Metrics() MetricsSnapshot {
 	snap.SessionsClosedTotal = s.met.sessionsClosed.Load()
 	snap.SessionsEvictedTotal = s.met.sessionsEvicted.Load()
 	s.sessMu.Unlock()
-	now := time.Now()
 	s.mu.Lock()
-	snap.QueueDepth = s.queues.totalLen()
-	for c := class(0); c < numClasses; c++ {
-		p := c.Priority()
-		snap.Queues[p] = QueueClassSnapshot{
-			Depth:            len(s.queues.q[c]),
-			Cap:              s.cfg.QueueCaps[p],
-			OldestAgeMS:      float64(s.queues.oldestAge(c, now).Microseconds()) / 1000,
-			Weight:           classWeights[c],
-			Dequeued:         s.met.dequeued[c].Load(),
-			Rejected:         s.met.rejected[c].Load(),
-			Shed:             s.met.shed[c].Load(),
-			DeadlineRejected: s.met.deadlineRejected[c].Load(),
-		}
-	}
+	snap.QueueDepth = len(s.queue)
 	for _, j := range s.jobs {
 		j.mu.Lock()
 		snap.JobsByState[j.state]++

@@ -8,12 +8,12 @@ import (
 )
 
 // latencies holds the server's log-bucketed latency histograms, one per
-// operation class the tentpole cares about: how long jobs wait per priority
-// class, how long builds and persists take, and how long the hot inner
-// operations (oracle fault-set queries, store reads/writes) run. All are
+// operation class: how long jobs wait in the queue, how long builds and
+// persists take, and how long the hot inner operations (oracle fault-set
+// queries, store reads/writes) run. All are
 // safe for concurrent recording and summarized in GET /metrics.
 type latencies struct {
-	queueWait      [numClasses]*obs.Histogram
+	queueWait      *obs.Histogram
 	build          *obs.Histogram
 	persist        *obs.Histogram
 	storeGet       *obs.Histogram
@@ -24,7 +24,8 @@ type latencies struct {
 }
 
 func newLatencies() *latencies {
-	l := &latencies{
+	return &latencies{
+		queueWait:      obs.NewHistogram(),
 		build:          obs.NewHistogram(),
 		persist:        obs.NewHistogram(),
 		storeGet:       obs.NewHistogram(),
@@ -33,10 +34,6 @@ func newLatencies() *latencies {
 		sessionDelta:   obs.NewHistogram(),
 		sessionPublish: obs.NewHistogram(),
 	}
-	for c := range l.queueWait {
-		l.queueWait[c] = obs.NewHistogram()
-	}
-	return l
 }
 
 // storeObserver is the hook handed to store.SetObserver.
@@ -53,9 +50,8 @@ func (l *latencies) storeObserver(op store.Op, d time.Duration) {
 // summaries of every histogram, in milliseconds. The same obs.Summary shape
 // is emitted by ftbench -benchjson, so dashboards read one schema.
 type LatencySnapshot struct {
-	// QueueWait is time from submission to a worker picking the job up,
-	// keyed by priority class.
-	QueueWait map[Priority]obs.Summary `json:"queue_wait"`
+	// QueueWait is time from submission to a worker picking the job up.
+	QueueWait obs.Summary `json:"queue_wait"`
 	// Build is successful builds' wall-clock duration.
 	Build obs.Summary `json:"build"`
 	// Persist is the durable-store write at the end of a successful build
@@ -79,8 +75,8 @@ type LatencySnapshot struct {
 }
 
 func (l *latencies) snapshot() LatencySnapshot {
-	s := LatencySnapshot{
-		QueueWait:      make(map[Priority]obs.Summary, numClasses),
+	return LatencySnapshot{
+		QueueWait:      l.queueWait.Summarize(),
 		Build:          l.build.Summarize(),
 		Persist:        l.persist.Summarize(),
 		StoreGet:       l.storeGet.Summarize(),
@@ -89,8 +85,4 @@ func (l *latencies) snapshot() LatencySnapshot {
 		SessionDelta:   l.sessionDelta.Summarize(),
 		SessionPublish: l.sessionPublish.Summarize(),
 	}
-	for c := class(0); c < numClasses; c++ {
-		s.QueueWait[c.Priority()] = l.queueWait[c].Summarize()
-	}
-	return s
 }

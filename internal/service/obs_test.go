@@ -98,10 +98,10 @@ func TestTraceEndpointSpanTree(t *testing.T) {
 		t.Fatalf("job stats missing phase durations: %+v", *st.Stats)
 	}
 
-	// The histograms saw the same lifecycle: one queue wait in the job's
-	// class, one build, one persist, and some store/oracle operations.
+	// The histograms saw the same lifecycle: one queue wait, one build, one
+	// persist, and some store/oracle operations.
 	m := getMetrics(t, ts)
-	if n := m.Latency.QueueWait[PriorityNormal].Count; n != 1 {
+	if n := m.Latency.QueueWait.Count; n != 1 {
 		t.Fatalf("queue-wait histogram count %d, want 1", n)
 	}
 	if m.Latency.Build.Count != 1 || m.Latency.Persist.Count != 1 {
@@ -175,79 +175,6 @@ func TestTraceLivesWithJob(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+sub.ID, nil, nil); code != http.StatusNotFound {
 		t.Fatalf("status of an evicted job returned %d, want 404", code)
 	}
-}
-
-// TestWaitShedder pins the shedder's two signals: a head-of-line age over
-// budget sheds immediately, a p90 over budget sheds once enough samples
-// back it, and a zero budget never sheds.
-func TestWaitShedder(t *testing.T) {
-	off := newWaitShedder(0)
-	off.observe(classNormal, time.Hour)
-	if off.shouldShed(classNormal, time.Hour) {
-		t.Fatal("zero budget shed")
-	}
-
-	ws := newWaitShedder(50 * time.Millisecond)
-	if ws.shouldShed(classNormal, 10*time.Millisecond) {
-		t.Fatal("shed with no history and head under budget")
-	}
-	if !ws.shouldShed(classNormal, 60*time.Millisecond) {
-		t.Fatal("head-of-line age over budget did not shed")
-	}
-	for i := 0; i < shedMinSamples-1; i++ {
-		ws.observe(classNormal, 100*time.Millisecond)
-	}
-	if ws.shouldShed(classNormal, 0) {
-		t.Fatalf("shed on %d samples, below the minimum %d", shedMinSamples-1, shedMinSamples)
-	}
-	ws.observe(classNormal, 100*time.Millisecond)
-	if !ws.shouldShed(classNormal, 0) {
-		t.Fatal("p90 over budget did not shed")
-	}
-	// Classes are independent.
-	if ws.shouldShed(classHigh, 0) {
-		t.Fatal("another class's waits shed this one")
-	}
-	// A recovered class (fast recent waits) stops shedding.
-	for i := 0; i < shedWindow; i++ {
-		ws.observe(classNormal, time.Millisecond)
-	}
-	if ws.shouldShed(classNormal, 0) {
-		t.Fatal("still shedding after the window refilled with fast waits")
-	}
-}
-
-// TestShedEndToEnd checks the HTTP face of load shedding: with a head-of-
-// line job already over the (tiny) budget, the next submission gets 429 and
-// the per-class shed counter moves.
-func TestShedEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, WaitBudget: time.Nanosecond})
-
-	// Occupy the lone worker, then queue one job so the class has an aging
-	// head.
-	running := submitJob(t, ts, slowSpec(61))
-	waitState(t, ts, running.ID, StateRunning)
-	queued := submitJob(t, ts, slowSpec(62))
-	_ = queued
-
-	var errResp errorBody
-	code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", slowSpec(63), &errResp)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("submission over budget returned %d, want 429", code)
-	}
-	if !strings.Contains(errResp.Error, "shedding") {
-		t.Fatalf("shed error %q does not name shedding", errResp.Error)
-	}
-	m := getMetrics(t, ts)
-	if m.Queues[PriorityNormal].Shed != 1 {
-		t.Fatalf("shed counter %d, want 1", m.Queues[PriorityNormal].Shed)
-	}
-	if m.WaitBudgetMS <= 0 {
-		t.Fatalf("wait budget %f not surfaced", m.WaitBudgetMS)
-	}
-	// Unblock the pool so Cleanup is fast.
-	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, nil, nil)
-	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+running.ID, nil, nil)
 }
 
 // TestHealthzAndVersion checks the liveness probe and the build-stamp /

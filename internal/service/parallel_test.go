@@ -110,9 +110,9 @@ func postJobRaw(t *testing.T, ts *httptest.Server, body string) (submitResponse,
 // TestParallelismSharesCacheKey verifies the determinism guarantee is
 // exploited by the cache: a result built sequentially answers a parallel
 // submission of the same spec (and vice versa) without a rebuild, and the
-// spanners are identical. A "parallelism":4,"pipeline":4 body — pipeline is
-// accepted and ignored — lands on the same cache key and spanner digest as
-// the P=0 build, whether it coalesces onto it in flight or hits the cache.
+// spanners are identical. A raw "parallelism":4 body lands on the same cache
+// key and spanner digest as the P=0 build, whether it coalesces onto it in
+// flight or hits the cache.
 func TestParallelismSharesCacheKey(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
@@ -134,12 +134,12 @@ func TestParallelismSharesCacheKey(t *testing.T) {
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("P=0 submission returned %d", code)
 	}
-	second, code := postJobRaw(t, ts, `{`+gen+`,"parallelism":4,"pipeline":4}`)
+	second, code := postJobRaw(t, ts, `{`+gen+`,"parallelism":4}`)
 	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("parallelism+pipeline submission returned %d", code)
+		t.Fatalf("parallelism submission returned %d", code)
 	}
 	if !second.Cached && !(second.Deduplicated && second.ID == first.ID) {
-		t.Fatalf("parallelism+pipeline submission neither coalesced onto %s nor hit the cache: %+v", first.ID, second)
+		t.Fatalf("parallelism submission neither coalesced onto %s nor hit the cache: %+v", first.ID, second)
 	}
 	st0, st4 := waitState(t, ts, first.ID, StateDone), waitState(t, ts, second.ID, StateDone)
 	if st0.GraphDigest != st4.GraphDigest {
@@ -148,14 +148,12 @@ func TestParallelismSharesCacheKey(t *testing.T) {
 	d0, _, kept0 := spannerDigestOf(t, ts, first.ID)
 	d4, _, kept4 := spannerDigestOf(t, ts, second.ID)
 	if d0 != d4 || !reflect.DeepEqual(kept0, kept4) {
-		t.Fatal("parallelism+pipeline submission served a different spanner")
+		t.Fatal("parallelism submission served a different spanner")
 	}
 }
 
 // TestParallelismValidation pins the spec validation: negative or oversized
-// worker counts and non-greedy algorithms are rejected, as are pipeline
-// values outside the range the ignored field has always accepted, or set
-// without workers.
+// worker counts and non-greedy algorithms are rejected.
 func TestParallelismValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	bad := []JobSpec{
@@ -167,38 +165,10 @@ func TestParallelismValidation(t *testing.T) {
 			s.Algorithm = AlgoConservative
 			return s
 		}(),
-		func() JobSpec { s := parallelSpec(1, 4); s.Pipeline = -1; return s }(),
-		func() JobSpec { s := parallelSpec(1, 4); s.Pipeline = maxPipeline + 1; return s }(),
-		func() JobSpec { s := smallSpec(1); s.Pipeline = 2; return s }(), // pipeline without parallelism
 	}
 	for i, spec := range bad {
 		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", spec, nil); code != http.StatusBadRequest {
 			t.Fatalf("bad spec %d accepted with code %d", i, code)
-		}
-	}
-}
-
-// TestPipelineJobEndToEnd submits a parallel build that sets the ignored
-// pipeline field at both ends of its accepted range: each builds (or hits
-// the cache) like any parallel job, and no value leaks into the cache key.
-func TestPipelineJobEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-
-	spec := parallelSpec(11, 4)
-	spec.Pipeline = maxPipeline
-	sub := submitJob(t, ts, spec)
-	st := waitState(t, ts, sub.ID, StateDone)
-	if st.Stats == nil || st.Stats.SpecBatches < 1 {
-		t.Fatalf("parallel build with pipeline set reported no speculation: %+v", st.Stats)
-	}
-	if st.Stats.SpecHits+st.Stats.SpecWaste != st.Stats.SpecQueries {
-		t.Fatalf("spec accounting leak: %+v", *st.Stats)
-	}
-
-	for _, p := range []int{0, 1} {
-		spec.Pipeline = p
-		if again := submitJob(t, ts, spec); !again.Cached {
-			t.Fatalf("pipeline %d leaked into the cache key: %+v", p, again)
 		}
 	}
 }

@@ -290,46 +290,6 @@ func TestJobDeadlineExceededState(t *testing.T) {
 	waitState(t, ts, ok.ID, StateDone)
 }
 
-func TestInfeasibleDeadlineRejectedAtSubmit(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1})
-
-	// Feed the shedder a recent history of 500ms queue waits; a 100ms
-	// deadline is then infeasible before any build starts.
-	for i := 0; i < shedMinSamples; i++ {
-		srv.shedder.observe(classOf(PriorityNormal), 500*time.Millisecond)
-	}
-	spec := smallSpec(8)
-	spec.DeadlineMs = 100
-	req, _ := json.Marshal(spec)
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(req)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("infeasible deadline returned %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("deadline rejection carries no Retry-After")
-	}
-	var body errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(body.Error, "deadline") || !strings.Contains(body.Error, "p90") {
-		t.Errorf("rejection body %q", body.Error)
-	}
-	m := getMetrics(t, ts)
-	if m.Queues[PriorityNormal].DeadlineRejected != 1 {
-		t.Errorf("deadline_rejected = %d, want 1", m.Queues[PriorityNormal].DeadlineRejected)
-	}
-
-	// A feasible deadline (far above the p90) is admitted.
-	spec.DeadlineMs = 60_000
-	sub := submitJob(t, ts, spec)
-	waitState(t, ts, sub.ID, StateDone)
-}
-
 func TestBuildPanicBecomesFailedJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 1,

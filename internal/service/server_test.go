@@ -330,12 +330,29 @@ func TestQueueFullRejectsWith503(t *testing.T) {
 	waitState(t, ts, running.ID, StateRunning)
 	queued := submitJob(t, ts, smallSpec(6)) // fills the one queue slot
 
+	body, err := json.Marshal(smallSpec(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var eb errorBody
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", smallSpec(7), &eb); code != http.StatusServiceUnavailable {
-		t.Fatalf("overflow submission returned %d, want 503", code)
+	err = json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("overflow submission returned %d, want 503", resp.StatusCode)
 	}
 	if !strings.Contains(eb.Error, "queue full") {
 		t.Errorf("overflow error %q does not mention the queue", eb.Error)
+	}
+	// One queued job on one worker: back in about a second.
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Errorf("overflow Retry-After %q, want 2", ra)
 	}
 
 	// Cancelling the queued job must free its slot immediately: the same
@@ -488,6 +505,19 @@ func TestBadRequests(t *testing.T) {
 			var eb errorBody
 			if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", spec, &eb); code != http.StatusBadRequest {
 				t.Fatalf("returned %d (%s), want 400", code, eb.Error)
+			}
+		})
+	}
+
+	// The priority and pipeline fields are gone; the strict decoder
+	// refuses a body that still carries one.
+	for name, body := range map[string]string{
+		"priority field": `{"graph":"p 1 0\n","stretch":3,"priority":"high"}`,
+		"pipeline field": `{"graph":"p 1 0\n","stretch":3,"parallelism":4,"pipeline":2}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, code := postJobRaw(t, ts, body); code != http.StatusBadRequest {
+				t.Fatalf("returned %d, want 400", code)
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 // Package service implements ftserve, the HTTP/JSON spanner-build service:
 // clients submit build jobs (input graph inline or by named generator), a
-// bounded worker pool drains weighted priority queues, per-job contexts make
+// bounded worker pool drains one FIFO job queue, per-job contexts make
 // running builds cancellable mid-scan, and completed results are served from
 // a two-tier result cache keyed by (graph digest, stretch, faults, mode,
 // algorithm): an in-memory LRU in front of an optional durable on-disk store
@@ -49,17 +49,9 @@ import (
 type Config struct {
 	// Workers is the size of the build worker pool (default 4).
 	Workers int
-	// QueueDepth bounds the total queued jobs across every priority class;
-	// submissions beyond it are rejected with 503 (default 64).
+	// QueueDepth bounds the queued jobs; submissions beyond it are rejected
+	// with 503 and a Retry-After header (default 64).
 	QueueDepth int
-	// QueueCaps bounds each priority class's share of the queue separately;
-	// a submission to a full class is rejected with 429 and a Retry-After
-	// header (backpressure the client can act on, unlike the global 503).
-	// Classes absent or <= 0 default to QueueDepth, i.e. no extra bound.
-	// The global QueueDepth check runs first, so a cap only produces 429s
-	// when it is BELOW QueueDepth — a cap at or above it is effectively
-	// unlimited (ftserve rejects such flag values up front).
-	QueueCaps map[Priority]int
 	// CacheEntries bounds the in-memory result LRU cache (default 128).
 	CacheEntries int
 	// StoreDir enables the durable result store: one content-addressed file
@@ -84,12 +76,6 @@ type Config struct {
 	// result cache, so an evicted job's spanner is still one resubmission
 	// away.
 	JobRetention time.Duration
-	// WaitBudget enables latency-based load shedding: when a priority
-	// class's recent p90 queue wait — or its current head-of-line age —
-	// exceeds this budget, new submissions to the class are refused with
-	// 429 and Retry-After instead of joining a queue they would only age
-	// in. Zero disables shedding (the per-class depth caps still apply).
-	WaitBudget time.Duration
 	// Version is an opaque build stamp reported in /metrics and /healthz.
 	Version string
 	// Chaos, if non-nil, is handed to every greedy build as the core
@@ -147,15 +133,6 @@ func (c *Config) applyDefaults() {
 	if c.SessionRetention == 0 {
 		c.SessionRetention = defaultSessionRetention
 	}
-	caps := make(map[Priority]int, numClasses)
-	for p := range classes {
-		if n := c.QueueCaps[p]; n > 0 {
-			caps[p] = n
-		} else {
-			caps[p] = c.QueueDepth
-		}
-	}
-	c.QueueCaps = caps
 }
 
 // Server is the ftserve HTTP handler plus its worker pool. Create one with
@@ -170,11 +147,9 @@ type Server struct {
 	memo *specMemo
 	met  metrics
 
-	// Observability and load control (this package's obs.go and shed.go):
-	// latency histograms for /metrics, the queue-wait load shedder, and the
-	// start time behind uptime_seconds.
+	// Observability (obs.go): latency histograms for /metrics and the start
+	// time behind uptime_seconds.
 	lat     *latencies
-	shedder *waitShedder
 	started time.Time
 
 	// wake carries one token per enqueued job so idle workers notice new
@@ -183,7 +158,7 @@ type Server struct {
 	wake chan struct{}
 
 	mu     sync.Mutex
-	queues jobQueues // pending jobs, one FIFO per priority class
+	queue  jobQueue // pending jobs, oldest first
 	jobs   map[string]*Job
 	active map[CacheKey]*Job // queued or running, for in-flight dedup
 	nextID int64
@@ -241,7 +216,6 @@ func New(cfg Config) (*Server, error) {
 		active:   make(map[CacheKey]*Job),
 		sessions: make(map[string]*Session),
 		lat:      newLatencies(),
-		shedder:  newWaitShedder(cfg.WaitBudget),
 		started:  time.Now(),
 		ctx:      ctx,
 		cancel:   cancel,
@@ -293,18 +267,12 @@ func (s *Server) StartDrain() {
 	s.cancelQueued("server draining")
 }
 
-// cancelQueued empties every priority queue, cancelling the jobs it finds.
-// With draining already set no new job can join behind it.
+// cancelQueued empties the job queue, cancelling the jobs it finds. With
+// draining already set no new job can join behind it.
 func (s *Server) cancelQueued(reason string) {
 	s.mu.Lock()
-	var queued []*Job
-	for {
-		job := s.queues.pop()
-		if job == nil {
-			break
-		}
-		queued = append(queued, job)
-	}
+	queued := s.queue
+	s.queue = nil
 	s.mu.Unlock()
 	for _, job := range queued {
 		job.mu.Lock()
@@ -385,30 +353,59 @@ func (s *Server) worker() {
 	}
 }
 
-// dequeue pops the next pending job under the weighted-fair schedule, or
-// nil when every queue is empty. A popped job joins the in-flight count
-// under the same s.mu hold, so Drain (which empties the queues under s.mu
-// before waiting) can never miss one.
+// dequeue pops the oldest pending job, or nil when the queue is empty. A
+// popped job joins the in-flight count under the same s.mu hold, so Drain
+// (which empties the queue under s.mu before waiting) can never miss one.
 func (s *Server) dequeue() *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job := s.queues.pop()
+	job := s.queue.pop()
 	if job != nil {
-		s.met.dequeued[job.class].Add(1)
+		job.dequeued = true
 		s.inflight.Add(1)
 	}
 	return job
 }
 
-// run executes one dequeued job. The worker slot is held only until the
-// job's context is cancelled or the build returns, whichever is first: a
-// cancelled greedy build aborts at the next edge scan via the Progress
-// hook, and the baseline algorithms (which have no hook) are abandoned to
-// finish in the background with their result discarded.
+// jobQueue is the pending-job FIFO. Server.mu guards it.
+type jobQueue []*Job
+
+func (q *jobQueue) push(job *Job) { *q = append(*q, job) }
+
+// pop removes and returns the oldest job, or nil when the queue is empty.
+func (q *jobQueue) pop() *Job {
+	if len(*q) == 0 {
+		return nil
+	}
+	job := (*q)[0]
+	(*q)[0] = nil
+	*q = (*q)[1:]
+	return job
+}
+
+// remove deletes the job in place; a no-op when a worker popped it first.
+func (q *jobQueue) remove(job *Job) {
+	for i, p := range *q {
+		if p == job {
+			*q = append((*q)[:i], (*q)[i+1:]...)
+			return
+		}
+	}
+}
+
+// run executes one dequeued job. A job whose key an identical job has
+// cached meanwhile ends done from that result, and one whose deadline passed
+// while it was queued ends deadline_exceeded; neither starts a build.
+// Otherwise the worker slot is held only until the job's context is
+// cancelled or the build returns, whichever is first: a cancelled greedy
+// build aborts at the next edge scan via the Progress hook, and the baseline
+// algorithms (which have no hook) are abandoned to finish in the background
+// with their result discarded.
 func (s *Server) run(job *Job) {
-	// A job deadline becomes a real context deadline covering the rest of
-	// the build; the queue wait already spent against it is inherent in
-	// the absolute deadline computed at submission.
+	// The deadline is final once the job is dequeued (dedupLocked moves only
+	// a queued job's). It becomes a real context deadline covering the rest
+	// of the job; the queue wait already spent against it is inherent in the
+	// absolute deadline.
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if job.deadline.IsZero() {
@@ -417,22 +414,41 @@ func (s *Server) run(job *Job) {
 		ctx, cancel = context.WithDeadline(s.ctx, job.deadline)
 	}
 	defer cancel()
+	res, hit := s.cache.Get(job.key)
 
 	job.mu.Lock()
 	if job.state != StateQueued { // cancelled while waiting in the queue
 		job.mu.Unlock()
 		return
 	}
-	job.cancel = cancel
-	job.setStateLocked(StateRunning, Event{})
 	job.queueSpan.End()
-	wait := time.Since(job.enqueuedAt)
+	now := time.Now()
+	wait := now.Sub(job.enqueuedAt)
 	job.queueWait = wait
-	job.startedAt = time.Now()
-	job.buildSpan = job.trace.Root().StartSpan("build")
+	switch {
+	case hit:
+		// An identical job built the result while this one waited: a
+		// submission that could not join a running build (dedupLocked).
+		job.doneFromCacheLocked(res, false)
+	case ctx.Err() == nil:
+		job.cancel = cancel
+		job.setStateLocked(StateRunning, Event{})
+		job.startedAt = now
+		job.buildSpan = job.trace.Root().StartSpan("build")
+	}
 	job.mu.Unlock()
-	s.lat.queueWait[job.class].Record(wait)
-	s.shedder.observe(job.class, wait)
+	s.lat.queueWait.Record(wait)
+	if hit {
+		root := job.trace.Root()
+		root.SetAttr("cached", 1)
+		root.End()
+		s.dropActive(job)
+		return
+	}
+	if err := ctx.Err(); err != nil {
+		s.finish(job, nil, err)
+		return
+	}
 	s.met.buildsRun.Add(1)
 	s.met.buildStarted()
 	defer s.met.buildFinished()
@@ -468,11 +484,13 @@ func (s *Server) run(job *Job) {
 }
 
 // finish moves a running job to its terminal state, updates the metrics,
-// and caches successful results in both tiers. Late calls (a build result
-// arriving after cancellation already finished the job) are no-ops.
+// and caches successful results in both tiers. It also ends a dequeued job
+// that never started its build, with the error of its done context. Late
+// calls (a build result arriving after cancellation already finished the
+// job) are no-ops.
 func (s *Server) finish(job *Job, res *buildResult, err error) {
 	job.mu.Lock()
-	if job.state != StateRunning {
+	if job.state != StateRunning && job.state != StateQueued {
 		job.mu.Unlock()
 		return
 	}
@@ -491,8 +509,7 @@ func (s *Server) finish(job *Job, res *buildResult, err error) {
 		job.result = res
 		job.setStateLocked(StateDone, Event{Scanned: res.stats.EdgesScanned, Kept: res.NumKept()})
 	case errors.Is(err, context.DeadlineExceeded):
-		job.err = fmt.Errorf("deadline of %dms exceeded", job.spec.DeadlineMs)
-		job.setStateLocked(StateDeadline, Event{Error: job.err.Error()})
+		job.expireLocked()
 	case errors.Is(err, context.Canceled):
 		job.setStateLocked(StateCancelled, Event{})
 	case errors.As(err, &pe):
@@ -560,12 +577,12 @@ func (s *Server) dropActive(job *Job) {
 	s.mu.Unlock()
 }
 
-// unqueue removes a cancelled job from its pending queue so it stops
-// holding a queue slot. A no-op when a worker dequeued it first (the
-// worker's state check skips it).
+// unqueue removes a cancelled job from the queue so it stops holding a
+// queue slot. A no-op when a worker dequeued it first (the worker's state
+// check skips it).
 func (s *Server) unqueue(job *Job) {
 	s.mu.Lock()
-	s.queues.remove(job)
+	s.queue.remove(job)
 	s.mu.Unlock()
 }
 
@@ -574,7 +591,7 @@ type submitError struct {
 	status int
 	msg    string
 	// retryAfter > 0 adds a Retry-After header with that many seconds —
-	// set on per-class 429 backpressure.
+	// set on a full queue, a draining server and the session cap.
 	retryAfter int
 }
 
@@ -590,28 +607,31 @@ func badSpecError(err error) *submitError {
 var errDraining = errors.New("server draining")
 
 // submit registers a job for a resolved body: a result in the memory cache
-// produces a job born done, an in-flight duplicate is returned as-is (dedup
-// true), a result in the disk tier produces a job born done, and anything
-// else is enqueued onto its priority class for the worker pool. The memory
-// cache comes first because finish caches a result before its job turns
-// done and leaves the dedup index only after the persist: a job that is
-// done is answered from the cache. After a memo hit the graph is not
-// decoded: a memory-tier hit needs none, and the disk tier and a build
-// decode it from the body.
+// produces a job born done, an in-flight duplicate that dedupLocked accepts
+// is returned as-is (dedup true), a result in the disk tier produces a job
+// born done, and anything else is enqueued for the worker pool. The memory cache comes first because finish caches a
+// result before its job turns done and leaves the dedup index only after the
+// persist: a job that is done is answered from the cache. After a memo hit
+// the graph is not decoded: a memory-tier hit needs none, and the disk tier
+// and a build decode it from the body.
 func (s *Server) submit(in Resolution) (job *Job, dedup bool, err error) {
 	if s.draining.Load() {
 		return nil, false, errDraining
 	}
 	sub, g := in.sub, in.g
 	key := sub.key
+	var deadline time.Time
+	if sub.spec.DeadlineMs > 0 {
+		deadline = time.Now().Add(time.Duration(sub.spec.DeadlineMs) * time.Millisecond)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	res, hit := s.cache.Get(key)
-	if dup := s.active[key]; !hit && dup != nil {
-		s.met.jobsSubmitted.Add(1)
-		s.met.dedups.Add(1)
-		return dup, true, nil
+	if !hit {
+		if dup := s.dedupLocked(key, deadline, sub.spec.DeadlineMs); dup != nil {
+			return dup, true, nil
+		}
 	}
 	fromStore := false
 	if !hit && (g == nil || s.store != nil) {
@@ -634,14 +654,14 @@ func (s *Server) submit(in Resolution) (job *Job, dedup bool, err error) {
 			return nil, false, badSpecError(err)
 		}
 		res, hit = s.cache.Get(key)
-		if dup := s.active[key]; !hit && dup != nil {
-			s.met.jobsSubmitted.Add(1)
-			s.met.dedups.Add(1)
-			return dup, true, nil
-		}
-		if !hit && stored != nil {
-			s.cache.Put(key, stored)
-			res, hit, fromStore = stored, true, true
+		if !hit {
+			if dup := s.dedupLocked(key, deadline, sub.spec.DeadlineMs); dup != nil {
+				return dup, true, nil
+			}
+			if stored != nil {
+				s.cache.Put(key, stored)
+				res, hit, fromStore = stored, true, true
+			}
 		}
 	}
 	id := fmt.Sprintf("%sj%d", s.idPrefix, s.nextID+1)
@@ -650,13 +670,10 @@ func (s *Server) submit(in Resolution) (job *Job, dedup bool, err error) {
 		// digest-equal to the cached result's input: a session-published
 		// result would have to materialize its input to hand it over. A job
 		// born done never builds, so it keeps the sizes, not the graph.
-		job := newJob(id, sub, nil)
+		job := newJob(id, sub, nil, time.Time{})
 		job.startTrace(true, fromStore)
 		job.mu.Lock()
-		job.result = res
-		job.cached = true
-		job.fromStore = fromStore
-		job.setStateLocked(StateDone, Event{Scanned: res.stats.EdgesScanned, Kept: res.NumKept()})
+		job.doneFromCacheLocked(res, fromStore)
 		job.mu.Unlock()
 		s.nextID++
 		s.jobs[id] = job
@@ -668,58 +685,20 @@ func (s *Server) submit(in Resolution) (job *Job, dedup bool, err error) {
 		}
 		return job, false, nil
 	}
-	// Re-checked under s.mu: StartDrain empties the queues under this same
+	// Re-checked under s.mu: StartDrain empties the queue under this same
 	// lock, so a submission past the lock-free check above must not slip a
 	// job into a queue no worker will ever drain.
 	if s.draining.Load() {
 		return nil, false, errDraining
 	}
-	if s.queues.totalLen() >= s.cfg.QueueDepth {
+	if len(s.queue) >= s.cfg.QueueDepth {
 		return nil, false, &submitError{status: http.StatusServiceUnavailable,
-			msg: fmt.Sprintf("job queue full (%d queued)", s.queues.totalLen())}
+			msg:        fmt.Sprintf("job queue full (%d queued)", len(s.queue)),
+			retryAfter: s.queueRetryAfterLocked()}
 	}
-	cls := classOf(sub.spec.Priority)
-	if cap := s.cfg.QueueCaps[cls.Priority()]; len(s.queues.q[cls]) >= cap {
-		s.met.rejected[cls].Add(1)
-		return nil, false, &submitError{
-			status: http.StatusTooManyRequests,
-			msg: fmt.Sprintf("priority %q queue full (%d queued, cap %d)",
-				cls.Priority(), len(s.queues.q[cls]), cap),
-			retryAfter: s.retryAfterLocked(cls),
-		}
-	}
-	// Latency-based shedding fires before the queue would: joining a class
-	// whose recent p90 wait (or live head-of-line age) already blows the
-	// budget just manufactures another late job, so refuse it now while the
-	// client can still back off.
-	if s.shedder.shouldShed(cls, s.queues.oldestAge(cls, time.Now())) {
-		s.met.shed[cls].Add(1)
-		return nil, false, &submitError{
-			status: http.StatusTooManyRequests,
-			msg: fmt.Sprintf("priority %q shedding load: recent queue wait exceeds budget %s",
-				cls.Priority(), s.cfg.WaitBudget),
-			retryAfter: s.retryAfterLocked(cls),
-		}
-	}
-	// Deadline feasibility: a job whose whole deadline would be eaten by
-	// the class's recent p90 queue wait is doomed before any build starts,
-	// so refuse it while the client can still retry elsewhere. This runs
-	// regardless of WaitBudget — the shedder records waits even with
-	// budget shedding disabled.
-	if sub.spec.DeadlineMs > 0 {
-		if p90, ok := s.shedder.p90(cls); ok && time.Duration(sub.spec.DeadlineMs)*time.Millisecond <= p90 {
-			s.met.deadlineRejected[cls].Add(1)
-			return nil, false, &submitError{
-				status: http.StatusTooManyRequests,
-				msg: fmt.Sprintf("deadline %dms cannot be met: priority %q p90 queue wait is %s",
-					sub.spec.DeadlineMs, cls.Priority(), p90.Round(time.Millisecond)),
-				retryAfter: s.retryAfterLocked(cls),
-			}
-		}
-	}
-	job = newJob(id, sub, g)
+	job = newJob(id, sub, g, deadline)
 	job.startTrace(false, false)
-	s.queues.push(job)
+	s.queue.push(job)
 	s.nextID++
 	s.jobs[id] = job
 	s.active[key] = job
@@ -730,6 +709,28 @@ func (s *Server) submit(in Resolution) (job *Job, dedup bool, err error) {
 	default: // wake already saturated; an awake worker will re-check
 	}
 	return job, false, nil
+}
+
+// dedupLocked returns the in-flight job for key that a submission with the
+// given deadline (zero for none) and deadline_ms coalesces onto, counting
+// the submission, or nil. No submission inherits a deadline earlier than its
+// own: a queued job takes the later of the two (no deadline is the latest),
+// and a job already dequeued, whose deadline is final, is joined only if its
+// deadline is no earlier. Caller holds s.mu.
+func (s *Server) dedupLocked(key CacheKey, deadline time.Time, deadlineMs int64) *Job {
+	dup := s.active[key]
+	if dup == nil {
+		return nil
+	}
+	if !dup.deadline.IsZero() && (deadline.IsZero() || dup.deadline.Before(deadline)) {
+		if dup.dequeued {
+			return nil
+		}
+		dup.deadline, dup.deadlineMs = deadline, deadlineMs
+	}
+	s.met.jobsSubmitted.Add(1)
+	s.met.dedups.Add(1)
+	return dup
 }
 
 // drainError builds the 503 a draining server answers submissions with,
@@ -781,20 +782,12 @@ func (s *Server) drainRetryAfterLocked() int {
 	return sec
 }
 
-// retryAfterLocked estimates how long a rejected client should wait before
-// resubmitting to class c: roughly the time for the class's backlog to
-// drain through its weighted share of the pool, clamped to [1s, 60s].
-// Caller holds s.mu.
-func (s *Server) retryAfterLocked(c class) int {
-	share := s.cfg.Workers * classWeights[c] / weightSum
-	if share < 1 {
-		share = 1
-	}
-	sec := 1 + len(s.queues.q[c])/share
-	if sec > 60 {
-		sec = 60
-	}
-	return sec
+// queueRetryAfterLocked estimates how long a client turned away by a full
+// queue should wait: the seconds for the backlog to pass through the worker
+// pool at roughly one job per worker per second, clamped to [1, 60]. Caller
+// holds s.mu.
+func (s *Server) queueRetryAfterLocked() int {
+	return min(1+len(s.queue)/s.cfg.Workers, 60)
 }
 
 // job looks a job up by ID.
